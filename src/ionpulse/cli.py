@@ -171,18 +171,19 @@ def cmd_ramsey_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     params = _params_from_args(args, parser)
     if args.points < 1:
         parser.error(f"--points must be >= 1, got {args.points}")
-    if args.wait < 0:
-        parser.error(f"--wait must be >= 0, got {args.wait}")
     if args.points == 1:
         grid = np.array([args.delta_min])
     else:
         grid = np.linspace(args.delta_min, args.delta_max, args.points)
-    config = RamseyConfig(
-        params=params,
-        wait_time=args.wait,
-        detuning_grid=tuple(float(d) for d in grid),
-        mode=PulseMode(args.mode),
-    )
+    try:
+        config = RamseyConfig(
+            params=params,
+            wait_time=args.wait,
+            detuning_grid=tuple(float(d) for d in grid),
+            mode=PulseMode(args.mode),
+        )
+    except ValueError as exc:  # negative or non-finite --wait, non-finite grid bounds
+        parser.error(str(exc))
     result = ramsey_scan(config)
     if args.format == "json":
         payload = json.dumps(result_to_json_dict(result)) + "\n"

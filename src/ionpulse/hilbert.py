@@ -9,6 +9,9 @@ Fock index major::
 
 so each Fock level occupies one contiguous block of 2**N amplitudes and
 pulse operators can act block by block without ever forming a matrix.
+The row-level helpers (:func:`levels_view`, :func:`check_norms`,
+:func:`excited_population_rows`) also accept arrays with leading batch
+axes, one state per row of length dim.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -42,7 +45,10 @@ __all__ = [
     "target_ghz",
     "fidelity",
     "excited_population",
+    "excited_population_rows",
     "fock_populations",
+    "levels_view",
+    "check_norms",
 ]
 
 FRAME_R = "R"
@@ -54,6 +60,12 @@ NORM_TOL = 1e-12
 
 class SimulationError(RuntimeError):
     """An operation violated one of the simulator's contracts."""
+
+
+def _require_finite(name: str, value: float) -> None:
+    """Reject NaN and infinities up front, naming the offending field."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,8 @@ class TrapParams:
     fock_cutoff: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("trap_freq", "lamb_dicke", "base_rabi"):
+            _require_finite(name, getattr(self, name))
         if self.n_ions < 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
         if self.fock_cutoff < 1:
@@ -120,6 +134,7 @@ class Frame:
     reference_freq: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite("detuning", self.detuning)
         if self.tag not in (FRAME_R, FRAME_R_PRIME):
             raise ValueError(f"frame tag must be {FRAME_R!r} or {FRAME_R_PRIME!r}, got {self.tag!r}")
         if self.tag == FRAME_R and self.detuning != 0.0:
@@ -147,6 +162,30 @@ def split_index(params: TrapParams, flat: int) -> BasisIndex:
     if not 0 <= flat < params.dim:
         raise ValueError(f"flat index {flat} out of range [0, {params.dim})")
     return BasisIndex(ion_bits=flat % params.n_configs, fock_n=flat // params.n_configs)
+
+
+def levels_view(amplitudes: np.ndarray, params: TrapParams) -> np.ndarray:
+    """Writable (..., n_levels, 2**N) view of amplitude rows of shape (..., dim).
+
+    Leading axes are batch axes: every row is one state, and the pulse
+    kernels and guards act on all rows at once.
+    """
+    return amplitudes.reshape(amplitudes.shape[:-1] + (params.n_levels, params.n_configs))
+
+
+def check_norms(amplitudes: np.ndarray) -> None:
+    """Raise if any row of an (..., dim) amplitude array drifted beyond NORM_TOL from unit norm.
+
+    One reduction per row, with no temporary the size of the state.  A
+    NaN norm counts as drifted.
+    """
+    norms = np.sqrt(np.vecdot(amplitudes, amplitudes).real)
+    within = np.abs(norms - 1.0) <= NORM_TOL
+    if np.count_nonzero(within) != within.size:
+        row = int(np.flatnonzero(~within)[0])
+        where = f" in row {row}" if amplitudes.ndim > 1 else ""
+        norm = float(np.reshape(norms, -1)[row])
+        raise SimulationError(f"state norm drifted to {norm!r}{where} (|norm - 1| > {NORM_TOL})")
 
 
 @lru_cache(maxsize=32)
@@ -190,7 +229,7 @@ class StateVector:
     @property
     def blocks(self) -> np.ndarray:
         """Writable (n_levels, 2**N) view: one row per Fock level."""
-        return self.amplitudes.reshape(self.params.n_levels, self.params.n_configs)
+        return levels_view(self.amplitudes, self.params)
 
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
         return complex(self.amplitudes[flat_index(self.params, ion_bits, fock_n)])
@@ -200,9 +239,7 @@ class StateVector:
 
     def check_norm(self) -> None:
         """Raise if the norm drifted beyond NORM_TOL from unity."""
-        norm = self.norm()
-        if abs(norm - 1.0) > NORM_TOL:
-            raise SimulationError(f"state norm drifted to {norm!r} (|norm - 1| > {NORM_TOL})")
+        check_norms(self.amplitudes)
 
     def to_dump(self) -> dict:
         """JSON-ready dict in the documented flat order (fock-major)."""
@@ -280,12 +317,21 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def excited_population(state: StateVector, ion_index: int) -> float:
     """Probability of finding ion ``ion_index`` (1-based) in |e>."""
-    n = state.params.n_ions
+    return float(excited_population_rows(state.amplitudes, state.params, ion_index))
+
+
+def excited_population_rows(amplitudes: np.ndarray, params: TrapParams, ion_index: int) -> np.ndarray:
+    """:func:`excited_population` of every row of an (..., dim) amplitude array.
+
+    Each row is reduced on its own, so a row gives the same bits whether
+    it is read alone or inside a batch.
+    """
+    n = params.n_ions
     if not 1 <= ion_index <= n:
         raise ValueError(f"ion_index must be in [1, {n}], got {ion_index}")
-    bit = (np.arange(state.params.n_configs) >> (ion_index - 1)) & 1
-    per_config = np.abs(state.blocks) ** 2
-    return float(per_config.sum(axis=0) @ bit)
+    bit = (np.arange(params.n_configs) >> (ion_index - 1)) & 1
+    per_config = (np.abs(levels_view(amplitudes, params)) ** 2).sum(axis=-2)
+    return (per_config * bit).sum(axis=-1)
 
 
 def fock_populations(state: StateVector) -> np.ndarray:

@@ -26,6 +26,16 @@ Rabi frequency; a warning fires otherwise), while Delta enters through
 the free evolution.  The optional ``detuning_during_pulses`` diagnostic
 additionally accumulates detuning phase over each pulse's duration to
 quantify that approximation instead of leaving it silent.
+
+Because Delta only enters through diagonal phases, a scan carries its
+detuning grid as a batch axis: grid points are rows of one amplitude
+array, and each pulse is applied to all rows in one call.  The
+preparation runs once and is copied into every row (per row only with
+``detuning_during_pulses``); the wait is one diagonal phase with each
+row's own Delta; the reversed pulses and the readout act on all rows at
+once.  Rows run in chunks whose array stays within ``SCAN_CHUNK_BYTES``,
+so memory does not grow with the grid.  :func:`ramsey_run` is the
+one-point case.
 """
 
 from __future__ import annotations
@@ -42,19 +52,23 @@ from .hilbert import (
     Frame,
     StateVector,
     TrapParams,
-    _popcounts,
     excited_population,
+    excited_population_rows,
     flat_index,
     ground_state,
 )
+
+# free_evolve is not called here any more, but stays a module attribute:
+# profiling tools wrap this module's pulse layer by name.
 from .pulses import (
     PulseKind,
     PulseMode,
     PulseSpec,
     RabiLaw,
+    apply_detuning_phase,
     apply_pulse,
-    free_evolve,
-    pulse_duration,
+    apply_pulse_rows,
+    free_evolve,  # noqa: F401
 )
 
 __all__ = [
@@ -80,6 +94,13 @@ __all__ = [
 #: |Delta| <= VALIDITY_RATIO * min(all Rabi frequencies in the sequence).
 VALIDITY_RATIO = 0.01
 
+#: Byte budget of the amplitude array one chunk of scan rows occupies;
+#: fixes how many grid points share each pulse application (6 at N=8,
+#: one from N=10 up).  A constant, not an option: batching a whole grid
+#: would raise peak memory with the grid size, and the kernels' temporaries
+#: scale with the chunk.
+SCAN_CHUNK_BYTES = 128 * 1024
+
 
 def preparation_sequence(params: TrapParams, mode: PulseMode | str = PulseMode.IDEAL) -> list[PulseSpec]:
     """The five-pulse program that builds the entangled state."""
@@ -94,24 +115,13 @@ def preparation_sequence(params: TrapParams, mode: PulseMode | str = PulseMode.I
     ]
 
 
-def _detuning_kick(state: StateVector, duration: float) -> None:
-    """Diagnostic only: accumulate detuning phase over a pulse's duration."""
-    delta = state.frame.detuning
-    if delta != 0.0 and duration > 0.0:
-        pc = _popcounts(state.params.n_ions)
-        state.blocks[:] *= np.exp(-1j * delta * duration * pc)[None, :]
-
-
 def _run_sequence(
     state: StateVector,
     specs: list[PulseSpec],
-    detuning_during_pulses: bool = False,
     step_states: list[StateVector] | None = None,
 ) -> StateVector:
     for spec in specs:
         apply_pulse(state, spec)
-        if detuning_during_pulses:
-            _detuning_kick(state, pulse_duration(spec, state.params))
         if step_states is not None:
             step_states.append(state.copy())
     return state
@@ -262,8 +272,11 @@ class RamseyConfig:
     detuning_during_pulses: bool = False
 
     def __post_init__(self) -> None:
-        if self.wait_time < 0:
-            raise ValueError(f"wait_time must be >= 0, got {self.wait_time}")
+        if not 0 <= self.wait_time < math.inf:
+            raise ValueError(f"wait_time must be finite and >= 0, got {self.wait_time!r}")
+        for index, delta in enumerate(self.detuning_grid):
+            if not math.isfinite(delta):
+                raise ValueError(f"detuning_grid[{index}] must be finite, got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -285,54 +298,136 @@ def ramsey_probability(n_ions: int, delta: float, wait_time: float) -> float:
     return 0.5 * (1.0 - (-1.0) ** n_ions * math.cos(n_ions * delta * wait_time))
 
 
-def _check_validity(params: TrapParams, delta: float) -> None:
+def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
+    """One warning for all detunings that break the frame-invariant approximation."""
     law = RabiLaw(params)
     smallest = min(law.carrier(), law.jc(0), law.dispersive(1))
-    if abs(delta) > VALIDITY_RATIO * smallest:
+    magnitudes = np.abs(deltas)
+    invalid = int(np.count_nonzero(magnitudes > VALIDITY_RATIO * smallest))
+    if invalid:
         warnings.warn(
-            f"detuning {delta:.3e} is not small against the slowest Rabi frequency "
-            f"{smallest:.3e}; frame-invariant pulse transformations are inaccurate here",
+            f"{invalid} of {deltas.size} detunings (largest |detuning| {magnitudes.max():.3e}) are not "
+            f"small against the slowest Rabi frequency {smallest:.3e}; frame-invariant pulse "
+            "transformations are inaccurate there",
             UserWarning,
             stacklevel=3,
         )
 
 
+def _run_rows(
+    rows: np.ndarray,
+    params: TrapParams,
+    specs: list[PulseSpec],
+    clock: float,
+    detunings: np.ndarray | None = None,
+) -> float:
+    """Apply ``specs`` to every row from the shared ``clock``; return the clock after them.
+
+    With ``detunings`` (one per row) each pulse is followed by the detuning
+    phase accumulated over its duration: the ``detuning_during_pulses``
+    diagnostic.
+    """
+    for spec in specs:
+        duration = apply_pulse_rows(rows, params, spec, clock)
+        clock = clock + duration
+        if detunings is not None:
+            apply_detuning_phase(rows, params, detunings, duration)
+    return clock
+
+
+def _chunk_rows(params: TrapParams) -> int:
+    """Grid points per scan chunk: as many rows as fit in SCAN_CHUNK_BYTES, at least one."""
+    return max(1, SCAN_CHUNK_BYTES // (params.dim * np.dtype(np.complex128).itemsize))
+
+
+def _shared_preparation(config: RamseyConfig) -> tuple[np.ndarray, float] | None:
+    """The prepared state every grid point starts its wait from, as one row, and its clock.
+
+    Frame-invariant pulses do not depend on the detuning, so the five
+    preparation pulses run once per scan.  With ``detuning_during_pulses``
+    they do depend on it, and this returns None.
+    """
+    if config.detuning_during_pulses:
+        return None
+    params = config.params
+    row = ground_state(params).amplitudes[None, :]
+    return row, _run_rows(row, params, preparation_sequence(params, config.mode), 0.0)
+
+
+def _ramsey_rows(
+    config: RamseyConfig, deltas: np.ndarray, prepared: tuple[np.ndarray, float] | None
+) -> tuple[np.ndarray, float]:
+    """Final amplitude rows (one per detuning) and clock of the Ramsey scheme.
+
+    Starts from copies of ``prepared`` (see :func:`_shared_preparation`)
+    or, when it is None, runs the preparation on the rows themselves.
+    The wait is one diagonal phase (free phase, then the detuning phase of
+    each row's own detuning), and the reversed pulses run on all rows at
+    once.
+    """
+    params = config.params
+    specs = preparation_sequence(params, config.mode)
+    kick = deltas if config.detuning_during_pulses else None
+    if prepared is None:
+        rows = np.repeat(ground_state(params).amplitudes[None, :], deltas.size, axis=0)
+        clock = _run_rows(rows, params, specs, 0.0, kick)
+    else:
+        rows = np.repeat(prepared[0], deltas.size, axis=0)
+        clock = prepared[1]
+    wait = PulseSpec(PulseKind.WAIT, duration=config.wait_time)
+    clock = clock + apply_pulse_rows(rows, params, wait, clock, deltas)
+    clock = _run_rows(rows, params, specs[::-1], clock, kick)
+    return rows, clock
+
+
 def ramsey_run(config: RamseyConfig, delta: float) -> tuple[StateVector, float]:
     """One Ramsey experiment at detuning ``delta``: prepare, wait T, reverse, read out.
 
-    Returns the final state and the excited-state probability of ion N.
+    The one-point case of :func:`ramsey_scan`.  Returns the final state
+    (frame R' at ``delta``, clock after the last pulse) and the
+    excited-state probability of ion N.
     """
     params = config.params
-    _check_validity(params, delta)
     frame = Frame(FRAME_R_PRIME, detuning=delta)
-    state = ground_state(params, frame)
-    specs = preparation_sequence(params, config.mode)
-    _run_sequence(state, specs, config.detuning_during_pulses)
-    free_evolve(state, config.wait_time)
-    _run_sequence(state, list(reversed(specs)), config.detuning_during_pulses)
+    deltas = np.array([frame.detuning], dtype=np.float64)
+    _check_validity(params, deltas)
+    rows, clock = _ramsey_rows(config, deltas, prepared=None)
+    state = StateVector(rows[0], params, frame, clock=clock)
     return state, excited_population(state, params.n_ions)
 
 
 def ramsey_scan(config: RamseyConfig) -> RamseyResult:
     """Sample the fringe over the detuning grid, in grid order.
 
-    Every grid point evolves an independent state, so points could run in
-    parallel; the result is assembled by grid index either way.
+    Grid points run as rows of one amplitude array, in chunks of at most
+    ``SCAN_CHUNK_BYTES``; each sample equals what :func:`ramsey_run`
+    gives for its detuning.  Detunings outside the validity window raise
+    one warning for the whole scan.
     """
     if len(config.detuning_grid) == 0:
         raise ValueError("detuning grid must not be empty")
-    samples = []
-    for delta in config.detuning_grid:
-        _, p_sim = ramsey_run(config, delta)
-        p_ref = ramsey_probability(config.params.n_ions, delta, config.wait_time)
-        samples.append(
-            RamseySample(
-                delta=float(delta),
-                wait_time=config.wait_time,
-                p_simulated=p_sim,
-                p_analytic=p_ref,
-            )
+    params = config.params
+    deltas = np.array(config.detuning_grid, dtype=np.float64)
+    _check_validity(params, deltas)
+    prepared = _shared_preparation(config)
+    chunk = _chunk_rows(params)
+    # Each chunk's rows are freed as soon as they are read out, so at most
+    # one chunk is alive at a time.
+    p_sim = np.concatenate(
+        [
+            excited_population_rows(_ramsey_rows(config, block, prepared)[0], params, params.n_ions)
+            for block in np.split(deltas, range(chunk, deltas.size, chunk))
+        ]
+    )
+    samples = [
+        RamseySample(
+            delta=float(delta),
+            wait_time=config.wait_time,
+            p_simulated=float(p),
+            p_analytic=ramsey_probability(params.n_ions, float(delta), config.wait_time),
         )
+        for delta, p in zip(config.detuning_grid, p_sim)
+    ]
     max_err = max(abs(s.p_simulated - s.p_analytic) for s in samples)
     return RamseyResult(samples=samples, max_abs_error=max_err)
 

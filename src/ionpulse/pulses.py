@@ -24,7 +24,11 @@ Off-target Fock levels therefore see imperfect transfer in physical mode,
 which is the honest picture of a square pulse.
 
 Applications are matrix-free: per-Fock-block views of the flat amplitude
-array, O(dim) per pulse.  :func:`dense_matrix` builds the same unitaries
+array, O(dim) per pulse.  The kernels accept any leading batch axes, so
+:func:`apply_pulse_rows` applies one pulse to many states (rows of one
+array, sharing one clock) in a single call, and :func:`apply_pulse` is
+the same code on one :class:`StateVector`.  The norm and leakage guards
+are per-row reductions.  :func:`dense_matrix` builds the same unitaries
 as explicit matrices through an independent kron/loop construction and is
 used by the test-suite to cross-check the fast path.
 
@@ -48,6 +52,8 @@ from .hilbert import (
     StateVector,
     TrapParams,
     _popcounts,
+    check_norms,
+    levels_view,
 )
 
 __all__ = [
@@ -65,7 +71,9 @@ __all__ = [
     "apply_dispersive_single",
     "apply_dispersive_collective",
     "free_evolve",
+    "apply_detuning_phase",
     "apply_pulse",
+    "apply_pulse_rows",
     "dense_matrix",
 ]
 
@@ -153,6 +161,10 @@ def _positive_rabi(value: float, label: str) -> float:
 
 def pulse_duration(spec: PulseSpec, params: TrapParams) -> float:
     """Duration of the pulse: pi/(2 Omega) for the carrier, pi/Omega otherwise."""
+    if spec.kind is PulseKind.WAIT:
+        if spec.duration is None or not 0 <= spec.duration < math.inf:
+            raise PulseError(f"wait requires a finite duration >= 0, got {spec.duration!r}")
+        return spec.duration
     law = RabiLaw(params)
     if spec.kind is PulseKind.CARRIER_PI_HALF:
         return math.pi / (2.0 * _positive_rabi(law.carrier(), "carrier"))
@@ -160,19 +172,15 @@ def pulse_duration(spec: PulseSpec, params: TrapParams) -> float:
         return math.pi / _positive_rabi(law.jc(spec.target_n), "sideband")
     if spec.kind in (PulseKind.DISPERSIVE_SINGLE_PI, PulseKind.DISPERSIVE_COLLECTIVE_PI):
         return math.pi / _positive_rabi(law.dispersive(spec.target_n), "dispersive")
-    if spec.kind is PulseKind.WAIT:
-        if spec.duration is None or spec.duration < 0:
-            raise PulseError(f"wait requires duration >= 0, got {spec.duration!r}")
-        return spec.duration
     raise PulseError(f"unknown pulse kind {spec.kind!r}")
 
 
-def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> None:
-    """Raise PulseError if the spec cannot be applied under these parameters."""
+def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
+    """Raise PulseError if the spec cannot be applied under these parameters; return its duration."""
+    if not math.isfinite(spec.laser_phase):
+        raise PulseError(f"laser_phase must be finite, got {spec.laser_phase!r}")
     if spec.kind is PulseKind.WAIT:
-        if spec.duration is None or spec.duration < 0:
-            raise PulseError(f"wait requires duration >= 0, got {spec.duration!r}")
-        return
+        return pulse_duration(spec, params)
     if spec.duration is not None:
         raise PulseError("pulse durations are derived from Rabi frequencies; leave duration unset")
     if spec.kind is not PulseKind.DISPERSIVE_COLLECTIVE_PI:
@@ -194,7 +202,7 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> None:
             raise PulseError(
                 f"dispersive target_n {spec.target_n} beyond the cutoff {params.fock_cutoff}"
             )
-    pulse_duration(spec, params)
+    return pulse_duration(spec, params)
 
 
 def _start_time(state: StateVector, t0: float | None) -> float:
@@ -203,22 +211,39 @@ def _start_time(state: StateVector, t0: float | None) -> float:
     return state.clock
 
 
-def _ion_view(state: StateVector, ion: int) -> np.ndarray:
-    """View (n_levels, high_bits, 2, low_bits) with the ion's bit on axis 2."""
-    p = state.params
+def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarray:
+    """View (..., n_levels, high_bits, 2, low_bits) with the ion's bit on axis -2."""
     bit = ion - 1
-    return state.amplitudes.reshape(p.n_levels, 1 << (p.n_ions - 1 - bit), 2, 1 << bit)
+    shape = (params.n_levels, 1 << (params.n_ions - 1 - bit), 2, 1 << bit)
+    return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
-def _apply_free_phases(state: StateVector, duration: float) -> None:
+def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float) -> None:
     """Multiply Fock level m by exp(-i nu m duration) for every m >= 1.
 
     Level 0 carries no phase and is deliberately not touched, so its
     amplitudes stay bit-identical.
     """
-    p = state.params
-    levels = np.arange(1, p.n_levels)
-    state.blocks[1:] *= np.exp(-1j * p.trap_freq * levels * duration)[:, None]
+    levels = np.arange(1, params.n_levels)
+    phases = np.exp(-1j * params.trap_freq * levels * duration)
+    levels_view(amplitudes, params)[..., 1:, :] *= phases[:, None]
+
+
+def apply_detuning_phase(
+    amplitudes: np.ndarray, params: TrapParams, detuning: float | np.ndarray, duration: float
+) -> None:
+    """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row.
+
+    ``detuning`` is a float or an array with the leading shape of
+    ``amplitudes``.  The single home of the detuning phase: free evolution
+    and the ``detuning_during_pulses`` diagnostic both go through it.
+    Nothing is touched when every detuning or the duration is zero.
+    """
+    if duration == 0.0 or not np.count_nonzero(detuning):
+        return
+    detuning = np.asarray(detuning, dtype=np.float64)
+    phase = np.exp(-1j * detuning[..., None] * duration * _popcounts(params.n_ions))
+    levels_view(amplitudes, params)[...] *= phase[..., None, :]
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -228,16 +253,165 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return math.cos(theta / 2.0), math.sin(theta / 2.0)
 
 
-def _finish(state: StateVector, t0: float, duration: float, leakage_check: bool = True) -> StateVector:
+def _check_leakage(amplitudes: np.ndarray, params: TrapParams) -> None:
+    """Raise if any row holds more than LEAKAGE_TOL at the Fock cutoff (one reduction per row)."""
+    top_level = amplitudes[..., -params.n_configs :]
+    top = np.vecdot(top_level, top_level).real
+    if np.count_nonzero(top > LEAKAGE_TOL):
+        raise LeakageError(
+            f"population {np.max(top):.3e} at the Fock cutoff n={params.fock_cutoff}; "
+            "raise fock_cutoff for a trustworthy simulation"
+        )
+
+
+def _dispersive_rotation(view_level: np.ndarray, theta: float, laser_phase: float) -> None:
+    """In-place g/e rotation on one (..., high, 2, low) Fock-level view.
+
+    R(theta) = cos(theta/2) I + sin(theta/2) (e^{i phase}|e><g| - e^{-i phase}|g><e|),
+    so theta = pi is the exact flip and theta = 2 pi the overall sign -1.
+    """
+    c, s = _half_angle(theta)
+    up = np.exp(1j * laser_phase)
+    g = view_level[..., 0, :].copy()
+    e = view_level[..., 1, :].copy()
+    view_level[..., 0, :] = c * g - s * np.conj(up) * e
+    view_level[..., 1, :] = s * up * g + c * e
+
+
+def _carrier_pi_half(
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+) -> None:
+    """|g> -> (|g> + e^{i phase}|e>)/sqrt(2), |e> -> (|e> - e^{-i phase}|g>)/sqrt(2) on every level."""
+    up = np.exp(1j * spec.laser_phase)
+    view = _ion_view(amplitudes, params, spec.target_ion)
+    g = view[..., 0, :].copy()
+    e = view[..., 1, :].copy()
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    view[..., 0, :] = (g - np.conj(up) * e) * inv_sqrt2
+    view[..., 1, :] = (up * g + e) * inv_sqrt2
+    del g, e  # free the copies before the free-phase pass allocates its buffers
+    _apply_free_phases(amplitudes, params, duration)
+
+
+def _jc_pi(
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+) -> None:
+    """Red-sideband pi pulse on |g,n+1> <-> |e,n>; see :func:`apply_jc_pulse`."""
+    nu = params.trap_freq
+    n = spec.target_n
+    view = _ion_view(amplitudes, params, spec.target_ion)
+    if spec.mode is PulseMode.IDEAL:
+        g_hi = view[..., n + 1, :, 0, :].copy()
+        e_lo = view[..., n, :, 1, :].copy()
+        _apply_free_phases(amplitudes, params, duration)
+        down = 1j * np.exp(-1j * (nu * (t0 + (n + 1) * duration) + spec.laser_phase))
+        up = 1j * np.exp(1j * (nu * (t0 - n * duration) + spec.laser_phase))
+        view[..., n + 1, :, 0, :] = down * e_lo
+        view[..., n, :, 1, :] = up * g_hi
+        return
+    alpha = nu * t0 + spec.laser_phase
+    up = 1j * np.exp(1j * alpha)
+    down = 1j * np.exp(-1j * alpha)
+    for pair_n in range(params.fock_cutoff):
+        theta = math.pi * math.sqrt(pair_n + 1) / math.sqrt(n + 1)
+        c, s = _half_angle(theta)
+        g_hi = view[..., pair_n + 1, :, 0, :].copy()
+        e_lo = view[..., pair_n, :, 1, :].copy()
+        view[..., pair_n + 1, :, 0, :] = c * g_hi + down * s * e_lo
+        view[..., pair_n, :, 1, :] = c * e_lo + up * s * g_hi
+    _apply_free_phases(amplitudes, params, duration)
+
+
+def _dispersive_single_pi(
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+) -> None:
+    """Flip of one ion on the targeted level (ideal) or theta_m = pi m / n on every level (physical)."""
+    view = _ion_view(amplitudes, params, spec.target_ion)
+    if spec.mode is PulseMode.IDEAL:
+        _dispersive_rotation(view[..., spec.target_n, :, :, :], math.pi, spec.laser_phase)
+    else:
+        for level in range(1, params.n_levels):
+            theta = math.pi * level / spec.target_n
+            _dispersive_rotation(view[..., level, :, :, :], theta, spec.laser_phase)
+    _apply_free_phases(amplitudes, params, duration)
+
+
+def _dispersive_collective_pi(
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+) -> None:
+    """The dispersive flip on every ion at once; see :func:`apply_dispersive_collective`."""
+    n_ions = params.n_ions
+    if spec.mode is PulseMode.IDEAL:
+        pc = _popcounts(n_ions)
+        coef = np.where(pc % 2 == 0, 1.0, -1.0) * np.exp(1j * spec.laser_phase * (n_ions - 2 * pc))
+        # Reversing the config axis maps bit word b to its complement mask - b.
+        level = levels_view(amplitudes, params)[..., spec.target_n, :]
+        level[...] = (coef * level)[..., ::-1]
+    else:
+        for level in range(1, params.n_levels):
+            theta = math.pi * level / spec.target_n
+            for ion in range(1, n_ions + 1):
+                view = _ion_view(amplitudes, params, ion)[..., level, :, :, :]
+                _dispersive_rotation(view, theta, spec.laser_phase)
+    _apply_free_phases(amplitudes, params, duration)
+
+
+#: The pulse kinds' kernels.  Each acts in place on amplitude rows of shape
+#: (..., dim) through (..., levels, high, 2, low) views, so a single state
+#: and a batch of states run the same code.
+_KERNELS = {
+    PulseKind.CARRIER_PI_HALF: _carrier_pi_half,
+    PulseKind.JC_PI: _jc_pi,
+    PulseKind.DISPERSIVE_SINGLE_PI: _dispersive_single_pi,
+    PulseKind.DISPERSIVE_COLLECTIVE_PI: _dispersive_collective_pi,
+}
+
+
+def apply_pulse_rows(
+    amplitudes: np.ndarray,
+    params: TrapParams,
+    spec: PulseSpec,
+    t0: float,
+    detuning: float | np.ndarray = 0.0,
+    *,
+    check_leakage: bool = True,
+) -> float:
+    """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration.
+
+    Every row is one state, and all rows share the start time ``t0``.
+    ``detuning`` (one per row, or one for all) only enters wait steps.
+    After the step every row's norm is checked, and after a pulse every
+    row's population at the Fock cutoff, unless ``check_leakage=False``;
+    that bypass is meant for unitary-equivalence checks on synthetic
+    full-support states, not for simulations.
+    """
+    duration = validate_pulse_spec(spec, params)
+    if spec.kind is PulseKind.WAIT:
+        if duration > 0:
+            _apply_free_phases(amplitudes, params, duration)
+            apply_detuning_phase(amplitudes, params, detuning, duration)
+        check_leakage = False  # phases move no population
+    else:
+        _KERNELS[spec.kind](amplitudes, params, spec, t0, duration)
+    check_norms(amplitudes)
+    if check_leakage:
+        _check_leakage(amplitudes, params)
+    return duration
+
+
+def apply_pulse(
+    state: StateVector,
+    spec: PulseSpec,
+    t0: float | None = None,
+    *,
+    check_leakage: bool = True,
+) -> StateVector:
+    """Apply one PulseSpec to the state at its clock; see :func:`apply_pulse_rows`."""
+    t0 = _start_time(state, t0)
+    duration = apply_pulse_rows(
+        state.amplitudes, state.params, spec, t0, state.frame.detuning, check_leakage=check_leakage
+    )
     state.clock = t0 + duration
-    state.check_norm()
-    if leakage_check:
-        top = float(np.sum(np.abs(state.blocks[-1]) ** 2))
-        if top > LEAKAGE_TOL:
-            raise LeakageError(
-                f"population {top:.3e} at the Fock cutoff n={state.params.fock_cutoff}; "
-                "raise fock_cutoff for a trustworthy simulation"
-            )
     return state
 
 
@@ -255,19 +429,8 @@ def apply_carrier_pi_half(
     |e> -> (|e> - e^{-i phase}|g>)/sqrt(2) on every Fock level, each level
     additionally picking up its free phase exp(-i nu m t_p).
     """
-    p = state.params
-    _check_ion(p, ion)
-    t0 = _start_time(state, t0)
-    duration = math.pi / (2.0 * _positive_rabi(RabiLaw(p).carrier(), "carrier"))
-    up = np.exp(1j * laser_phase)
-    view = _ion_view(state, ion)
-    g = view[:, :, 0, :].copy()
-    e = view[:, :, 1, :].copy()
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    view[:, :, 0, :] = (g - np.conj(up) * e) * inv_sqrt2
-    view[:, :, 1, :] = (up * g + e) * inv_sqrt2
-    _apply_free_phases(state, duration)
-    return _finish(state, t0, duration, check_leakage)
+    spec = PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=ion, laser_phase=laser_phase)
+    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
 
 
 def apply_jc_pulse(
@@ -293,56 +456,8 @@ def apply_jc_pulse(
     inside the cutoff and only free-evolves (the leakage guard keeps that
     honest).
     """
-    p = state.params
-    mode = PulseMode(mode)
-    _check_ion(p, ion)
-    if target_n < 0:
-        raise PulseError(f"sideband target_n must be >= 0, got {target_n}")
-    if target_n + 1 > p.fock_cutoff:
-        raise PulseError(
-            f"sideband pulse on n={target_n} reaches Fock level {target_n + 1} "
-            f"beyond the cutoff {p.fock_cutoff}"
-        )
-    t0 = _start_time(state, t0)
-    nu = p.trap_freq
-    duration = math.pi / _positive_rabi(RabiLaw(p).jc(target_n), "sideband")
-    view = _ion_view(state, ion)
-
-    if mode is PulseMode.IDEAL:
-        g_hi = view[target_n + 1, :, 0, :].copy()
-        e_lo = view[target_n, :, 1, :].copy()
-        _apply_free_phases(state, duration)
-        down = 1j * np.exp(-1j * (nu * (t0 + (target_n + 1) * duration) + laser_phase))
-        up = 1j * np.exp(1j * (nu * (t0 - target_n * duration) + laser_phase))
-        view[target_n + 1, :, 0, :] = down * e_lo
-        view[target_n, :, 1, :] = up * g_hi
-    else:
-        alpha = nu * t0 + laser_phase
-        up = 1j * np.exp(1j * alpha)
-        down = 1j * np.exp(-1j * alpha)
-        for pair_n in range(p.fock_cutoff):
-            theta = math.pi * math.sqrt(pair_n + 1) / math.sqrt(target_n + 1)
-            c, s = _half_angle(theta)
-            g_hi = view[pair_n + 1, :, 0, :].copy()
-            e_lo = view[pair_n, :, 1, :].copy()
-            view[pair_n + 1, :, 0, :] = c * g_hi + down * s * e_lo
-            view[pair_n, :, 1, :] = c * e_lo + up * s * g_hi
-        _apply_free_phases(state, duration)
-    return _finish(state, t0, duration, check_leakage)
-
-
-def _dispersive_rotation(view_level: np.ndarray, theta: float, laser_phase: float) -> None:
-    """In-place g/e rotation on one (high, 2, low) Fock-level view.
-
-    R(theta) = cos(theta/2) I + sin(theta/2) (e^{i phase}|e><g| - e^{-i phase}|g><e|),
-    so theta = pi is the exact flip and theta = 2 pi the overall sign -1.
-    """
-    c, s = _half_angle(theta)
-    up = np.exp(1j * laser_phase)
-    g = view_level[:, 0, :].copy()
-    e = view_level[:, 1, :].copy()
-    view_level[:, 0, :] = c * g - s * np.conj(up) * e
-    view_level[:, 1, :] = s * up * g + c * e
+    spec = PulseSpec(PulseKind.JC_PI, ion, target_n, PulseMode(mode), laser_phase=laser_phase)
+    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
 
 
 def apply_dispersive_single(
@@ -363,26 +478,8 @@ def apply_dispersive_single(
     what makes this a motion-controlled NOT.  Physical mode rotates every
     level m by theta_m = pi m / n.
     """
-    p = state.params
-    mode = PulseMode(mode)
-    _check_ion(p, ion)
-    if target_n < 1:
-        raise PulseError(
-            "dispersive pulse requires target_n >= 1 (its Rabi frequency is zero at n = 0)"
-        )
-    if target_n > p.fock_cutoff:
-        raise PulseError(f"dispersive target_n {target_n} beyond the cutoff {p.fock_cutoff}")
-    t0 = _start_time(state, t0)
-    duration = math.pi / _positive_rabi(RabiLaw(p).dispersive(target_n), "dispersive")
-    view = _ion_view(state, ion)
-
-    if mode is PulseMode.IDEAL:
-        _dispersive_rotation(view[target_n], math.pi, laser_phase)
-    else:
-        for level in range(1, p.n_levels):
-            _dispersive_rotation(view[level], math.pi * level / target_n, laser_phase)
-    _apply_free_phases(state, duration)
-    return _finish(state, t0, duration, check_leakage)
+    spec = PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, ion, target_n, PulseMode(mode), laser_phase=laser_phase)
+    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
 
 
 def apply_dispersive_collective(
@@ -403,32 +500,10 @@ def apply_dispersive_collective(
     is exactly untouched.  Physical mode rotates every ion independently
     by theta_m = pi m / n on each level m.
     """
-    p = state.params
-    mode = PulseMode(mode)
-    if target_n < 1:
-        raise PulseError(
-            "dispersive pulse requires target_n >= 1 (its Rabi frequency is zero at n = 0)"
-        )
-    if target_n > p.fock_cutoff:
-        raise PulseError(f"dispersive target_n {target_n} beyond the cutoff {p.fock_cutoff}")
-    t0 = _start_time(state, t0)
-    duration = math.pi / _positive_rabi(RabiLaw(p).dispersive(target_n), "dispersive")
-    blocks = state.blocks
-
-    if mode is PulseMode.IDEAL:
-        pc = _popcounts(p.n_ions)
-        coef = np.where(pc % 2 == 0, 1.0, -1.0) * np.exp(1j * laser_phase * (p.n_ions - 2 * pc))
-        # Reversing the config axis maps bit word b to its complement mask - b.
-        blocks[target_n] = (coef * blocks[target_n])[::-1]
-    else:
-        for level in range(1, p.n_levels):
-            theta = math.pi * level / target_n
-            row = blocks[level]
-            for bit in range(p.n_ions):
-                view = row.reshape(1 << (p.n_ions - 1 - bit), 2, 1 << bit)
-                _dispersive_rotation(view, theta, laser_phase)
-    _apply_free_phases(state, duration)
-    return _finish(state, t0, duration, check_leakage)
+    spec = PulseSpec(
+        PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=target_n, mode=PulseMode(mode), laser_phase=laser_phase
+    )
+    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
 
 
 def free_evolve(state: StateVector, duration: float) -> StateVector:
@@ -437,65 +512,7 @@ def free_evolve(state: StateVector, duration: float) -> StateVector:
     Fock level m picks up exp(-i nu m T); in a detuned frame each basis
     state additionally picks up exp(-i Delta T) per excited ion.
     """
-    if duration < 0:
-        raise PulseError(f"free evolution requires duration >= 0, got {duration!r}")
-    if duration > 0:
-        _apply_free_phases(state, duration)
-        delta = state.frame.detuning
-        if delta != 0.0:
-            pc = _popcounts(state.params.n_ions)
-            state.blocks[:] *= np.exp(-1j * delta * duration * pc)[None, :]
-    state.clock += duration
-    state.check_norm()
-    return state
-
-
-def apply_pulse(
-    state: StateVector,
-    spec: PulseSpec,
-    t0: float | None = None,
-    *,
-    check_leakage: bool = True,
-) -> StateVector:
-    """Apply one PulseSpec to the state (dispatch on kind).
-
-    ``check_leakage=False`` skips the cutoff honesty guard; meant for
-    unitary-equivalence checks on synthetic full-support states, not for
-    simulations.
-    """
-    if spec.kind is PulseKind.CARRIER_PI_HALF:
-        return apply_carrier_pi_half(
-            state, spec.target_ion, t0, laser_phase=spec.laser_phase, check_leakage=check_leakage
-        )
-    if spec.kind is PulseKind.JC_PI:
-        return apply_jc_pulse(
-            state,
-            spec.target_ion,
-            spec.target_n,
-            t0,
-            spec.mode,
-            laser_phase=spec.laser_phase,
-            check_leakage=check_leakage,
-        )
-    if spec.kind is PulseKind.DISPERSIVE_SINGLE_PI:
-        return apply_dispersive_single(
-            state,
-            spec.target_ion,
-            spec.target_n,
-            t0,
-            spec.mode,
-            laser_phase=spec.laser_phase,
-            check_leakage=check_leakage,
-        )
-    if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
-        return apply_dispersive_collective(
-            state, spec.target_n, t0, spec.mode, laser_phase=spec.laser_phase, check_leakage=check_leakage
-        )
-    if spec.kind is PulseKind.WAIT:
-        if spec.duration is None:
-            raise PulseError("wait requires an explicit duration")
-        return free_evolve(state, spec.duration)
-    raise PulseError(f"unknown pulse kind {spec.kind!r}")
+    return apply_pulse(state, PulseSpec(PulseKind.WAIT, duration=duration))
 
 
 # --------------------------------------------------------------------------

@@ -125,6 +125,23 @@ class TestRamseyScan:
         assert code == 2
         assert "--points" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--wait", "nan", "wait_time"), ("--wait", "-1", "wait_time"), ("--delta-min", "nan", "detuning_grid")],
+    )
+    def test_bad_scan_input_usage_error(self, capsys, flag, value, field):
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert field in err
+        assert out == ""
+
+    def test_non_finite_trap_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, *self.ARGS, "--nu", "inf")
+        assert code == 2
+        assert "trap_freq" in err
+
     def test_single_ion_ordinary_fringe(self, capsys):
         code, out, _ = run_cli(
             capsys,

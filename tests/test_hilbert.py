@@ -44,6 +44,19 @@ class TestParams:
         with pytest.raises(ValueError):
             TrapParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["trap_freq", "lamb_dicke", "base_rabi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_fields(self, field, value):
+        kwargs = dict(n_ions=2, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0, fock_cutoff=4)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrapParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_frame_detuning(self, value):
+        with pytest.raises(ValueError, match="detuning"):
+            Frame(FRAME_R_PRIME, detuning=value)
+
     def test_frame_r_requires_zero_detuning(self):
         with pytest.raises(ValueError):
             Frame(FRAME_R, detuning=0.5)

@@ -1,10 +1,16 @@
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from ionpulse import (
+    FRAME_R_PRIME,
+    Frame,
+    LeakageError,
     PulseMode,
+    RabiLaw,
     RamseyConfig,
     StateVector,
     best_ghz_fidelity,
@@ -17,6 +23,7 @@ from ionpulse import (
     ground_state,
     prepare_max_entangled,
     preparation_sequence,
+    apply_pulse,
     pulse_duration,
     ramsey_probability,
     ramsey_run,
@@ -26,6 +33,7 @@ from ionpulse import (
     trajectory_reference,
     verify_trajectory,
 )
+from ionpulse import protocol
 from ionpulse.protocol import result_to_csv, result_to_json_dict
 from conftest import make_params
 
@@ -308,3 +316,146 @@ class TestSerialization:
         assert set(data) == {"samples", "max_abs_error"}
         assert len(data["samples"]) == 2
         assert set(data["samples"][0]) == {"delta", "T", "P_sim", "P_analytic"}
+
+
+# --------------------------------------------------------------------------
+# Batched scans against a point-by-point reconstruction
+# --------------------------------------------------------------------------
+
+SCAN_WAITS = (0.0, WAIT)
+# Starts at delta = 0, so every prefix of the grid includes it; |delta| stays
+# inside the validity window for every N.
+SCAN_POINTS = 200
+
+
+def scan_grid(n_ions):
+    sweep = np.linspace(-2 * math.pi, 2 * math.pi, SCAN_POINTS - 1) / (n_ions * WAIT)
+    return (0.0,) + tuple(float(x) for x in sweep)
+
+
+@lru_cache(maxsize=None)
+def reconstructed_fringe(n_ions, mode, detuning_during_pulses, wait):
+    """P(delta) over scan_grid(n_ions), one single state per point.
+
+    Loops apply_pulse and free_evolve; the detuning phase accumulated
+    during pulses is written out here rather than taken from the library.
+    """
+    params = make_params(n_ions)
+    popcount = np.array([bin(b).count("1") for b in range(params.n_configs)])
+    specs = preparation_sequence(params, mode)
+    out = []
+    for delta in scan_grid(n_ions):
+        state = ground_state(params, Frame(FRAME_R_PRIME, detuning=delta))
+
+        def run(sequence):
+            for spec in sequence:
+                apply_pulse(state, spec)
+                if detuning_during_pulses and delta != 0.0:
+                    phase = np.exp(-1j * delta * pulse_duration(spec, params) * popcount)
+                    state.blocks[:] *= phase[None, :]
+
+        run(specs)
+        free_evolve(state, wait)
+        run(reversed(specs))
+        out.append(excited_population(state, n_ions))
+    return tuple(out)
+
+
+def assert_scan_matches_reconstruction(n_ions, mode, detuning_during_pulses, wait, length):
+    grid = scan_grid(n_ions)[:length]
+    config = RamseyConfig(
+        params=make_params(n_ions),
+        wait_time=wait,
+        detuning_grid=grid,
+        mode=mode,
+        detuning_during_pulses=detuning_during_pulses,
+    )
+    result = ramsey_scan(config)
+    expected = reconstructed_fringe(n_ions, mode, detuning_during_pulses, wait)[:length]
+    assert [s.delta for s in result.samples] == list(grid)
+    simulated = np.array([s.p_simulated for s in result.samples])
+    assert np.max(np.abs(simulated - np.array(expected))) <= 1e-15
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("wait", SCAN_WAITS)
+    @pytest.mark.parametrize("detuning_during_pulses", [False, True], ids=["frame", "kick"])
+    @pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n_ions", range(1, 9))
+    def test_matches_single_state_reconstruction(self, monkeypatch, n_ions, mode, detuning_during_pulses, wait):
+        # A 5-row budget puts chunk boundaries inside the grid at every N.
+        chunk = 5
+        monkeypatch.setattr(protocol, "SCAN_CHUNK_BYTES", chunk * make_params(n_ions).dim * 16)
+        assert protocol._chunk_rows(make_params(n_ions)) == chunk
+        for length in (1, chunk - 1, chunk, chunk + 1, SCAN_POINTS):
+            assert_scan_matches_reconstruction(n_ions, mode, detuning_during_pulses, wait, length)
+
+    @pytest.mark.parametrize("detuning_during_pulses", [False, True], ids=["frame", "kick"])
+    @pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
+    def test_default_budget_at_eight_ions(self, mode, detuning_during_pulses):
+        chunk = protocol._chunk_rows(make_params(8))
+        assert chunk == protocol.SCAN_CHUNK_BYTES // (make_params(8).dim * 16) == 6
+        for length in (1, chunk - 1, chunk, chunk + 1, SCAN_POINTS):
+            assert_scan_matches_reconstruction(8, mode, detuning_during_pulses, WAIT, length)
+
+    def test_large_states_run_one_row_per_chunk(self):
+        assert protocol._chunk_rows(make_params(10)) == 1
+
+    def test_run_is_the_one_point_scan(self):
+        params = make_params(3)
+        delta = 0.7 / WAIT
+        config = RamseyConfig(params=params, wait_time=WAIT, detuning_grid=(delta,), mode=PulseMode.PHYSICAL)
+        state, p = ramsey_run(config, delta)
+        assert p == ramsey_scan(config).samples[0].p_simulated
+        assert state.frame == Frame(FRAME_R_PRIME, detuning=delta)
+        assert state.clock == WAIT + 2 * sum(pulse_duration(s, params) for s in preparation_sequence(params))
+
+    def test_physical_scan_leakage_still_guarded(self):
+        # with n_max = 1 the sideband pulse parks half the population at the cutoff
+        config = RamseyConfig(
+            params=make_params(3, nmax=1), wait_time=WAIT, detuning_grid=(0.0, 1e-6), mode=PulseMode.PHYSICAL
+        )
+        with pytest.raises(LeakageError):
+            ramsey_scan(config)
+
+
+class TestScanValidity:
+    def test_one_warning_per_scan(self):
+        params = make_params(2)
+        law = RabiLaw(params)
+        bound = protocol.VALIDITY_RATIO * min(law.carrier(), law.jc(0), law.dispersive(1))
+        grid = [0.5 * bound * k / 40 for k in range(40)] + [2.0 * bound * (k + 1) for k in range(10)]
+        config = RamseyConfig(params=params, wait_time=10.0, detuning_grid=tuple(grid))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = ramsey_scan(config)
+        assert len(result.samples) == 50
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, UserWarning)
+        message = str(caught[0].message)
+        assert message.startswith("10 of 50 detunings")
+        assert f"{20.0 * bound:.3e}" in message
+
+    def test_valid_grid_is_silent(self):
+        grid = tuple(x / WAIT for x in np.linspace(-1.0, 1.0, 30))
+        config = RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ramsey_scan(config)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("wait", [math.nan, math.inf])
+    def test_wait_time(self, wait):
+        with pytest.raises(ValueError, match="wait_time"):
+            RamseyConfig(params=make_params(2), wait_time=wait, detuning_grid=(0.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_detuning_grid_entry(self, bad):
+        with pytest.raises(ValueError, match=r"detuning_grid\[1\]"):
+            RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=(0.0, bad, 1e-6))
+
+    def test_run_detuning(self):
+        config = RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=(0.0,))
+        with pytest.raises(ValueError, match="detuning"):
+            ramsey_run(config, math.nan)

@@ -27,6 +27,7 @@ from ionpulse import (
     ground_state,
     pulse_duration,
 )
+from ionpulse.pulses import apply_pulse_rows
 from conftest import make_params, random_state
 
 SQRT2 = math.sqrt(2.0)
@@ -390,3 +391,48 @@ class TestInvariants:
             apply_carrier_pi_half(ground_state(p), ion=3)
         with pytest.raises(PulseError):
             apply_jc_pulse(ground_state(p), ion=0, target_n=0)
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind.value}-{s.mode.value}")
+    def test_rows_match_single_states(self, spec):
+        # one call on a (rows, dim) array gives each row the bits a single-state call gives it
+        rng = np.random.default_rng(31)
+        p = make_params(2, nmax=3, nu=1.23, eta=0.17, rabi=0.9)
+        detunings = np.array([0.0, 0.013, -0.2])
+        states = [random_state(p, rng, Frame(FRAME_R_PRIME, detuning=d), clock=0.6) for d in detunings]
+        rows = np.array([s.amplitudes for s in states])
+        duration = apply_pulse_rows(rows, p, spec, 0.6, detunings, check_leakage=False)
+        for row, state in zip(rows, states):
+            apply_pulse(state, spec, check_leakage=False)
+            assert row.tobytes() == state.amplitudes.tobytes()
+            assert state.clock == 0.6 + duration
+
+    def test_one_drifted_row_trips_the_norm_guard(self):
+        p = make_params(2)
+        rows = np.repeat(ground_state(p).amplitudes[None, :], 4, axis=0)
+        rows[2] *= 1.0 + 1e-9
+        with pytest.raises(SimulationError, match="row 2"):
+            apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
+
+    def test_one_leaking_row_trips_the_leakage_guard(self):
+        p = make_params(1, nmax=4)
+        rows = np.repeat(dicke_extreme(p, "lowest", 0).amplitudes[None, :], 3, axis=0)
+        rows[1] = dicke_extreme(p, "highest", 3).amplitudes
+        with pytest.raises(LeakageError):
+            apply_pulse_rows(rows, p, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=3), 0.0)
+
+    def test_nan_state_trips_the_norm_guard(self):
+        s = ground_state(make_params(1))
+        s.amplitudes[0] = np.nan
+        with pytest.raises(SimulationError):
+            free_evolve(s, 1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_wait_rejected(self, duration):
+        with pytest.raises(PulseError, match="finite"):
+            free_evolve(ground_state(make_params(1)), duration)
+
+    def test_non_finite_laser_phase_rejected(self):
+        with pytest.raises(PulseError, match="laser_phase"):
+            apply_carrier_pi_half(ground_state(make_params(1)), ion=1, laser_phase=math.nan)
