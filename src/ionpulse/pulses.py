@@ -348,11 +348,11 @@ def _dispersive_collective_pi(
         level = levels_view(amplitudes, params)[..., spec.target_n, :]
         level[...] = (coef * level)[..., ::-1]
     else:
+        views = [_ion_view(amplitudes, params, ion) for ion in range(1, n_ions + 1)]
         for level in range(1, params.n_levels):
             theta = math.pi * level / spec.target_n
-            for ion in range(1, n_ions + 1):
-                view = _ion_view(amplitudes, params, ion)[..., level, :, :, :]
-                _dispersive_rotation(view, theta, spec.laser_phase)
+            for view in views:
+                _dispersive_rotation(view[..., level, :, :, :], theta, spec.laser_phase)
     _apply_free_phases(amplitudes, params, duration)
 
 
