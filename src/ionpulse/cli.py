@@ -59,11 +59,15 @@ def _add_trap_flags(parser: argparse.ArgumentParser, with_ions: bool = True) -> 
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _add_output_flags(
+    parser: argparse.ArgumentParser, *, data_format: bool = False, dump_state: bool = False
+) -> None:
+    """--output, plus --format and --dump-state on the subcommands that honour them."""
     parser.add_argument("--output", metavar="PATH", help="write data to PATH instead of stdout")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv", help="data format")
-    parser.add_argument("--dump-state", action="store_true", help="emit the final state as JSON")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    if data_format:
+        parser.add_argument("--format", choices=["csv", "json"], default="csv", help="data format")
+    if dump_state:
+        parser.add_argument("--dump-state", action="store_true", help="emit the final state as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prep = sub.add_parser("prepare", help="run the five-pulse entangled-state preparation")
     _add_trap_flags(p_prep)
-    _add_output_flags(p_prep)
+    _add_output_flags(p_prep, dump_state=True)
     p_prep.add_argument(
         "--omega0", type=float, default=None, help="transition frequency, reported lab-frame phase only"
     )
 
     p_scan = sub.add_parser("ramsey-scan", help="scan the Ramsey fringe over a detuning grid")
     _add_trap_flags(p_scan)
-    _add_output_flags(p_scan)
+    _add_output_flags(p_scan, data_format=True)
     p_scan.add_argument("--delta-min", type=float, required=True, help="first detuning of the grid")
     p_scan.add_argument("--delta-max", type=float, required=True, help="last detuning of the grid")
     p_scan.add_argument("--points", type=int, required=True, help="number of grid points")
@@ -93,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a .pseq pulse program")
     p_run.add_argument("file", help="program file (.pseq)")
-    _add_output_flags(p_run)
+    _add_output_flags(p_run, data_format=True, dump_state=True)
 
     p_verify = sub.add_parser("verify", help="check trajectories against their closed forms")
     _add_trap_flags(p_verify, with_ions=False)
-    _add_output_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for the randomized oracle spot check")
     p_verify.add_argument("--ions-min", type=int, default=1, help="first ion count (default 1)")
     p_verify.add_argument("--ions-max", type=int, default=8, help="last ion count (default 8)")
     p_verify.add_argument("--tamper-step", type=int, default=None, help=argparse.SUPPRESS)
@@ -134,17 +138,6 @@ def _print_step_table(rows: list[tuple[int, str, float, float, list[float]]]) ->
         print(f"step {index}  {kind:<12s} t={clock:.15g}  norm={norm:.12f}  fock=[{pops}]")
 
 
-def _maybe_dump_state(state: StateVector, args: argparse.Namespace) -> None:
-    if not getattr(args, "dump_state", False):
-        return
-    payload = state.dump_json() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     params = _params_from_args(args, parser)
     mode = PulseMode(args.mode)
@@ -163,7 +156,8 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         for i, (spec, state) in enumerate(zip(preparation_sequence(params, mode), report.step_states))
     ]
     _print_step_table(rows)
-    _maybe_dump_state(report.final_state, args)
+    if args.dump_state:
+        _write_data(report.final_state.dump_json() + "\n", args)
     return 0 if report.fidelity_vs_target >= 1.0 - FIDELITY_GATE else 1
 
 
@@ -233,29 +227,35 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
     print(f"fidelity: {fid:.12f}")
     _print_step_table([(t.index, t.kind, t.clock, t.norm, t.fock_populations) for t in trace])
-    _maybe_dump_state(final, args)
+    if args.dump_state:
+        _write_data(final.dump_json() + "\n", args)
     return 0
 
 
 def _oracle_spot_check(seed: int) -> float:
-    """Dense-matrix vs matrix-free application on a few random states."""
+    """Dense-matrix vs matrix-free application on a few random states.
+
+    N=5 spans two ion groups of the physical collective pulse's Kronecker
+    blocks (see ``pulses._KRON_BITS``), so a wrong group edge shows here.
+    """
     rng = np.random.default_rng(seed)
-    params = TrapParams(n_ions=2, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0, fock_cutoff=3)
-    specs = [
-        PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2),
-        PulseSpec(PulseKind.JC_PI, target_ion=2, target_n=0, mode=PulseMode.PHYSICAL),
-        PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=2, target_n=1, mode=PulseMode.PHYSICAL),
-        PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1, mode=PulseMode.PHYSICAL),
-    ]
     worst = 0.0
-    for spec in specs:
-        matrix = dense_matrix(spec, params, t0=0.0)
-        for _ in range(5):
-            vec = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-            vec /= np.linalg.norm(vec)
-            state = StateVector(vec.copy(), params, Frame(), clock=0.0)
-            apply_pulse(state, spec, check_leakage=False)
-            worst = max(worst, float(np.max(np.abs(state.amplitudes - matrix @ vec))))
+    for n_ions in (2, 5):
+        params = TrapParams(n_ions=n_ions, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0, fock_cutoff=3)
+        specs = [
+            PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=n_ions),
+            PulseSpec(PulseKind.JC_PI, target_ion=n_ions, target_n=0, mode=PulseMode.PHYSICAL),
+            PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=n_ions, target_n=1, mode=PulseMode.PHYSICAL),
+            PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1, mode=PulseMode.PHYSICAL),
+        ]
+        for spec in specs:
+            matrix = dense_matrix(spec, params, t0=0.0)
+            for _ in range(5):
+                vec = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+                vec /= np.linalg.norm(vec)
+                state = StateVector(vec.copy(), params, Frame(), clock=0.0)
+                apply_pulse(state, spec, check_leakage=False)
+                worst = max(worst, float(np.max(np.abs(state.amplitudes - matrix @ vec))))
     return worst
 
 

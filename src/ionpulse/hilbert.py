@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -49,6 +50,7 @@ __all__ = [
     "fock_populations",
     "levels_view",
     "check_norms",
+    "check_memory",
 ]
 
 FRAME_R = "R"
@@ -188,6 +190,32 @@ def check_norms(amplitudes: np.ndarray) -> None:
         raise SimulationError(f"state norm drifted to {norm!r}{where} (|norm - 1| > {NORM_TOL})")
 
 
+@lru_cache(maxsize=1)
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(n_amplitudes: int) -> None:
+    """Raise before allocating ``n_amplitudes`` complex amplitudes that would not fit in physical memory."""
+    needed = n_amplitudes * np.dtype(np.complex128).itemsize
+    available = _physical_memory_bytes()
+    if available is not None and needed > available:
+        raise SimulationError(
+            f"{n_amplitudes} amplitudes need {needed} B ({needed / 2**30:.4g} GiB), more than the "
+            f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
+        )
+
+
+def _zero_amplitudes(params: TrapParams) -> np.ndarray:
+    """A zeroed state-sized array, after the memory check."""
+    check_memory(params.dim)
+    return np.zeros(params.dim, dtype=np.complex128)
+
+
 @lru_cache(maxsize=32)
 def _popcounts(n_ions: int) -> np.ndarray:
     """Number of excited ions for every bit word 0 .. 2**N - 1."""
@@ -271,7 +299,7 @@ def _default_frame(frame: Frame | None) -> Frame:
 
 def ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
     """All ions in |g>, motion cooled to |0>, clock at the phase origin."""
-    amplitudes = np.zeros(params.dim, dtype=np.complex128)
+    amplitudes = _zero_amplitudes(params)
     amplitudes[flat_index(params, 0, 0)] = 1.0
     return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)
 
@@ -293,14 +321,14 @@ def dicke_extreme(
         bits = params.n_configs - 1
     else:
         raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
-    amplitudes = np.zeros(params.dim, dtype=np.complex128)
+    amplitudes = _zero_amplitudes(params)
     amplitudes[flat_index(params, bits, fock_n)] = 1.0
     return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)
 
 
 def target_ghz(params: TrapParams, phi: float = 0.0, frame: Frame | None = None) -> StateVector:
     """Maximally entangled target (|g..g> + e^{i phi}|e..e>)/sqrt(2) with motion in |0>."""
-    amplitudes = np.zeros(params.dim, dtype=np.complex128)
+    amplitudes = _zero_amplitudes(params)
     amplitudes[flat_index(params, 0, 0)] = 1.0 / math.sqrt(2.0)
     amplitudes[flat_index(params, params.n_configs - 1, 0)] = np.exp(1j * phi) / math.sqrt(2.0)
     return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)

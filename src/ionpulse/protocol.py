@@ -52,6 +52,7 @@ from .hilbert import (
     Frame,
     StateVector,
     TrapParams,
+    check_memory,
     excited_population,
     excited_population_rows,
     flat_index,
@@ -368,6 +369,7 @@ def _ramsey_rows(
     params = config.params
     specs = preparation_sequence(params, config.mode)
     kick = deltas if config.detuning_during_pulses else None
+    check_memory(deltas.size * params.dim)
     if prepared is None:
         rows = np.repeat(ground_state(params).amplitudes[None, :], deltas.size, axis=0)
         clock = _run_rows(rows, params, specs, 0.0, kick)

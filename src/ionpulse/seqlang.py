@@ -36,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .hilbert import FRAME_R, FRAME_R_PRIME, Frame, SimulationError, StateVector, TrapParams, fock_populations, ground_state
+from .hilbert import FRAME_R, FRAME_R_PRIME, Frame, SimulationError, StateVector, TrapParams, check_memory, fock_populations, ground_state
 from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, apply_pulse, validate_pulse_spec
 
 __all__ = [
@@ -118,6 +118,7 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.header_seen: dict[str, int] = {}
         self.n_ions = DEFAULT_PARAMS.n_ions
+        self.n_ions_at = (1, 1)  # line and column of the ion count, for the memory diagnostic
         self.trap = {
             "nu": DEFAULT_PARAMS.trap_freq,
             "eta": DEFAULT_PARAMS.lamb_dicke,
@@ -210,6 +211,7 @@ class _Parser:
                 self.error(line, args["N"][0].column, f"ion count must be >= 1, got {value}")
                 return
             self.n_ions = value
+            self.n_ions_at = (line, args["N"][0].column)
         elif head.text == "trap":
             if not self._check_duplicate_header("trap", line, head.column):
                 return
@@ -285,6 +287,11 @@ class _Parser:
             )
         except ValueError as exc:
             self.error(self.header_seen.get("trap", 1), 1, str(exc))
+        else:
+            try:
+                check_memory(params.dim)
+            except SimulationError as exc:
+                self.error(*self.n_ions_at, str(exc))
 
         steps: list[PulseSpec] = []
         spans: list[tuple[int, int]] = []

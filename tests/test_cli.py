@@ -212,6 +212,32 @@ class TestVerify:
         assert code == 2
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prepare", "--format", "json"),
+            ("verify", "--output", "verify.txt"),
+            ("prepare", "--seed", "3"),
+            ("ramsey-scan", "--dump-state", "--delta-min", "0", "--delta-max", "1e-5", "--points", "2", "--wait", "1"),
+        ],
+        ids=["format-on-prepare", "output-on-verify", "seed-on-prepare", "dump-state-on-scan"],
+    )
+    def test_flag_a_subcommand_does_not_honour_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err and argv[1] in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+
+class TestMemoryBudget:
+    def test_prepare_too_many_ions_exits_1_with_byte_estimate(self, capsys):
+        code, _, err = run_cli(capsys, "prepare", "--ions", "40")
+        assert code == 1
+        assert f"need {5 * 2**40 * 16} B" in err and "physical memory" in err
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys)

@@ -9,6 +9,7 @@ from ionpulse import (
     FRAME_R,
     FRAME_R_PRIME,
     Frame,
+    SimulationError,
     StateVector,
     TrapParams,
     dicke_extreme,
@@ -20,6 +21,7 @@ from ionpulse import (
     split_index,
     target_ghz,
 )
+from ionpulse import hilbert
 from conftest import make_params, random_state
 
 
@@ -150,6 +152,19 @@ class TestConstructors:
         p = make_params(2)
         with pytest.raises(ValueError):
             StateVector(np.zeros(7), p, Frame())
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("make", [ground_state, target_ghz, lambda p: dicke_extreme(p, "highest")])
+    def test_oversized_state_rejected_before_allocation(self, make):
+        with pytest.raises(SimulationError, match=f"need {5 * 2**40 * 16} B .*physical memory"):
+            make(make_params(40))
+
+    def test_check_memory_compares_bytes_with_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 1600)
+        hilbert.check_memory(100)  # 1600 B fit exactly
+        with pytest.raises(SimulationError, match="101 amplitudes need 1616 B"):
+            hilbert.check_memory(101)
 
 
 class TestFidelity:

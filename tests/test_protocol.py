@@ -12,6 +12,7 @@ from ionpulse import (
     PulseMode,
     RabiLaw,
     RamseyConfig,
+    SimulationError,
     StateVector,
     best_ghz_fidelity,
     dense_matrix,
@@ -33,7 +34,7 @@ from ionpulse import (
     trajectory_reference,
     verify_trajectory,
 )
-from ionpulse import protocol
+from ionpulse import hilbert, protocol
 from ionpulse.protocol import result_to_csv, result_to_json_dict
 from conftest import make_params
 
@@ -416,6 +417,23 @@ class TestBatchedScan:
             params=make_params(3, nmax=1), wait_time=WAIT, detuning_grid=(0.0, 1e-6), mode=PulseMode.PHYSICAL
         )
         with pytest.raises(LeakageError):
+            ramsey_scan(config)
+
+
+class TestScanMemoryBudget:
+    def test_oversized_state_rejected_before_allocation(self):
+        config = RamseyConfig(params=make_params(40), wait_time=0.0, detuning_grid=(0.0,))
+        with pytest.raises(SimulationError, match="physical memory"):
+            ramsey_scan(config)
+
+    def test_row_array_checked_before_allocation(self, monkeypatch):
+        # room for the prepared state but not for a chunk of five rows
+        params = make_params(2)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 3 * params.dim * 16)
+        config = RamseyConfig(
+            params=params, wait_time=0.0, detuning_grid=(0.0,) * 5, detuning_during_pulses=True
+        )
+        with pytest.raises(SimulationError, match=f"{5 * params.dim} amplitudes need"):
             ramsey_scan(config)
 
 

@@ -332,6 +332,33 @@ class TestDenseOracle:
             cols = [flat_index(p, bits, level) for level in (0, 2) for bits in range(p.n_configs)]
             assert np.max(np.abs(ideal[:, cols] - phys[:, cols])) <= 1e-12
 
+    @pytest.mark.parametrize("nmax", [2, 3])
+    @pytest.mark.parametrize("n_ions", range(1, 10))
+    def test_every_spec_matches_dense_across_ion_groups(self, n_ions, nmax):
+        # N = 1..9 covers one to three ion groups of the physical collective
+        # pulse's Kronecker blocks and every group remainder 1..4
+        rng = np.random.default_rng(100 * n_ions + nmax)
+        p = make_params(n_ions, nmax=nmax, nu=1.23, eta=0.17, rabi=0.9)
+        ions = sorted({1, (n_ions + 1) // 2, n_ions})
+        specs = [PulseSpec(PulseKind.WAIT, duration=2.125)]
+        for phase in (0.0, 0.37):
+            specs += [PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=ion, laser_phase=phase) for ion in ions]
+            for mode in PulseMode:
+                for n in range(nmax):
+                    specs += [PulseSpec(PulseKind.JC_PI, ion, n, mode, laser_phase=phase) for ion in ions]
+                for n in range(1, nmax + 1):
+                    specs += [PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, ion, n, mode, laser_phase=phase) for ion in ions]
+                    specs.append(
+                        PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=n, mode=mode, laser_phase=phase)
+                    )
+        rows = rng.standard_normal((3, p.dim)) + 1j * rng.standard_normal((3, p.dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        for spec in specs:
+            out = rows.copy()
+            apply_pulse_rows(out, p, spec, 0.6, check_leakage=False)
+            expected = rows @ dense_matrix(spec, p, t0=0.6).T
+            assert np.max(np.abs(out - expected)) <= 1e-12, spec
+
     def test_dimension_limit(self):
         p = make_params(10, nmax=4)
         with pytest.raises(PulseError):

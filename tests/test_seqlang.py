@@ -127,6 +127,13 @@ class TestParse:
         assert program is None
         assert "out of range" in errors_of(diags)[0].message
 
+    def test_ion_count_beyond_physical_memory(self):
+        program, diags = parse("ions N=40\ncarrier_pi2 ion=1\n")
+        assert program is None
+        err = errors_of(diags)[0]
+        assert (err.line, err.column) == (1, 6)
+        assert f"need {5 * 2**40 * 16} B" in err.message and "physical memory" in err.message
+
     def test_sideband_beyond_cutoff(self):
         program, diags = parse("trap nmax=2\njc_pi ion=1 n=2\n")
         assert program is None
