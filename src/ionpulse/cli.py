@@ -132,6 +132,12 @@ def _write_data(text: str, args: argparse.Namespace) -> bool:
     return False
 
 
+def _require_dump_for_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """--output only receives the --dump-state JSON in text mode, so it needs --dump-state."""
+    if args.output and not args.dump_state:
+        parser.error("--output writes the --dump-state JSON; add --dump-state or drop --output")
+
+
 def _print_step_table(rows: list[tuple[int, str, float, float, list[float]]]) -> None:
     for index, kind, clock, norm, populations in rows:
         pops = ",".join(f"{p:.6f}" for p in populations)
@@ -139,6 +145,7 @@ def _print_step_table(rows: list[tuple[int, str, float, float, list[float]]]) ->
 
 
 def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _require_dump_for_output(args, parser)
     params = _params_from_args(args, parser)
     mode = PulseMode(args.mode)
     report = prepare_max_entangled(params, mode, omega0=args.omega0)
@@ -190,6 +197,8 @@ def cmd_ramsey_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.format != "json":
+        _require_dump_for_output(args, parser)
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             source = handle.read()

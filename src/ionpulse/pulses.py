@@ -24,19 +24,29 @@ Off-target Fock levels therefore see imperfect transfer in physical mode,
 which is the honest picture of a square pulse.
 
 Applications are matrix-free and in place, on per-Fock-block views of the
-flat amplitude array.  A single-ion pulse is O(dim): one broadcast update
-over all Fock levels, with per-level (cos, sin) columns and two
-temporaries.  The ideal collective pulse is one pass (a popcount sign and
-a reversed configuration axis).  The physical collective pulse applies
+flat amplitude array.  Every kernel acts only on the Fock window: levels
+0 .. top, where top is the highest level holding a nonzero amplitude in
+any row, found from the amplitudes once per call (the sideband's coupled
+pairs reach top + 1).  The levels above hold exact zeros, which every
+pulse maps to zeros, so the free phase and the physical rotations never
+touch them (an ideal pulse still maps its one targeted level or pair).
+Only arithmetic on exact zeros is skipped, and a NaN counts as nonzero.
+The norm and leakage guards are per-row reductions over whole rows, so
+they stay an independent check on the window.
+
+A single-ion pulse is one broadcast update over the window's Fock
+levels, with per-level (cos, sin) columns and two temporaries.  The ideal
+collective pulse is one pass (a cached popcount sign and a reversed
+configuration axis).  The physical collective pulse applies
 R(theta_m)^{(x)k} to each group of k = ``_KRON_BITS`` adjacent ion bits
 with one matmul per group: O(dim 2^k) flops in ceil(N/k) passes.  No
-kernel copies a state-sized view.  The kernels accept any leading batch axes, so
-:func:`apply_pulse_rows` applies one pulse to many states (rows of one
-array, sharing one clock) in a single call, and :func:`apply_pulse` is
-the same code on one :class:`StateVector`.  The norm and leakage guards
-are per-row reductions.  :func:`dense_matrix` builds the same unitaries
-as explicit matrices through an independent kron/loop construction and is
-used by the test-suite to cross-check the fast path.
+kernel copies a state-sized view.  The kernels accept any leading batch
+axes, so :func:`apply_pulse_rows` applies one pulse to many states (rows
+of one array, sharing one clock) in a single call, and
+:func:`apply_pulse` is the same code on one :class:`StateVector`.
+:func:`dense_matrix` builds the same unitaries as explicit matrices
+through an independent kron/loop construction and is used by the
+test-suite to cross-check the fast path.
 
 Phase origin: all drive fields are taken to be in phase at t = 0, so a
 pulse's phase factors depend on the absolute start time t0 carried by the
@@ -224,19 +234,32 @@ def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarra
     return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
-def _free_phases(params: TrapParams, duration: float) -> np.ndarray:
-    """Column exp(-i nu m duration) for the Fock levels m = 1 .. n_max."""
-    levels = np.arange(1, params.n_levels)
+def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
+    """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
+
+    One reduction over levels 1 .. n_max of every row: at N=18 it reads
+    what a level-by-level scan from n_max down to level 1 reads, in the
+    same time, and on small batches it costs one call instead of n_max.
+    A NaN counts as nonzero, so no level holding one is ever skipped.
+    """
+    above_ground = amplitudes.reshape(-1, params.n_levels, params.n_configs)[:, 1:, :]
+    occupied = np.flatnonzero(np.logical_or.reduce(above_ground, axis=(0, 2)))
+    return int(occupied[-1]) + 1 if occupied.size else 0
+
+
+def _free_phases(params: TrapParams, duration: float, top: int) -> np.ndarray:
+    """Column exp(-i nu m duration) for the Fock levels m = 1 .. top."""
+    levels = np.arange(1, top + 1)
     return np.exp(-1j * params.trap_freq * levels * duration)[:, None]
 
 
-def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float) -> None:
-    """Multiply Fock level m by exp(-i nu m duration) for every m >= 1.
+def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float, top: int) -> None:
+    """Multiply Fock level m by exp(-i nu m duration) for m = 1 .. top.
 
-    Level 0 carries no phase and is deliberately not touched, so its
-    amplitudes stay bit-identical.
+    Level 0 carries no phase, and the levels above ``top`` hold exact
+    zeros; neither is touched, so their amplitudes stay bit-identical.
     """
-    levels_view(amplitudes, params)[..., 1:, :] *= _free_phases(params, duration)
+    levels_view(amplitudes, params)[..., 1 : top + 1, :] *= _free_phases(params, duration, top)
 
 
 def apply_detuning_phase(
@@ -308,11 +331,11 @@ def _physical_half_angles(kind: PulseKind, target_n: int, n_levels: int) -> tupl
 
 
 def _carrier_pi_half(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
 ) -> None:
-    """|g> -> (|g> + e^{i phase}|e>)/sqrt(2), |e> -> (|e> - e^{-i phase}|g>)/sqrt(2) on every level."""
+    """|g> -> (|g> + e^{i phase}|e>)/sqrt(2), |e> -> (|e> - e^{-i phase}|g>)/sqrt(2) on levels 0 .. top."""
     up = np.exp(1j * spec.laser_phase)
-    view = _ion_view(amplitudes, params, spec.target_ion)
+    view = _ion_view(amplitudes, params, spec.target_ion)[..., : top + 1, :, :, :]
     g, e = view[..., 0, :], view[..., 1, :]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     new_g = np.conj(up) * e
@@ -323,13 +346,17 @@ def _carrier_pi_half(
     new_e *= inv_sqrt2
     g[...] = new_g
     e[...] = new_e
-    _apply_free_phases(amplitudes, params, duration)
+    _apply_free_phases(amplitudes, params, duration, top)
 
 
 def _jc_pi(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
 ) -> None:
-    """Red-sideband pi pulse on |g,n+1> <-> |e,n>; see :func:`apply_jc_pulse`."""
+    """Red-sideband pi pulse on |g,n+1> <-> |e,n>; see :func:`apply_jc_pulse`.
+
+    Physical mode rotates the pairs m = 0 .. min(top, n_max - 1), which
+    reach level top + 1; the pairs above hold exact zeros.
+    """
     nu = params.trap_freq
     n = spec.target_n
     view = _ion_view(amplitudes, params, spec.target_ion)
@@ -339,28 +366,29 @@ def _jc_pi(
         up = 1j * np.exp(1j * (nu * (t0 - n * duration) + spec.laser_phase))
         new_g_hi = down * e_lo
         new_e_lo = up * g_hi
-        _apply_free_phases(amplitudes, params, duration)
+        _apply_free_phases(amplitudes, params, duration, top)
         g_hi[...] = new_g_hi
         e_lo[...] = new_e_lo
         return
     alpha = nu * t0 + spec.laser_phase
-    c, s = _physical_half_angles(spec.kind, n, params.n_levels)
-    # every pair (|g,m+1>, |e,m>) at once: g on levels 1.., e on levels ..n_max-1
+    pairs = min(top + 1, params.fock_cutoff)
+    c, s = (column[:pairs] for column in _physical_half_angles(spec.kind, n, params.n_levels))
+    # every pair (|g,m+1>, |e,m>) at once: g on levels 1 .. pairs, e on levels 0 .. pairs-1
     _rotate_pairs(
-        view[..., 1:, :, 0, :],
-        view[..., :-1, :, 1, :],
+        view[..., 1 : pairs + 1, :, 0, :],
+        view[..., :pairs, :, 1, :],
         c,
         1j * np.exp(-1j * alpha) * s,
         1j * np.exp(1j * alpha) * s,
         np.add,
     )
-    _apply_free_phases(amplitudes, params, duration)
+    _apply_free_phases(amplitudes, params, duration, pairs)
 
 
 def _dispersive_single_pi(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
 ) -> None:
-    """Flip of one ion on the targeted level (ideal) or theta_m = pi m / n on every level (physical).
+    """Flip of one ion on the targeted level (ideal) or theta_m = pi m / n on levels 1 .. top (physical).
 
     R(theta) = cos(theta/2) I + sin(theta/2) (e^{i phase}|e><g| - e^{-i phase}|g><e|),
     so theta = pi is the exact flip and theta = 2 pi the overall sign -1.
@@ -368,11 +396,12 @@ def _dispersive_single_pi(
     if spec.mode is PulseMode.IDEAL:
         levels, (c, s) = spec.target_n, _half_angle(math.pi)
     else:
-        levels, (c, s) = slice(1, None), _physical_half_angles(spec.kind, spec.target_n, params.n_levels)
+        levels = slice(1, top + 1)
+        c, s = (column[:top] for column in _physical_half_angles(spec.kind, spec.target_n, params.n_levels))
     view = _ion_view(amplitudes, params, spec.target_ion)[..., levels, :, :, :]
     up = np.exp(1j * spec.laser_phase)
     _rotate_pairs(view[..., 0, :], view[..., 1, :], c, s * np.conj(up), s * up, np.subtract)
-    _apply_free_phases(amplitudes, params, duration)
+    _apply_free_phases(amplitudes, params, duration, top)
 
 
 #: Ion bits per Kronecker block of the physical collective pulse: each
@@ -403,28 +432,40 @@ def _kron_blocks(n_levels: int, target_n: int, laser_phase: float, width: int) -
     return blocks
 
 
+@lru_cache(maxsize=4)
+def _collective_flip(n_ions: int, laser_phase: float) -> np.ndarray:
+    """Factor (-1)^popcount(b) e^{i phase (N - 2 popcount(b))} per bit word b, read-only.
+
+    Real (a sign) at laser phase 0, which halves the cached bytes.
+    """
+    pc = _popcounts(n_ions)
+    coef = np.where(pc % 2 == 0, 1.0, -1.0)
+    if laser_phase != 0.0:
+        coef = coef * np.exp(1j * laser_phase * (n_ions - 2 * pc))
+    coef.flags.writeable = False
+    return coef
+
+
 def _dispersive_collective_pi(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
 ) -> None:
     """The dispersive flip on every ion at once; see :func:`apply_dispersive_collective`."""
     n_ions = params.n_ions
     if spec.mode is PulseMode.IDEAL:
-        pc = _popcounts(n_ions)
-        coef = np.where(pc % 2 == 0, 1.0, -1.0) * np.exp(1j * spec.laser_phase * (n_ions - 2 * pc))
         # Reversing the config axis maps bit word b to its complement mask - b.
         level = levels_view(amplitudes, params)[..., spec.target_n, :]
-        level[...] = (coef * level)[..., ::-1]
-        _apply_free_phases(amplitudes, params, duration)
+        level[...] = (_collective_flip(n_ions, spec.laser_phase) * level)[..., ::-1]
+        _apply_free_phases(amplitudes, params, duration, top)
         return
-    # Levels 1 .. n_max, one Kronecker block per group of ion bits and
+    # Levels 1 .. top, one Kronecker block per group of ion bits and
     # level.  Each group reads one buffer and writes the other; after an
     # odd number of groups the free-phase pass writes the spare back.
-    blocks = levels_view(amplitudes, params)[..., 1:, :]
+    blocks = levels_view(amplitudes, params)[..., 1 : top + 1, :]
     lead = blocks.shape[:-1]
     src, dst = blocks, np.empty_like(blocks)
     for bit in range(0, n_ions, _KRON_BITS):
         width = min(_KRON_BITS, n_ions - bit)
-        kron = _kron_blocks(params.n_levels, spec.target_n, spec.laser_phase, width)
+        kron = _kron_blocks(params.n_levels, spec.target_n, spec.laser_phase, width)[:top]
         high = 1 << (n_ions - bit - width)
         if bit == 0:
             # lowest group: rows of contiguous (high, 2^k) matrices times K^T
@@ -434,12 +475,13 @@ def _dispersive_collective_pi(
             shape = lead + (high, 1 << width, 1 << bit)
             np.matmul(kron[:, None], src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
-    np.multiply(src, _free_phases(params, duration), out=blocks)
+    np.multiply(src, _free_phases(params, duration, top), out=blocks)
 
 
 #: The pulse kinds' kernels.  Each acts in place on amplitude rows of shape
 #: (..., dim) through (..., levels, high, 2, low) views, so a single state
-#: and a batch of states run the same code.
+#: and a batch of states run the same code, and only on the Fock window
+#: 0 .. top that :func:`apply_pulse_rows` passes in.
 _KERNELS = {
     PulseKind.CARRIER_PI_HALF: _carrier_pi_half,
     PulseKind.JC_PI: _jc_pi,
@@ -461,19 +503,21 @@ def apply_pulse_rows(
 
     Every row is one state, and all rows share the start time ``t0``.
     ``detuning`` (one per row, or one for all) only enters wait steps.
+    The Fock window is found here, from the amplitudes, on every call.
     After the step every row's norm is checked, and after a pulse every
     row's population at the Fock cutoff, unless ``check_leakage=False``;
     that bypass is meant for unitary-equivalence checks on synthetic
     full-support states, not for simulations.
     """
     duration = validate_pulse_spec(spec, params)
+    top = _fock_top(amplitudes, params)
     if spec.kind is PulseKind.WAIT:
         if duration > 0:
-            _apply_free_phases(amplitudes, params, duration)
+            _apply_free_phases(amplitudes, params, duration, top)
             apply_detuning_phase(amplitudes, params, detuning, duration)
         check_leakage = False  # phases move no population
     else:
-        _KERNELS[spec.kind](amplitudes, params, spec, t0, duration)
+        _KERNELS[spec.kind](amplitudes, params, spec, t0, duration, top)
     check_norms(amplitudes)
     if check_leakage:
         _check_leakage(amplitudes, params)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ionpulse import Frame, StateVector, TrapParams
+
+# Property tests draw the same examples on every run: a derandomized search
+# with no example database, and no per-example deadline (timings on a
+# shared machine are not part of any property).
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

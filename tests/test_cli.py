@@ -231,6 +231,35 @@ class TestFlags:
         assert out == "" and list(tmp_path.iterdir()) == []
 
 
+class TestOutputNeedsDumpState:
+    def test_prepare_output_without_dump_state_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "state.json"
+        code, out, err = run_cli(capsys, "prepare", "--ions", "2", "--output", str(out_path))
+        assert code == 2
+        assert "--dump-state" in err
+        assert out == "" and not out_path.exists()
+
+    def test_run_text_output_without_dump_state_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "prog.pseq"
+        path.write_text(CANONICAL_2)
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, "run", str(path), "--output", str(out_path))
+        assert code == 2
+        assert "--dump-state" in err
+        assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("dump", [(), ("--dump-state",)], ids=["trace", "trace-and-state"])
+    def test_run_json_output_writes_the_file(self, capsys, tmp_path, dump):
+        path = tmp_path / "prog.pseq"
+        path.write_text(CANONICAL_2)
+        out_path = tmp_path / "out.json"
+        code, out, _ = run_cli(capsys, "run", str(path), "--format", "json", *dump, "--output", str(out_path))
+        assert code == 0 and out == ""
+        data = json.loads(out_path.read_text())
+        assert len(data["steps"]) == 5
+        assert ("final_state" in data) == bool(dump)
+
+
 class TestMemoryBudget:
     def test_prepare_too_many_ions_exits_1_with_byte_estimate(self, capsys):
         code, _, err = run_cli(capsys, "prepare", "--ions", "40")

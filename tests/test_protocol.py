@@ -141,6 +141,40 @@ class TestTrajectory:
         assert not check.passed
         assert check.residuals[2] > 1e-6
 
+    @staticmethod
+    def dense_residuals(report):
+        refs = trajectory_reference(report.final_state.params, report.pulse_times)
+        return [1.0 - abs(np.vdot(sim.amplitudes, ref.amplitudes)) ** 2 for sim, ref in zip(report.step_states, refs)]
+
+    @staticmethod
+    def move_off_support(state, weight):
+        """Keep sqrt(1 - weight) of every amplitude and put sqrt(weight) on a basis state the references never use."""
+        state.amplitudes *= math.sqrt(1.0 - weight)
+        state.amplitudes[flat_index(state.params, 1, 2)] += math.sqrt(weight)
+
+    @pytest.mark.parametrize("tamper", ["none", "phase-on-support", "off-support"])
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    @pytest.mark.parametrize("n_ions", [1, 2, 5])
+    def test_sparse_residuals_equal_dense_overlaps(self, n_ions, mode, tamper):
+        for step in range(5):
+            report = prepare_max_entangled(make_params(n_ions, nmax=3), mode)
+            state = report.step_states[step]
+            if tamper == "phase-on-support":
+                state.blocks[1:] *= np.exp(0.01j)
+            elif tamper == "off-support":
+                self.move_off_support(state, 0.1)
+            residuals = verify_trajectory(report).residuals
+            dense = self.dense_residuals(report)
+            assert max(abs(r - d) for r, d in zip(residuals, dense)) <= 1e-15
+
+    def test_amplitude_moved_off_support_fails_the_check(self):
+        report = prepare_max_entangled(make_params(3))
+        self.move_off_support(report.step_states[3], 0.1)
+        check = verify_trajectory(report, tolerance=1e-12)
+        assert not check.passed
+        assert check.residuals[3] == pytest.approx(0.1, abs=1e-12)
+        assert max(check.residuals[:3] + check.residuals[4:]) <= 1e-12
+
     def test_reference_states_are_normalized(self):
         params = make_params(4)
         report = prepare_max_entangled(params)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from ionpulse import (
@@ -27,6 +28,7 @@ from ionpulse import (
     ground_state,
     pulse_duration,
 )
+from ionpulse import pulses
 from ionpulse.pulses import apply_pulse_rows
 from conftest import make_params, random_state
 
@@ -291,6 +293,21 @@ ALL_SPECS = [
 ]
 
 
+def every_spec(params, ions, phases):
+    """A wait plus every kind, mode, valid target_n and listed ion, at each laser phase."""
+    specs = [PulseSpec(PulseKind.WAIT, duration=2.125)]
+    nmax = params.fock_cutoff
+    for phase in phases:
+        specs += [PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=ion, laser_phase=phase) for ion in ions]
+        for mode in PulseMode:
+            for n in range(nmax):
+                specs += [PulseSpec(PulseKind.JC_PI, ion, n, mode, laser_phase=phase) for ion in ions]
+            for n in range(1, nmax + 1):
+                specs += [PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, ion, n, mode, laser_phase=phase) for ion in ions]
+                specs.append(PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=n, mode=mode, laser_phase=phase))
+    return specs
+
+
 class TestDenseOracle:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind.value}-{s.mode.value}")
     def test_unitarity(self, spec):
@@ -340,20 +357,9 @@ class TestDenseOracle:
         rng = np.random.default_rng(100 * n_ions + nmax)
         p = make_params(n_ions, nmax=nmax, nu=1.23, eta=0.17, rabi=0.9)
         ions = sorted({1, (n_ions + 1) // 2, n_ions})
-        specs = [PulseSpec(PulseKind.WAIT, duration=2.125)]
-        for phase in (0.0, 0.37):
-            specs += [PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=ion, laser_phase=phase) for ion in ions]
-            for mode in PulseMode:
-                for n in range(nmax):
-                    specs += [PulseSpec(PulseKind.JC_PI, ion, n, mode, laser_phase=phase) for ion in ions]
-                for n in range(1, nmax + 1):
-                    specs += [PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, ion, n, mode, laser_phase=phase) for ion in ions]
-                    specs.append(
-                        PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=n, mode=mode, laser_phase=phase)
-                    )
         rows = rng.standard_normal((3, p.dim)) + 1j * rng.standard_normal((3, p.dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        for spec in specs:
+        for spec in every_spec(p, ions, (0.0, 0.37)):
             out = rows.copy()
             apply_pulse_rows(out, p, spec, 0.6, check_leakage=False)
             expected = rows @ dense_matrix(spec, p, t0=0.6).T
@@ -463,3 +469,62 @@ class TestBatchAxis:
     def test_non_finite_laser_phase_rejected(self):
         with pytest.raises(PulseError, match="laser_phase"):
             apply_carrier_pi_half(ground_state(make_params(1)), ion=1, laser_phase=math.nan)
+
+
+def windowed_rows(params, rng, tops):
+    """Normalized random rows, row i supported on Fock levels 0 .. tops[i] and exactly zero above."""
+    rows = rng.standard_normal((len(tops), params.dim)) + 1j * rng.standard_normal((len(tops), params.dim))
+    for row, top in zip(rows, tops):
+        row[(top + 1) * params.n_configs :] = 0.0
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestFockWindow:
+    """Kernels act on Fock levels 0 .. top only; the result must still be the full unitary."""
+
+    @pytest.mark.parametrize("nmax", [2, 3])
+    @pytest.mark.parametrize("n_ions", range(1, 7))
+    def test_every_spec_matches_dense_at_every_top(self, n_ions, nmax):
+        rng = np.random.default_rng(200 * n_ions + nmax)
+        p = make_params(n_ions, nmax=nmax, nu=1.23, eta=0.17, rabi=0.9)
+        # one row per window top, plus a batch whose window is the union of its rows' tops
+        cases = [windowed_rows(p, rng, (top,)) for top in range(nmax + 1)]
+        cases.append(windowed_rows(p, rng, (0, nmax - 1, 1)))
+        for spec in every_spec(p, sorted({1, n_ions}), (0.0, 0.37)):
+            matrix = dense_matrix(spec, p, t0=0.6)
+            for rows in cases:
+                out = rows.copy()
+                apply_pulse_rows(out, p, spec, 0.6, check_leakage=False)
+                assert np.max(np.abs(out - rows @ matrix.T)) <= 1e-12, (spec, rows.shape)
+
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_nan_in_an_empty_level_trips_the_norm_guard(self, level):
+        p = make_params(3, nmax=4)
+        for spec in [*every_spec(p, (3,), (0.0,)), PulseSpec(PulseKind.WAIT, duration=0.0)]:
+            state = ground_state(p)
+            state.blocks[level, 5] = np.nan
+            assert pulses._fock_top(state.amplitudes, p) == level
+            with pytest.raises(SimulationError, match="norm"):
+                apply_pulse(state, spec, check_leakage=False)
+
+    @settings(max_examples=80)
+    @given(
+        n_ions=st.integers(1, 4),
+        nmax=st.integers(1, 4),
+        nu=st.floats(0.05, 20.0),
+        eta=st.floats(0.05, 0.5),
+        rabi=st.floats(0.1, 10.0),
+        phase=st.floats(-math.pi, math.pi),
+        t0=st.floats(0.0, 50.0),
+        choice=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    def test_windowed_pulse_equals_dense_oracle(self, n_ions, nmax, nu, eta, rabi, phase, t0, choice, data):
+        p = make_params(n_ions, nmax=nmax, nu=nu, eta=eta, rabi=rabi)
+        specs = every_spec(p, range(1, n_ions + 1), (phase,))
+        spec = specs[choice % len(specs)]
+        tops = data.draw(st.lists(st.integers(0, nmax), min_size=1, max_size=3), label="tops")
+        rows = windowed_rows(p, np.random.default_rng(choice), tops)
+        out = rows.copy()
+        apply_pulse_rows(out, p, spec, t0, check_leakage=False)
+        assert np.max(np.abs(out - rows @ dense_matrix(spec, p, t0=t0).T)) <= 1e-12, spec
