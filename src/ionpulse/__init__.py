@@ -33,10 +33,6 @@ from .pulses import (
     PulseMode,
     PulseSpec,
     RabiLaw,
-    apply_carrier_pi_half,
-    apply_dispersive_collective,
-    apply_dispersive_single,
-    apply_jc_pulse,
     apply_pulse,
     dense_matrix,
     free_evolve,
@@ -90,10 +86,6 @@ __all__ = [
     "PulseMode",
     "PulseSpec",
     "RabiLaw",
-    "apply_carrier_pi_half",
-    "apply_dispersive_collective",
-    "apply_dispersive_single",
-    "apply_jc_pulse",
     "apply_pulse",
     "dense_matrix",
     "free_evolve",

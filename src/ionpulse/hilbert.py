@@ -219,7 +219,8 @@ def _zero_amplitudes(params: TrapParams) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _popcounts(n_ions: int) -> np.ndarray:
     """Number of excited ions for every bit word 0 .. 2**N - 1."""
-    return np.array([bin(b).count("1") for b in range(1 << n_ions)], dtype=np.int64)
+    # int64, not bitwise_count's uint8: callers form N - 2 popcount(b)
+    return np.bitwise_count(np.arange(1 << n_ions)).astype(np.int64)
 
 
 class StateVector:

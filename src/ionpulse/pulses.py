@@ -1,48 +1,62 @@
 """The four laser-pulse unitaries and free evolution.
 
 All pulses drive the same |g> <-> |e> electronic transition and are
-square; only which motional transition is resonant differs:
+square; only which motional transition is resonant differs.  Each one
+rotates two-level pairs by
 
-* carrier pi/2 pulse on one ion: |g> -> (|g> + |e>)/sqrt(2),
-  |e> -> (|e> - |g>)/sqrt(2), Fock level untouched.
-* red-sideband (Jaynes-Cummings) pi pulse on one ion: swaps the pair
-  |g, n+1> <-> |e, n> with Rabi frequency Omega_0 * eta * sqrt(n+1)/sqrt(N).
-* dispersive pi pulse on one ion: flips |g, n> <-> |e, n> with Rabi
-  frequency Omega_0 * eta^2 * n / N.  The n = 0 coupling vanishes
-  identically, which makes this a NOT on the ion conditioned on the
-  motion not being in the ground state.
-* collective dispersive pi pulse: the same flip applied to every ion
-  simultaneously.
+    R(theta) = cos(theta/2) I + sin(theta/2) (u |e><g| - conj(u) |g><e|)
 
-Every pulse exists in two modes.  ``ideal`` applies the exact closed-form
-map on the targeted transition and gives every other basis state only the
-free vibrational phase exp(-i nu m t_p) accumulated during the pulse.
-``physical`` rotates every coupled two-level pair by the angle its own
-n-dependent Rabi frequency dictates, theta_m = pi * Omega_m / Omega_target,
-with phases anchored so that theta = pi reproduces the ideal map exactly.
-Off-target Fock levels therefore see imperfect transfer in physical mode,
-which is the honest picture of a square pulse.
+and then gives every Fock level m its free phase exp(-i nu m t_p):
+
+* carrier pi/2 pulse on one ion: theta = pi/2 on every Fock level,
+  u = e^{i phase}, so |g> -> (|g> + e^{i phase}|e>)/sqrt(2) and
+  |e> -> (|e> - e^{-i phase}|g>)/sqrt(2).
+* red-sideband (Jaynes-Cummings) pi pulse on one ion, resonant with the
+  pair |g, n+1> <-> |e, n> at Rabi frequency Omega_0 eta sqrt(n+1)/sqrt(N),
+  u = i e^{i(nu t0 + phase)}.  On the targeted pair the exact map is
+      |e, n>   ->  i exp(-i nu [t0 + (n+1) t_p]) e^{-i phase} |g, n+1>
+      |g, n+1> ->  i exp(+i nu [t0 - n t_p])     e^{+i phase} |e, n>
+  with t_p = pi / Omega_jc(n).  |g, 0> is never coupled, and |e, n_max>
+  has no partner inside the cutoff (the leakage guard keeps that honest).
+* dispersive pi pulse on one ion, Rabi frequency Omega_0 eta^2 n / N on
+  level n, u = e^{i phase}: on the targeted level |g> -> e^{i phase}|e>,
+  |e> -> -e^{-i phase}|g>.  The n = 0 coupling vanishes identically, so
+  level 0 is exactly untouched in both modes: a NOT on the ion
+  conditioned on the motion not being in the ground state.
+* collective dispersive pi pulse: the same flip on every ion at once.  On
+  the targeted level bit word b maps to its complement with the factor
+  (-1)^popcount(b) e^{i phase (N - 2 popcount(b))}.
+
+The mode only chooses the angles, and it is read in one place, the
+cached angle table (:func:`_angle_table`).  ``ideal`` turns the targeted
+level or pair alone, by pi.  ``physical`` turns every coupled pair by the
+angle its own Rabi frequency dictates, theta_m = pi Omega_m / Omega_n:
+pi sqrt(m+1)/sqrt(n+1) for the sideband pair m, pi m / n for the
+dispersive level m.  Off-target Fock levels therefore see imperfect
+transfer, the honest picture of a square pulse; theta = pi is the ideal
+map exactly, so both modes coincide on the targeted subspace.  The
+carrier's theta = pi/2 is the same in both modes.
 
 Applications are matrix-free and in place, on per-Fock-block views of the
 flat amplitude array.  Every kernel acts only on the Fock window: levels
 0 .. top, where top is the highest level holding a nonzero amplitude in
 any row, found from the amplitudes once per call (the sideband's coupled
 pairs reach top + 1).  The levels above hold exact zeros, which every
-pulse maps to zeros, so the free phase and the physical rotations never
-touch them (an ideal pulse still maps its one targeted level or pair).
-Only arithmetic on exact zeros is skipped, and a NaN counts as nonzero.
-The norm and leakage guards are per-row reductions over whole rows, so
-they stay an independent check on the window.
+pulse maps to zeros, so the free phase and the rotations never touch
+them.  Only arithmetic on exact zeros is skipped, and a NaN counts as
+nonzero.  The norm and leakage guards are per-row reductions over whole
+rows, so they stay an independent check on the window.
 
-A single-ion pulse is one broadcast update over the window's Fock
-levels, with per-level (cos, sin) columns and two temporaries.  The ideal
-collective pulse is one pass (a cached popcount sign and a reversed
-configuration axis).  The physical collective pulse applies
-R(theta_m)^{(x)k} to each group of k = ``_KRON_BITS`` adjacent ion bits
-with one matmul per group: O(dim 2^k) flops in ceil(N/k) passes.  No
-kernel copies a state-sized view.  The kernels accept any leading batch
-axes, so :func:`apply_pulse_rows` applies one pulse to many states (rows
-of one array, sharing one clock) in a single call, and
+A single-ion pulse is one broadcast update over the table's levels, with
+per-level (cos, sin) columns and two temporaries; when every angle in the
+table is pi it is a swap with one temporary.  A collective pulse whose
+angles are all pi is one signed reversal of the configuration axis (a
+cached popcount factor), in both modes.  Any other collective pulse
+applies R(theta_m)^{(x)k} to each group of k = ``_KRON_BITS`` adjacent
+ion bits with one matmul per group: O(dim 2^k) flops in ceil(N/k)
+passes.  No kernel copies a state-sized view.  The kernels accept any
+leading batch axes, so :func:`apply_pulse_rows` applies one pulse to many
+states (rows of one array, sharing one clock) in a single call, and
 :func:`apply_pulse` is the same code on one :class:`StateVector`.
 :func:`dense_matrix` builds the same unitaries as explicit matrices
 through an independent kron/loop construction and is used by the
@@ -82,10 +96,6 @@ __all__ = [
     "RabiLaw",
     "pulse_duration",
     "validate_pulse_spec",
-    "apply_carrier_pi_half",
-    "apply_jc_pulse",
-    "apply_dispersive_single",
-    "apply_dispersive_collective",
     "free_evolve",
     "apply_detuning_phase",
     "apply_pulse",
@@ -221,12 +231,6 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
     return pulse_duration(spec, params)
 
 
-def _start_time(state: StateVector, t0: float | None) -> float:
-    if t0 is not None and not math.isclose(t0, state.clock, rel_tol=1e-12, abs_tol=1e-12):
-        raise PulseError(f"pulse start time {t0!r} does not match state clock {state.clock!r}")
-    return state.clock
-
-
 def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarray:
     """View (..., n_levels, high_bits, 2, low_bits) with the ion's bit on axis -2."""
     bit = ion - 1
@@ -247,10 +251,17 @@ def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
     return int(occupied[-1]) + 1 if occupied.size else 0
 
 
-def _free_phases(params: TrapParams, duration: float, top: int) -> np.ndarray:
-    """Column exp(-i nu m duration) for the Fock levels m = 1 .. top."""
+@lru_cache(maxsize=64)
+def _free_phases(trap_freq: float, duration: float, top: int) -> np.ndarray:
+    """Read-only column exp(-i nu m duration) for the Fock levels m = 1 .. top.
+
+    Cached because a scan repeats the same few durations in every chunk,
+    and on small states building the column costs as much as applying it.
+    """
     levels = np.arange(1, top + 1)
-    return np.exp(-1j * params.trap_freq * levels * duration)[:, None]
+    column = np.exp(-1j * trap_freq * levels * duration)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float, top: int) -> None:
@@ -259,7 +270,7 @@ def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: flo
     Level 0 carries no phase, and the levels above ``top`` hold exact
     zeros; neither is touched, so their amplitudes stay bit-identical.
     """
-    levels_view(amplitudes, params)[..., 1 : top + 1, :] *= _free_phases(params, duration, top)
+    levels_view(amplitudes, params)[..., 1 : top + 1, :] *= _free_phases(params.trap_freq, duration, top)
 
 
 def apply_detuning_phase(
@@ -297,111 +308,60 @@ def _check_leakage(amplitudes: np.ndarray, params: TrapParams) -> None:
         )
 
 
-def _rotate_pairs(a: np.ndarray, b: np.ndarray, c, x, y, combine) -> None:
-    """In place (a, b) <- (combine(c a, x b), c b + y a) on two disjoint views.
+@lru_cache(maxsize=256)
+def _angle_table(
+    kind: PulseKind, mode: PulseMode, target_n: int, n_levels: int, top: int
+) -> tuple[slice, np.ndarray, np.ndarray, bool]:
+    """The pulse's coupled levels m <= top, (cos, sin) of theta_m/2 per level, and whether every theta_m is pi.
 
-    ``c``, ``x`` and ``y`` are scalars or per-level columns that broadcast
-    against the views, so one call rotates every Fock level.  Two
-    temporaries the size of ``a``; neither view is copied.  ``combine`` is
-    ``np.add`` or ``np.subtract`` so each kind keeps its own rounding.
+    The one place a pulse's mode is read.  Level m stands for the pair
+    (|g,m+1>, |e,m>) of the sideband and for the level itself otherwise.
+    The columns are read-only, shaped (levels, 1, 1).  An empty window
+    counts as all pi (there is nothing to rotate).
     """
-    new_a = c * a
-    term = x * b
-    combine(new_a, term, out=new_a)
-    np.multiply(y, a, out=term)
-    b *= c
+    if kind is PulseKind.CARRIER_PI_HALF:
+        levels = range(top + 1)
+        thetas = [math.pi / 2.0] * len(levels)
+    elif mode is PulseMode.IDEAL:
+        levels = range(target_n, min(target_n, top) + 1)
+        thetas = [math.pi] * len(levels)
+    elif kind is PulseKind.JC_PI:
+        levels = range(min(top + 1, n_levels - 1))
+        thetas = [math.pi * math.sqrt(m + 1) / math.sqrt(target_n + 1) for m in levels]
+    else:
+        levels = range(1, top + 1)
+        thetas = [math.pi * m / target_n for m in levels]
+    cos, sin = np.array([_half_angle(theta) for theta in thetas]).reshape(-1, 2).T.reshape(2, -1, 1, 1)
+    cos.flags.writeable = sin.flags.writeable = False
+    return slice(levels.start, levels.stop), cos, sin, all(theta == math.pi for theta in thetas)
+
+
+def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table, shift: int, u: complex) -> None:
+    """R(theta_m) on the ion's pairs (a, b) = (|g, m+shift>, |e, m>) over the table's levels.
+
+    In place (a, b) <- (c a + x b, c b + y a) with x = -s conj(u), y = s u,
+    broadcast over the levels with the table's (c, s) columns: two
+    temporaries the size of ``a``, and no view is copied.  When every
+    angle is pi (c = 0, s = 1) the update is the swap (x b, y a) with one
+    temporary.
+    """
+    levels, cos, sin, all_pi = table
+    view = _ion_view(amplitudes, params, ion)
+    a = view[..., levels.start + shift : levels.stop + shift, :, 0, :]
+    b = view[..., levels, :, 1, :]
+    x = -u.conjugate()
+    if all_pi:
+        new_a = x * b
+        np.multiply(u, a, out=b)
+        a[...] = new_a
+        return
+    new_a = cos * a
+    term = (sin * x) * b
+    new_a += term
+    np.multiply(sin * u, a, out=term)
+    b *= cos
     b += term
     a[...] = new_a
-
-
-@lru_cache(maxsize=32)
-def _physical_half_angles(kind: PulseKind, target_n: int, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Physical-mode (cos, sin) of theta/2 per coupled level, as (levels-1, 1, 1) columns.
-
-    Sideband: pair (|g,m+1>, |e,m>) for m = 0 .. n_max - 1, theta_m = pi sqrt(m+1)/sqrt(n+1).
-    Dispersive: level m = 1 .. n_max, theta_m = pi m / n (level 0 is never coupled).
-    """
-    if kind is PulseKind.JC_PI:
-        thetas = [math.pi * math.sqrt(m + 1) / math.sqrt(target_n + 1) for m in range(n_levels - 1)]
-    else:
-        thetas = [math.pi * m / target_n for m in range(1, n_levels)]
-    cos, sin = np.array([_half_angle(theta) for theta in thetas]).T.reshape(2, -1, 1, 1)
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
-
-
-def _carrier_pi_half(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
-) -> None:
-    """|g> -> (|g> + e^{i phase}|e>)/sqrt(2), |e> -> (|e> - e^{-i phase}|g>)/sqrt(2) on levels 0 .. top."""
-    up = np.exp(1j * spec.laser_phase)
-    view = _ion_view(amplitudes, params, spec.target_ion)[..., : top + 1, :, :, :]
-    g, e = view[..., 0, :], view[..., 1, :]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    new_g = np.conj(up) * e
-    np.subtract(g, new_g, out=new_g)
-    new_g *= inv_sqrt2
-    new_e = up * g
-    new_e += e
-    new_e *= inv_sqrt2
-    g[...] = new_g
-    e[...] = new_e
-    _apply_free_phases(amplitudes, params, duration, top)
-
-
-def _jc_pi(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
-) -> None:
-    """Red-sideband pi pulse on |g,n+1> <-> |e,n>; see :func:`apply_jc_pulse`.
-
-    Physical mode rotates the pairs m = 0 .. min(top, n_max - 1), which
-    reach level top + 1; the pairs above hold exact zeros.
-    """
-    nu = params.trap_freq
-    n = spec.target_n
-    view = _ion_view(amplitudes, params, spec.target_ion)
-    if spec.mode is PulseMode.IDEAL:
-        g_hi, e_lo = view[..., n + 1, :, 0, :], view[..., n, :, 1, :]
-        down = 1j * np.exp(-1j * (nu * (t0 + (n + 1) * duration) + spec.laser_phase))
-        up = 1j * np.exp(1j * (nu * (t0 - n * duration) + spec.laser_phase))
-        new_g_hi = down * e_lo
-        new_e_lo = up * g_hi
-        _apply_free_phases(amplitudes, params, duration, top)
-        g_hi[...] = new_g_hi
-        e_lo[...] = new_e_lo
-        return
-    alpha = nu * t0 + spec.laser_phase
-    pairs = min(top + 1, params.fock_cutoff)
-    c, s = (column[:pairs] for column in _physical_half_angles(spec.kind, n, params.n_levels))
-    # every pair (|g,m+1>, |e,m>) at once: g on levels 1 .. pairs, e on levels 0 .. pairs-1
-    _rotate_pairs(
-        view[..., 1 : pairs + 1, :, 0, :],
-        view[..., :pairs, :, 1, :],
-        c,
-        1j * np.exp(-1j * alpha) * s,
-        1j * np.exp(1j * alpha) * s,
-        np.add,
-    )
-    _apply_free_phases(amplitudes, params, duration, pairs)
-
-
-def _dispersive_single_pi(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
-) -> None:
-    """Flip of one ion on the targeted level (ideal) or theta_m = pi m / n on levels 1 .. top (physical).
-
-    R(theta) = cos(theta/2) I + sin(theta/2) (e^{i phase}|e><g| - e^{-i phase}|g><e|),
-    so theta = pi is the exact flip and theta = 2 pi the overall sign -1.
-    """
-    if spec.mode is PulseMode.IDEAL:
-        levels, (c, s) = spec.target_n, _half_angle(math.pi)
-    else:
-        levels = slice(1, top + 1)
-        c, s = (column[:top] for column in _physical_half_angles(spec.kind, spec.target_n, params.n_levels))
-    view = _ion_view(amplitudes, params, spec.target_ion)[..., levels, :, :, :]
-    up = np.exp(1j * spec.laser_phase)
-    _rotate_pairs(view[..., 0, :], view[..., 1, :], c, s * np.conj(up), s * up, np.subtract)
-    _apply_free_phases(amplitudes, params, duration, top)
 
 
 #: Ion bits per Kronecker block of the physical collective pulse: each
@@ -416,16 +376,15 @@ _KRON_BITS = 4
 
 
 @lru_cache(maxsize=8)
-def _kron_blocks(n_levels: int, target_n: int, laser_phase: float, width: int) -> np.ndarray:
-    """R(theta_m)^{(x)width} for every level m = 1 .. n_max, shape (levels-1, 2^width, 2^width).
+def _kron_blocks(cos: tuple[float, ...], sin: tuple[float, ...], laser_phase: float, width: int) -> np.ndarray:
+    """R(theta_m)^{(x)width} for every (cos, sin) of theta_m/2, shape (levels, 2^width, 2^width).
 
     R^{(x)k} is the same for every ordering of its k identical factors, so
     the block acts on any k adjacent ion bits.
     """
-    cos, sin = _physical_half_angles(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n, n_levels)
     up = np.exp(1j * laser_phase)
-    blocks = np.empty((n_levels - 1, 1 << width, 1 << width), dtype=np.complex128)
-    for block, c, s in zip(blocks, cos.ravel(), sin.ravel()):
+    blocks = np.empty((len(cos), 1 << width, 1 << width), dtype=np.complex128)
+    for block, c, s in zip(blocks, cos, sin):
         rotation = np.array([[c, -s * np.conj(up)], [s * up, c]])
         block[...] = reduce(np.kron, [rotation] * width)
     blocks.flags.writeable = False
@@ -446,26 +405,24 @@ def _collective_flip(n_ions: int, laser_phase: float) -> np.ndarray:
     return coef
 
 
-def _dispersive_collective_pi(
-    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, duration: float, top: int
-) -> None:
-    """The dispersive flip on every ion at once; see :func:`apply_dispersive_collective`."""
+def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: float, table) -> None:
+    """R(theta_m) with u = e^{i phase} on every ion at once, over the table's levels."""
+    levels, cos, sin, all_pi = table
     n_ions = params.n_ions
-    if spec.mode is PulseMode.IDEAL:
+    blocks = levels_view(amplitudes, params)[..., levels, :]
+    if all_pi:
         # Reversing the config axis maps bit word b to its complement mask - b.
-        level = levels_view(amplitudes, params)[..., spec.target_n, :]
-        level[...] = (_collective_flip(n_ions, spec.laser_phase) * level)[..., ::-1]
-        _apply_free_phases(amplitudes, params, duration, top)
+        blocks[...] = (_collective_flip(n_ions, laser_phase) * blocks)[..., ::-1]
         return
-    # Levels 1 .. top, one Kronecker block per group of ion bits and
-    # level.  Each group reads one buffer and writes the other; after an
-    # odd number of groups the free-phase pass writes the spare back.
-    blocks = levels_view(amplitudes, params)[..., 1 : top + 1, :]
+    # One Kronecker block per group of ion bits and level.  Each group
+    # reads one buffer and writes the other; after an odd number of
+    # groups the spare is copied back.
+    angles = tuple(cos.flat), tuple(sin.flat)
     lead = blocks.shape[:-1]
     src, dst = blocks, np.empty_like(blocks)
     for bit in range(0, n_ions, _KRON_BITS):
         width = min(_KRON_BITS, n_ions - bit)
-        kron = _kron_blocks(params.n_levels, spec.target_n, spec.laser_phase, width)[:top]
+        kron = _kron_blocks(*angles, laser_phase, width)
         high = 1 << (n_ions - bit - width)
         if bit == 0:
             # lowest group: rows of contiguous (high, 2^k) matrices times K^T
@@ -475,19 +432,8 @@ def _dispersive_collective_pi(
             shape = lead + (high, 1 << width, 1 << bit)
             np.matmul(kron[:, None], src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
-    np.multiply(src, _free_phases(params, duration, top), out=blocks)
-
-
-#: The pulse kinds' kernels.  Each acts in place on amplitude rows of shape
-#: (..., dim) through (..., levels, high, 2, low) views, so a single state
-#: and a batch of states run the same code, and only on the Fock window
-#: 0 .. top that :func:`apply_pulse_rows` passes in.
-_KERNELS = {
-    PulseKind.CARRIER_PI_HALF: _carrier_pi_half,
-    PulseKind.JC_PI: _jc_pi,
-    PulseKind.DISPERSIVE_SINGLE_PI: _dispersive_single_pi,
-    PulseKind.DISPERSIVE_COLLECTIVE_PI: _dispersive_collective_pi,
-}
+    if src is not blocks:
+        blocks[...] = src
 
 
 def apply_pulse_rows(
@@ -503,11 +449,12 @@ def apply_pulse_rows(
 
     Every row is one state, and all rows share the start time ``t0``.
     ``detuning`` (one per row, or one for all) only enters wait steps.
-    The Fock window is found here, from the amplitudes, on every call.
-    After the step every row's norm is checked, and after a pulse every
-    row's population at the Fock cutoff, unless ``check_leakage=False``;
-    that bypass is meant for unitary-equivalence checks on synthetic
-    full-support states, not for simulations.
+    The Fock window is found here, from the amplitudes, on every call;
+    a pulse rotates the pairs its angle table lists and then gives the
+    window its free phase.  After the step every row's norm is checked,
+    and after a pulse every row's population at the Fock cutoff, unless
+    ``check_leakage=False``; that bypass is meant for unitary-equivalence
+    checks on synthetic full-support states, not for simulations.
     """
     duration = validate_pulse_spec(spec, params)
     top = _fock_top(amplitudes, params)
@@ -517,118 +464,29 @@ def apply_pulse_rows(
             apply_detuning_phase(amplitudes, params, detuning, duration)
         check_leakage = False  # phases move no population
     else:
-        _KERNELS[spec.kind](amplitudes, params, spec, t0, duration, top)
+        table = _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)
+        if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
+            _rotate_every_ion(amplitudes, params, spec.laser_phase, table)
+        elif spec.kind is PulseKind.JC_PI:
+            u = 1j * np.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
+            _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)
+            top = max(top, table[0].stop)  # the highest pair's |g> level
+        else:
+            _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
+        _apply_free_phases(amplitudes, params, duration, top)
     check_norms(amplitudes)
     if check_leakage:
         _check_leakage(amplitudes, params)
     return duration
 
 
-def apply_pulse(
-    state: StateVector,
-    spec: PulseSpec,
-    t0: float | None = None,
-    *,
-    check_leakage: bool = True,
-) -> StateVector:
+def apply_pulse(state: StateVector, spec: PulseSpec, *, check_leakage: bool = True) -> StateVector:
     """Apply one PulseSpec to the state at its clock; see :func:`apply_pulse_rows`."""
-    t0 = _start_time(state, t0)
     duration = apply_pulse_rows(
-        state.amplitudes, state.params, spec, t0, state.frame.detuning, check_leakage=check_leakage
+        state.amplitudes, state.params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage
     )
-    state.clock = t0 + duration
+    state.clock = state.clock + duration
     return state
-
-
-def apply_carrier_pi_half(
-    state: StateVector,
-    ion: int,
-    t0: float | None = None,
-    *,
-    laser_phase: float = 0.0,
-    check_leakage: bool = True,
-) -> StateVector:
-    """Resonant pi/2 pulse on one ion.
-
-    Maps |g> -> (|g> + e^{i phase}|e>)/sqrt(2) and
-    |e> -> (|e> - e^{-i phase}|g>)/sqrt(2) on every Fock level, each level
-    additionally picking up its free phase exp(-i nu m t_p).
-    """
-    spec = PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=ion, laser_phase=laser_phase)
-    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
-
-
-def apply_jc_pulse(
-    state: StateVector,
-    ion: int,
-    target_n: int,
-    t0: float | None = None,
-    mode: PulseMode | str = PulseMode.IDEAL,
-    *,
-    laser_phase: float = 0.0,
-    check_leakage: bool = True,
-) -> StateVector:
-    """Red-sideband pi pulse on one ion, resonant with |g,n+1> <-> |e,n>.
-
-    On the targeted pair the exact map is
-
-        |e, n>   ->  i exp(-i nu [t0 + (n+1) t_p]) e^{-i phase} |g, n+1>
-        |g, n+1> ->  i exp(+i nu [t0 - n t_p])     e^{+i phase} |e, n>
-
-    with t_p = pi / Omega_jc(n).  |g, 0> is never coupled.  In physical
-    mode every pair (|g,m+1>, |e,m>) rotates by
-    theta_m = pi sqrt(m+1)/sqrt(n+1); the state |e, n_max> has no partner
-    inside the cutoff and only free-evolves (the leakage guard keeps that
-    honest).
-    """
-    spec = PulseSpec(PulseKind.JC_PI, ion, target_n, PulseMode(mode), laser_phase=laser_phase)
-    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
-
-
-def apply_dispersive_single(
-    state: StateVector,
-    ion: int,
-    target_n: int,
-    t0: float | None = None,
-    mode: PulseMode | str = PulseMode.IDEAL,
-    *,
-    laser_phase: float = 0.0,
-    check_leakage: bool = True,
-) -> StateVector:
-    """Dispersive pi pulse on one ion, resonant on Fock level ``target_n``.
-
-    Flips the ion's electronic state on the targeted level,
-    |g> -> |e>, |e> -> -|g>, times exp(-i nu n t_p).  Fock level 0 is left
-    exactly untouched (zero coupling, zero phase) in both modes, which is
-    what makes this a motion-controlled NOT.  Physical mode rotates every
-    level m by theta_m = pi m / n.
-    """
-    spec = PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, ion, target_n, PulseMode(mode), laser_phase=laser_phase)
-    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
-
-
-def apply_dispersive_collective(
-    state: StateVector,
-    target_n: int,
-    t0: float | None = None,
-    mode: PulseMode | str = PulseMode.IDEAL,
-    *,
-    laser_phase: float = 0.0,
-    check_leakage: bool = True,
-) -> StateVector:
-    """Dispersive pi pulse applied to all ions at once.
-
-    On the targeted Fock level every ion is flipped with the single-ion
-    signs, i.e. the bit word b maps to its complement with amplitude
-    factor (-1)^{popcount(b)} (times e^{i phase (N - 2 popcount)} for a
-    nonzero laser phase), and the level phase exp(-i nu n t_p).  Level 0
-    is exactly untouched.  Physical mode rotates every ion independently
-    by theta_m = pi m / n on each level m.
-    """
-    spec = PulseSpec(
-        PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=target_n, mode=PulseMode(mode), laser_phase=laser_phase
-    )
-    return apply_pulse(state, spec, t0, check_leakage=check_leakage)
 
 
 def free_evolve(state: StateVector, duration: float) -> StateVector:

@@ -23,7 +23,6 @@ from ionpulse import (
     RamseyConfig,
     SequenceProgram,
     TrapParams,
-    apply_jc_pulse,
     apply_pulse,
     dense_matrix,
     dicke_extreme,
@@ -205,7 +204,7 @@ def test_8_leakage_honesty():
         # residual amplitude is the bare rotation matrix element
         params = TrapParams(n_ions=1, trap_freq=2.0, lamb_dicke=1.0, base_rabi=1.0, fock_cutoff=4)
         state = dicke_extreme(params, "lowest", 2)
-        apply_jc_pulse(state, ion=1, target_n=0, mode=PulseMode.PHYSICAL)
+        apply_pulse(state, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=0, mode=PulseMode.PHYSICAL))
         residual = state.amplitude(0, 2)
         closed_form = math.cos(math.pi * math.sqrt(2.0) / 2.0)
         assert abs(residual - closed_form) <= 1e-12, residual

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ionpulse import cli as cli_module
 from ionpulse.cli import main
 
 CANONICAL_2 = """\
@@ -206,6 +207,19 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--ions-max", "3", "--tamper-step", "3")
         assert code == 1
         assert "FAIL" in out
+
+    def test_non_unitary_kernel_fails_the_oracle_check(self, capsys, monkeypatch):
+        # a kernel that loses norm trips the norm guard inside the spot check: FAIL, not a crash
+        original = cli_module.apply_pulse
+
+        def shrinking_pulse(state, spec, **kwargs):
+            state.amplitudes *= 0.9
+            return original(state, spec, **kwargs)
+
+        monkeypatch.setattr(cli_module, "apply_pulse", shrinking_pulse)
+        code, out, _ = run_cli(capsys, "verify", "--ions-max", "1")
+        assert code == 1
+        assert "oracle check: max deviation inf" in out and "FAIL" in out
 
     def test_bad_range_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--ions-min", "4", "--ions-max", "2")

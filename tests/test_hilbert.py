@@ -167,6 +167,14 @@ class TestMemoryBudget:
             hilbert.check_memory(101)
 
 
+class TestPopcounts:
+    @pytest.mark.parametrize("n_ions", range(1, 13))
+    def test_table_counts_excited_ions(self, n_ions):
+        table = hilbert._popcounts(n_ions)
+        assert table.dtype == np.int64
+        assert table.tolist() == [bin(b).count("1") for b in range(1 << n_ions)]
+
+
 class TestFidelity:
     def test_self(self):
         rng = np.random.default_rng(1)

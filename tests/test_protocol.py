@@ -35,6 +35,7 @@ from ionpulse import (
     verify_trajectory,
 )
 from ionpulse import hilbert, protocol
+from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
 from conftest import make_params
 
@@ -127,12 +128,15 @@ class TestTrajectory:
         assert np.max(np.abs(report.final_state.amplitudes - expected)) <= 1e-12
 
     def test_physical_matches_ideal_report(self):
-        for n in (1, 3, 4):
-            ideal = prepare_max_entangled(make_params(n))
-            phys = prepare_max_entangled(make_params(n), PulseMode.PHYSICAL)
-            assert np.max(np.abs(ideal.final_state.amplitudes - phys.final_state.amplitudes)) <= 1e-10
-            for a, b in zip(ideal.step_states, phys.step_states):
-                assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-10
+        # the protocol only populates the targeted levels, where a physical
+        # angle of pi is the ideal map, so the two modes agree exactly
+        for n in range(1, 13):
+            for nmax in (2, 3, 4):
+                ideal = prepare_max_entangled(make_params(n, nmax=nmax))
+                phys = prepare_max_entangled(make_params(n, nmax=nmax), PulseMode.PHYSICAL)
+                assert np.array_equal(ideal.final_state.amplitudes, phys.final_state.amplitudes), (n, nmax)
+                for a, b in zip(ideal.step_states, phys.step_states, strict=True):
+                    assert np.array_equal(a.amplitudes, b.amplitudes), (n, nmax)
 
     def test_residual_detects_phase_tampering(self):
         report = prepare_max_entangled(make_params(2))
@@ -313,6 +317,17 @@ class TestRamsey:
         )
         assert diag.max_abs_error > base.max_abs_error
         assert diag.max_abs_error < 0.05
+
+    @pytest.mark.xfail(strict=True, reason="absolute-clock phase arguments lose precision at long waits")
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_long_wait_scan_within_the_gate(self, mode):
+        # the command-line gate at T = 1e8, N = 8: about 5e-9 today, the
+        # rounding of nu * t0 in the phase arguments at t0 ~ T
+        wait = 1.0e8
+        params = make_params(8)
+        grid = tuple(x / (8 * wait) for x in np.linspace(-2 * math.pi, 2 * math.pi, 41))
+        result = ramsey_scan(RamseyConfig(params=params, wait_time=wait, detuning_grid=grid, mode=mode))
+        assert result.max_abs_error <= SCAN_GATE
 
     def test_empty_grid_rejected(self):
         params = make_params(2)

@@ -16,10 +16,6 @@ from ionpulse import (
     RabiLaw,
     SimulationError,
     TrapParams,
-    apply_carrier_pi_half,
-    apply_dispersive_collective,
-    apply_dispersive_single,
-    apply_jc_pulse,
     apply_pulse,
     dense_matrix,
     dicke_extreme,
@@ -72,14 +68,14 @@ class TestRabiLaw:
 class TestCarrier:
     def test_ground_to_superposition(self):
         p = make_params(2)
-        s = apply_carrier_pi_half(ground_state(p), ion=2)
+        s = apply_pulse(ground_state(p), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2))
         assert s.amplitude(0b00, 0) == pytest.approx(1 / SQRT2)
         assert s.amplitude(0b10, 0) == pytest.approx(1 / SQRT2)
         assert s.clock == pytest.approx(math.pi / 2)
 
     def test_excited_to_difference(self):
         p = make_params(1)
-        s = apply_carrier_pi_half(dicke_extreme(p, "highest", 0), ion=1)
+        s = apply_pulse(dicke_extreme(p, "highest", 0), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1))
         assert s.amplitude(0, 0) == pytest.approx(-1 / SQRT2)
         assert s.amplitude(1, 0) == pytest.approx(1 / SQRT2)
 
@@ -88,7 +84,7 @@ class TestCarrier:
         p = make_params(1, nu=1.3)
         before = dicke_extreme(p, "lowest", 1)
         vec = before.amplitudes.copy()
-        s = apply_carrier_pi_half(before, ion=1)
+        s = apply_pulse(before, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1))
         t_pulse = math.pi / 2.0
         expected = np.exp(-1j * 1.3 * t_pulse) / SQRT2
         assert s.amplitude(0, 1) == pytest.approx(expected, abs=1e-15)
@@ -99,14 +95,14 @@ class TestCarrier:
     def test_laser_phase_lands_on_raising_part(self):
         p = make_params(1)
         phi = 0.77
-        s = apply_carrier_pi_half(ground_state(p), ion=1, laser_phase=phi)
+        s = apply_pulse(ground_state(p), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1, laser_phase=phi))
         assert s.amplitude(0, 0) == pytest.approx(1 / SQRT2)
         assert s.amplitude(1, 0) == pytest.approx(np.exp(1j * phi) / SQRT2)
 
     def test_zero_rabi_rejected(self):
         p = TrapParams(n_ions=1, trap_freq=1.0, lamb_dicke=0.1, base_rabi=0.0, fock_cutoff=2)
         with pytest.raises(PulseError):
-            apply_carrier_pi_half(ground_state(p), ion=1)
+            apply_pulse(ground_state(p), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1))
 
 
 class TestJaynesCummings:
@@ -115,7 +111,7 @@ class TestJaynesCummings:
         p = make_params(1, nu=0.9)
         s = dicke_extreme(p, "highest", 0)
         s.clock = 2.0
-        apply_jc_pulse(s, ion=1, target_n=0, t0=2.0)
+        apply_pulse(s, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=0))
         t_end = s.clock
         assert t_end == pytest.approx(2.0 + math.pi / RabiLaw(p).jc(0))
         assert s.amplitude(0, 1) == pytest.approx(1j * np.exp(-1j * 0.9 * t_end), abs=1e-14)
@@ -125,7 +121,7 @@ class TestJaynesCummings:
         p = make_params(1, nu=0.9)
         s = dicke_extreme(p, "lowest", 1)
         s.clock = 5.0
-        apply_jc_pulse(s, ion=1, target_n=0)
+        apply_pulse(s, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=0))
         assert s.amplitude(1, 0) == pytest.approx(1j * np.exp(1j * 0.9 * 5.0), abs=1e-14)
 
     def test_ground_corner_untouched_both_modes(self):
@@ -135,14 +131,14 @@ class TestJaynesCummings:
             s = headroom_state(p, rng)
             # (g, 0) slots for ion 2 are bit words without bit 1 set
             before = s.blocks[0][[0, 1]].tobytes()
-            apply_jc_pulse(s, ion=2, target_n=0, mode=mode)
+            apply_pulse(s, PulseSpec(PulseKind.JC_PI, target_ion=2, target_n=0, mode=mode))
             assert s.blocks[0][[0, 1]].tobytes() == before
 
     def test_physical_off_target_rotation_expm_oracle(self):
         # pair (|g,2>, |e,1>) rotates by pi*sqrt(2) during a target-0 pi pulse
         p = TrapParams(n_ions=1, trap_freq=2.0, lamb_dicke=1.0, base_rabi=1.0, fock_cutoff=4)
         s = dicke_extreme(p, "lowest", 2)
-        apply_jc_pulse(s, ion=1, target_n=0, mode=PulseMode.PHYSICAL)
+        apply_pulse(s, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=0, mode=PulseMode.PHYSICAL))
         duration = math.pi  # pi / (1 * 1 * 1)
         theta = math.pi * SQRT2
         coupling = np.array([[0.0, 1.0], [1.0, 0.0]])  # alpha = nu*t0 = 0
@@ -157,12 +153,12 @@ class TestJaynesCummings:
     def test_target_out_of_cutoff(self):
         p = make_params(1, nmax=2)
         with pytest.raises(PulseError):
-            apply_jc_pulse(ground_state(p), ion=1, target_n=2)
+            apply_pulse(ground_state(p), PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=2))
 
     def test_zero_coupling_rejected(self):
         p = make_params(1, eta=0.0)
         with pytest.raises(PulseError):
-            apply_jc_pulse(ground_state(p), ion=1, target_n=0)
+            apply_pulse(ground_state(p), PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=0))
 
 
 class TestDispersiveSingle:
@@ -170,7 +166,7 @@ class TestDispersiveSingle:
         # |e>|1> -> -exp(-i nu t_pulse)|g>|1>
         p = make_params(1, nu=1.1)
         s = dicke_extreme(p, "highest", 1)
-        apply_dispersive_single(s, ion=1, target_n=1)
+        apply_pulse(s, PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=1, target_n=1))
         t_pulse = math.pi / RabiLaw(p).dispersive(1)
         assert s.amplitude(0, 1) == pytest.approx(-np.exp(-1j * 1.1 * t_pulse), abs=1e-14)
 
@@ -180,14 +176,14 @@ class TestDispersiveSingle:
         for mode in PulseMode:
             s = headroom_state(p, rng)
             before = s.blocks[0].tobytes()
-            apply_dispersive_single(s, ion=1, target_n=1, mode=mode)
+            apply_pulse(s, PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=1, target_n=1, mode=mode))
             assert s.blocks[0].tobytes() == before
 
     def test_two_pi_rotation_physical_expm_oracle(self):
         # |e>|2> under a target-1 physical pulse: theta = 2 pi, overall -1
         p = make_params(1, nu=0.7)
         s = dicke_extreme(p, "highest", 2)
-        apply_dispersive_single(s, ion=1, target_n=1, mode=PulseMode.PHYSICAL)
+        apply_pulse(s, PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=1, target_n=1, mode=PulseMode.PHYSICAL))
         duration = math.pi / RabiLaw(p).dispersive(1)
         generator = np.array([[0.0, -1.0], [1.0, 0.0]])  # e^{i phase}=1
         rotation = expm((2 * math.pi / 2.0) * generator)
@@ -199,14 +195,14 @@ class TestDispersiveSingle:
     def test_target_zero_rejected(self):
         p = make_params(1)
         with pytest.raises(PulseError):
-            apply_dispersive_single(ground_state(p), ion=1, target_n=0)
+            apply_pulse(ground_state(p), PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=1, target_n=0))
 
 
 class TestDispersiveCollective:
     def test_all_ground_flips_to_all_excited(self):
         p = make_params(3, nu=1.7)
         s = dicke_extreme(p, "lowest", 1)
-        apply_dispersive_collective(s, target_n=1)
+        apply_pulse(s, PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1))
         t_pulse = math.pi / RabiLaw(p).dispersive(1)
         assert s.amplitude(0b111, 1) == pytest.approx(np.exp(-1j * 1.7 * t_pulse), abs=1e-14)
 
@@ -214,7 +210,7 @@ class TestDispersiveCollective:
         p = make_params(3)
         s = dicke_extreme(p, "lowest", 0)
         before = s.amplitudes.copy()
-        apply_dispersive_collective(s, target_n=1)
+        apply_pulse(s, PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1))
         assert np.array_equal(s.amplitudes, before)
 
     def test_all_excited_sign_dense_oracle(self):
@@ -224,7 +220,7 @@ class TestDispersiveCollective:
         vec = s.amplitudes.copy()
         spec = PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1)
         dense = dense_matrix(spec, p)
-        apply_dispersive_collective(s, target_n=1)
+        apply_pulse(s, PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1))
         t_pulse = math.pi / RabiLaw(p).dispersive(1)
         assert s.amplitude(0b00, 1) == pytest.approx(np.exp(-1j * t_pulse), abs=1e-14)
         assert np.allclose(dense @ vec, s.amplitudes, atol=1e-13)
@@ -234,8 +230,8 @@ class TestDispersiveCollective:
         p = make_params(1)
         a = headroom_state(p, rng)
         b = a.copy()
-        apply_dispersive_collective(a, target_n=1, mode=PulseMode.PHYSICAL)
-        apply_dispersive_single(b, ion=1, target_n=1, mode=PulseMode.PHYSICAL)
+        apply_pulse(a, PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1, mode=PulseMode.PHYSICAL))
+        apply_pulse(b, PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=1, target_n=1, mode=PulseMode.PHYSICAL))
         assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
 
@@ -393,22 +389,16 @@ class TestInvariants:
         apply_pulse(s, spec)
         assert s.clock == t0 + pulse_duration(spec, p)
 
-    def test_start_time_mismatch_rejected(self):
-        p = make_params(2)
-        s = ground_state(p)
-        with pytest.raises(PulseError):
-            apply_carrier_pi_half(s, ion=1, t0=1.0)
-
     def test_leakage_guard_trips(self):
         p = make_params(1, nmax=4)
         s = dicke_extreme(p, "highest", 3)
         with pytest.raises(LeakageError):
-            apply_jc_pulse(s, ion=1, target_n=3)
+            apply_pulse(s, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=3))
 
     def test_leakage_guard_bypass(self):
         p = make_params(1, nmax=4)
         s = dicke_extreme(p, "highest", 3)
-        apply_jc_pulse(s, ion=1, target_n=3, check_leakage=False)
+        apply_pulse(s, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=3), check_leakage=False)
         assert abs(s.amplitude(0, 4)) == pytest.approx(1.0)
 
     def test_norm_drift_detected(self):
@@ -416,14 +406,14 @@ class TestInvariants:
         s = ground_state(p)
         s.amplitudes *= 0.5
         with pytest.raises(SimulationError):
-            apply_carrier_pi_half(s, ion=1)
+            apply_pulse(s, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1))
 
     def test_ion_index_validated(self):
         p = make_params(2)
         with pytest.raises(PulseError):
-            apply_carrier_pi_half(ground_state(p), ion=3)
+            apply_pulse(ground_state(p), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3))
         with pytest.raises(PulseError):
-            apply_jc_pulse(ground_state(p), ion=0, target_n=0)
+            apply_pulse(ground_state(p), PulseSpec(PulseKind.JC_PI, target_ion=0, target_n=0))
 
 
 class TestBatchAxis:
@@ -468,7 +458,7 @@ class TestBatchAxis:
 
     def test_non_finite_laser_phase_rejected(self):
         with pytest.raises(PulseError, match="laser_phase"):
-            apply_carrier_pi_half(ground_state(make_params(1)), ion=1, laser_phase=math.nan)
+            apply_pulse(ground_state(make_params(1)), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1, laser_phase=math.nan))
 
 
 def windowed_rows(params, rng, tops):
