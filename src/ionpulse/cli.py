@@ -21,13 +21,7 @@ import sys
 
 import numpy as np
 
-from .hilbert import (
-    Frame,
-    SimulationError,
-    StateVector,
-    TrapParams,
-    fock_populations,
-)
+from .hilbert import Frame, SimulationError, StateVector, TrapParams
 from .pulses import PulseKind, PulseMode, PulseSpec, apply_pulse, dense_matrix
 from .protocol import (
     RamseyConfig,
@@ -104,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the randomized oracle spot check")
     p_verify.add_argument("--ions-min", type=int, default=1, help="first ion count (default 1)")
     p_verify.add_argument("--ions-max", type=int, default=8, help="last ion count (default 8)")
-    p_verify.add_argument("--tamper-step", type=int, default=None, help=argparse.SUPPRESS)
     return parser
 
 
@@ -138,10 +131,10 @@ def _require_dump_for_output(args: argparse.Namespace, parser: argparse.Argument
         parser.error("--output writes the --dump-state JSON; add --dump-state or drop --output")
 
 
-def _print_step_table(rows: list[tuple[int, str, float, float, list[float]]]) -> None:
-    for index, kind, clock, norm, populations in rows:
-        pops = ",".join(f"{p:.6f}" for p in populations)
-        print(f"step {index}  {kind:<12s} t={clock:.15g}  norm={norm:.12f}  fock=[{pops}]")
+def _print_step_table(trace: list[seqlang.StepTrace]) -> None:
+    for t in trace:
+        pops = ",".join(f"{p:.6f}" for p in t.fock_populations)
+        print(f"step {t.step}  {t.kind:<12s} t={t.clock:.15g}  norm={t.norm:.12f}  fock=[{pops}]")
 
 
 def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -152,17 +145,8 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     print(f"fidelity: {report.fidelity_vs_target:.12f}")
     if report.phi_schroedinger is not None:
         print(f"phi: {report.phi_schroedinger:.15g}")
-    rows = [
-        (
-            i + 1,
-            spec.kind.value,
-            state.clock,
-            state.norm(),
-            [float(x) for x in fock_populations(state)],
-        )
-        for i, (spec, state) in enumerate(zip(preparation_sequence(params, mode), report.step_states))
-    ]
-    _print_step_table(rows)
+    steps = zip(preparation_sequence(params, mode), report.step_states)
+    _print_step_table([seqlang.StepTrace.after(i, spec, state) for i, (spec, state) in enumerate(steps, start=1)])
     if args.dump_state:
         _write_data(report.final_state.dump_json() + "\n", args)
     return 0 if report.fidelity_vs_target >= 1.0 - FIDELITY_GATE else 1
@@ -172,10 +156,7 @@ def cmd_ramsey_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     params = _params_from_args(args, parser)
     if args.points < 1:
         parser.error(f"--points must be >= 1, got {args.points}")
-    if args.points == 1:
-        grid = np.array([args.delta_min])
-    else:
-        grid = np.linspace(args.delta_min, args.delta_max, args.points)
+    grid = np.linspace(args.delta_min, args.delta_max, args.points)
     try:
         config = RamseyConfig(
             params=params,
@@ -217,25 +198,14 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 1
     fid, _ = best_ghz_fidelity(final)
     if args.format == "json":
-        data = {
-            "steps": [
-                {
-                    "step": t.index,
-                    "kind": t.kind,
-                    "clock": t.clock,
-                    "norm": t.norm,
-                    "fock_populations": t.fock_populations,
-                }
-                for t in trace
-            ],
-            "fidelity": fid,
-        }
+        # vars(t) is dataclasses.asdict(t) for this flat record, without asdict's deep copy
+        data = {"steps": [vars(t) for t in trace], "fidelity": fid}
         if args.dump_state:
             data["final_state"] = final.to_dump()
         _write_data(json.dumps(data) + "\n", args)
         return 0
     print(f"fidelity: {fid:.12f}")
-    _print_step_table([(t.index, t.kind, t.clock, t.norm, t.fock_populations) for t in trace])
+    _print_step_table(trace)
     if args.dump_state:
         _write_data(final.dump_json() + "\n", args)
     return 0
@@ -280,9 +250,6 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for n in range(args.ions_min, args.ions_max + 1):
         params = _params_from_args(args, parser, n_ions=n)
         report = prepare_max_entangled(params, PulseMode(args.mode))
-        if args.tamper_step is not None and 1 <= args.tamper_step <= len(report.step_states):
-            tampered = report.step_states[args.tamper_step - 1]
-            tampered.blocks[1:] *= np.exp(0.01j)
         check = verify_trajectory(report, tolerance=RESIDUAL_GATE)
         residuals = " ".join(f"{r:.3e}" for r in check.residuals)
         status = "ok" if check.passed else "FAIL"

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ionpulse import cli as cli_module
@@ -75,12 +76,16 @@ class TestRamseyScan:
         "100000",
     ]
 
-    def test_csv_output_and_gate(self, capsys):
-        code, out, err = run_cli(capsys, *self.ARGS)
+    @pytest.mark.parametrize("points", [9, 1], ids=["points-9", "points-1"])
+    def test_csv_output_and_gate(self, capsys, points):
+        args = list(self.ARGS)
+        args[args.index("--points") + 1] = str(points)
+        code, out, err = run_cli(capsys, *args)
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "delta,T,P_sim,P_analytic"
-        assert len(lines) == 10
+        assert len(lines) == points + 1
+        assert float(lines[1].split(",")[0]) == float(args[args.index("--delta-min") + 1])
         assert "max_abs_error:" in err
 
     def test_byte_identical_reruns(self, capsys):
@@ -203,8 +208,17 @@ class TestVerify:
         assert out.count("N=") == 8  # default range covers N=1..8
         assert "PASS" in out
 
-    def test_tamper_hook_detected(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--ions-max", "3", "--tamper-step", "3")
+    def test_tamper_hook_detected(self, capsys, monkeypatch):
+        # a phase error on one step state must fail the trajectory check
+        prepare = cli_module.prepare_max_entangled
+
+        def tampered_step_3(*args, **kwargs):
+            report = prepare(*args, **kwargs)
+            report.step_states[2].blocks[1:] *= np.exp(0.01j)
+            return report
+
+        monkeypatch.setattr(cli_module, "prepare_max_entangled", tampered_step_3)
+        code, out, _ = run_cli(capsys, "verify", "--ions-max", "3")
         assert code == 1
         assert "FAIL" in out
 

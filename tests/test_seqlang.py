@@ -173,6 +173,39 @@ class TestParse:
         program, diags = parse("wait T=-2.0\n")
         assert program is None
 
+    @pytest.mark.parametrize(
+        "source, position, field",
+        [
+            ("ions N=0\n", (1, 6), "n_ions"),
+            ("wait T=1.0\ntrap nmax=0\n", (2, 6), "fock_cutoff"),
+            ("wait T=1.0\ntrap eta=0.2 nu=0\n", (2, 14), "trap_freq"),
+            ("trap   eta=-1\n", (1, 8), "lamb_dicke"),
+            ("ions N=2\ntrap nu=2 rabi=-1 nmax=3\n", (2, 11), "base_rabi"),
+        ],
+        ids=["N", "nmax", "nu", "eta", "rabi"],
+    )
+    def test_bad_header_value_reported_at_its_token(self, source, position, field):
+        program, diags = parse(source)
+        assert program is None
+        [err] = errors_of(diags)
+        assert (err.line, err.column) == position
+        assert field in err.message
+
+    def test_zero_lamb_dicke_runs_carrier_and_wait_steps(self):
+        program, diags = parse("ions N=2\ntrap eta=0\ncarrier_pi2 ion=1\nwait T=1.0\ncarrier_pi2 ion=1\n")
+        assert errors_of(diags) == []
+        assert program.params.lamb_dicke == 0.0
+        final, trace = execute(program)
+        assert len(trace) == 3
+        assert excited_population(final, 1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sideband_under_zero_lamb_dicke_rejected_at_the_step(self):
+        program, diags = parse("ions N=2\ntrap eta=0\ncarrier_pi2 ion=1\n  jc_pi ion=1 n=0\n")
+        assert program is None
+        [err] = errors_of(diags)
+        assert (err.line, err.column) == (4, 3)
+        assert "Rabi frequency must be positive" in err.message
+
 
 class TestFormat:
     def test_canonical_round_trip(self):
