@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .hilbert import Frame, SimulationError, StateVector, TrapParams
+from .hilbert import Frame, SimulationError, StateVector, TrapParams, populations
 from .pulses import PulseKind, PulseMode, PulseSpec, apply_pulse, dense_matrix
 from .protocol import (
     RamseyConfig,
@@ -233,7 +233,7 @@ def _oracle_spot_check(seed: int) -> float:
             matrix = dense_matrix(spec, params, t0=0.0)
             for _ in range(5):
                 vec = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
-                vec /= np.linalg.norm(vec)
+                vec /= np.sqrt(populations(vec))
                 state = StateVector(vec.copy(), params, Frame(), clock=0.0)
                 try:
                     apply_pulse(state, spec, check_leakage=False)

@@ -169,7 +169,6 @@ def prepare_max_entangled(
     and the motion factors out into |0> exactly (to numerical precision).
     """
     mode = PulseMode(mode)
-    frame = frame if frame is not None else Frame(FRAME_R)
     state = ground_state(params, frame)
     step_states: list[StateVector] = []
     _run_sequence(state, preparation_sequence(params, mode), step_states=step_states)
@@ -351,45 +350,32 @@ def _chunk_rows(params: TrapParams) -> int:
     return max(1, SCAN_CHUNK_BYTES // (params.dim * np.dtype(np.complex128).itemsize))
 
 
-def _shared_preparation(config: RamseyConfig) -> tuple[np.ndarray, float] | None:
-    """The prepared state every grid point starts its wait from, as one row, and its clock.
+def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
+    """``read(rows, clock)`` of the Ramsey scheme's final rows, one call per chunk of ``deltas``.
 
-    Frame-invariant pulses do not depend on the detuning, so the five
-    preparation pulses run once per scan.  With ``detuning_during_pulses``
-    they do depend on it, and this returns None.
-    """
-    if config.detuning_during_pulses:
-        return None
-    params = config.params
-    row = ground_state(params).amplitudes[None, :]
-    return row, _run_rows(row, params, preparation_sequence(params, config.mode), 0.0)
-
-
-def _ramsey_rows(
-    config: RamseyConfig, deltas: np.ndarray, prepared: tuple[np.ndarray, float] | None
-) -> tuple[np.ndarray, float]:
-    """Final amplitude rows (one per detuning) and clock of the Ramsey scheme.
-
-    Starts from copies of ``prepared`` (see :func:`_shared_preparation`)
-    or, when it is None, runs the preparation on the rows themselves.
-    The wait is one diagonal phase (free phase, then the detuning phase of
-    each row's own detuning), and the reversed pulses run on all rows at
-    once.
+    Frame-invariant pulses do not depend on the detuning, so the
+    preparation runs once, on one row that every chunk copies; with
+    ``detuning_during_pulses`` each chunk runs it on its own rows.  A
+    chunk is freed once read, so at most one is alive at a time.
     """
     params = config.params
     specs = preparation_sequence(params, config.mode)
-    kick = deltas if config.detuning_during_pulses else None
-    check_memory(deltas.size * params.dim)
-    if prepared is None:
-        rows = np.repeat(ground_state(params).amplitudes[None, :], deltas.size, axis=0)
-        clock = _run_rows(rows, params, specs, 0.0, kick)
-    else:
-        rows = np.repeat(prepared[0], deltas.size, axis=0)
-        clock = prepared[1]
     wait = PulseSpec(PulseKind.WAIT, duration=config.wait_time)
-    clock = clock + apply_pulse_rows(rows, params, wait, clock, deltas)
-    clock = _run_rows(rows, params, specs[::-1], clock, kick)
-    return rows, clock
+    start = ground_state(params).amplitudes[None, :]
+    per_row = config.detuning_during_pulses
+    prepared_at = None if per_row else _run_rows(start, params, specs, 0.0)
+    chunk = _chunk_rows(params)
+    results = []
+    for block in np.split(deltas, range(chunk, deltas.size, chunk)):
+        kick = block if per_row else None
+        check_memory(block.size * params.dim)
+        rows = np.repeat(start, block.size, axis=0)
+        clock = _run_rows(rows, params, specs, 0.0, kick) if per_row else prepared_at
+        clock = clock + apply_pulse_rows(rows, params, wait, clock, block)
+        clock = _run_rows(rows, params, specs[::-1], clock, kick)
+        results.append(read(rows, clock))
+        del rows  # before the next chunk is allocated
+    return results
 
 
 def ramsey_run(config: RamseyConfig, delta: float) -> tuple[StateVector, float]:
@@ -403,8 +389,7 @@ def ramsey_run(config: RamseyConfig, delta: float) -> tuple[StateVector, float]:
     frame = Frame(FRAME_R_PRIME, detuning=delta)
     deltas = np.array([frame.detuning], dtype=np.float64)
     _check_validity(params, deltas)
-    rows, clock = _ramsey_rows(config, deltas, prepared=None)
-    state = StateVector(rows[0], params, frame, clock=clock)
+    [state] = _ramsey_rows(config, deltas, lambda rows, clock: StateVector(rows[0], params, frame, clock=clock))
     return state, excited_population(state, params.n_ions)
 
 
@@ -421,16 +406,8 @@ def ramsey_scan(config: RamseyConfig) -> RamseyResult:
     params = config.params
     deltas = np.array(config.detuning_grid, dtype=np.float64)
     _check_validity(params, deltas)
-    prepared = _shared_preparation(config)
-    chunk = _chunk_rows(params)
-    # Each chunk's rows are freed as soon as they are read out, so at most
-    # one chunk is alive at a time.
-    p_sim = np.concatenate(
-        [
-            excited_population_rows(_ramsey_rows(config, block, prepared)[0], params, params.n_ions)
-            for block in np.split(deltas, range(chunk, deltas.size, chunk))
-        ]
-    )
+    readout = _ramsey_rows(config, deltas, lambda rows, _: excited_population_rows(rows, params, params.n_ions))
+    p_sim = np.concatenate(readout)
     samples = [
         RamseySample(
             delta=float(delta),

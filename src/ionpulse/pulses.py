@@ -44,8 +44,10 @@ any row, found from the amplitudes once per call (the sideband's coupled
 pairs reach top + 1).  The levels above hold exact zeros, which every
 pulse maps to zeros, so the free phase and the rotations never touch
 them.  Only arithmetic on exact zeros is skipped, and a NaN counts as
-nonzero.  The norm and leakage guards are per-row reductions over whole
-rows, so they stay an independent check on the window.
+nonzero.  After every step one pass of :func:`ionpulse.hilbert.populations`
+over whole rows gives each row's per-level populations: the norm guard
+reads their sum and the leakage guard the top level, so both stay an
+independent check on the window.
 
 A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
@@ -78,12 +80,14 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .hilbert import (
+    NORM_TOL,
     SimulationError,
     StateVector,
     TrapParams,
+    _ion_view,
     _popcounts,
-    check_norms,
     levels_view,
+    populations,
 )
 
 __all__ = [
@@ -231,13 +235,6 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
     return pulse_duration(spec, params)
 
 
-def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarray:
-    """View (..., n_levels, high_bits, 2, low_bits) with the ion's bit on axis -2."""
-    bit = ion - 1
-    shape = (params.n_levels, 1 << (params.n_ions - 1 - bit), 2, 1 << bit)
-    return amplitudes.reshape(amplitudes.shape[:-1] + shape)
-
-
 def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
     """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
 
@@ -297,11 +294,23 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return math.cos(theta / 2.0), math.sin(theta / 2.0)
 
 
-def _check_leakage(amplitudes: np.ndarray, params: TrapParams) -> None:
-    """Raise if any row holds more than LEAKAGE_TOL at the Fock cutoff (one reduction per row)."""
-    top_level = amplitudes[..., -params.n_configs :]
-    top = np.vecdot(top_level, top_level).real
-    if np.count_nonzero(top > LEAKAGE_TOL):
+def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool) -> None:
+    """The guards after a step: every row's norm and, unless disabled, its population at the Fock cutoff.
+
+    One pass gives every row's per-level populations: the norm is the
+    root of their sum, the leakage their top level.  A NaN norm counts
+    as drifted.
+    """
+    levels = populations(levels_view(amplitudes, params))
+    norms = np.sqrt(levels.sum(axis=-1))
+    within = np.abs(norms - 1.0) <= NORM_TOL
+    if np.count_nonzero(within) != within.size:
+        row = int(np.flatnonzero(~within)[0])
+        where = f" in row {row}" if within.ndim else ""
+        norm = float(np.reshape(norms, -1)[row])
+        raise SimulationError(f"state norm drifted to {norm!r}{where} (|norm - 1| > {NORM_TOL})")
+    top = levels[..., -1]
+    if check_leakage and np.count_nonzero(top > LEAKAGE_TOL):
         raise LeakageError(
             f"population {np.max(top):.3e} at the Fock cutoff n={params.fock_cutoff}; "
             "raise fock_cutoff for a trustworthy simulation"
@@ -474,9 +483,7 @@ def apply_pulse_rows(
         else:
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
         _apply_free_phases(amplitudes, params, duration, top)
-    check_norms(amplitudes)
-    if check_leakage:
-        _check_leakage(amplitudes, params)
+    _check_rows(amplitudes, params, check_leakage)
     return duration
 
 
@@ -538,8 +545,7 @@ def dense_matrix(
     """
     if params.dim > _DENSE_DIM_LIMIT:
         raise PulseError(f"dense matrix limited to dimension {_DENSE_DIM_LIMIT}, got {params.dim}")
-    validate_pulse_spec(spec, params)
-    duration = pulse_duration(spec, params)
+    duration = validate_pulse_spec(spec, params)
     nu = params.trap_freq
     nc = params.n_configs
     matrix = np.zeros((params.dim, params.dim), dtype=np.complex128)

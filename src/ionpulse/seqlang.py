@@ -35,6 +35,7 @@ execute.  The canonical five-pulse preparation program for three ions is
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -140,8 +141,8 @@ class StepTrace:
     @classmethod
     def after(cls, step: int, spec: PulseSpec, state: StateVector) -> StepTrace:
         """The record of step ``step`` (``spec``), read from the state it left."""
-        populations = [float(x) for x in fock_populations(state)]
-        return cls(step, spec.kind.value, state.clock, state.norm(), populations)
+        populations = fock_populations(state)
+        return cls(step, spec.kind.value, state.clock, math.sqrt(populations.sum()), populations.tolist())
 
 
 @dataclass

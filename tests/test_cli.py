@@ -294,6 +294,20 @@ class TestMemoryBudget:
         assert code == 1
         assert f"need {5 * 2**40 * 16} B" in err and "physical memory" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prepare", "--ions", "2000"),
+            ("ramsey-scan", "--ions", "20000", "--delta-min", "0", "--delta-max", "1e-9", "--points", "3", "--wait", "1"),
+        ],
+        ids=["prepare-2000", "ramsey-scan-20000"],
+    )
+    def test_huge_ion_count_exits_1_without_a_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "physical memory" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):

@@ -9,9 +9,12 @@ from ionpulse import (
     FRAME_R,
     FRAME_R_PRIME,
     Frame,
+    PulseKind,
+    PulseSpec,
     SimulationError,
     StateVector,
     TrapParams,
+    apply_pulse,
     dicke_extreme,
     excited_population,
     fidelity,
@@ -166,6 +169,12 @@ class TestMemoryBudget:
         with pytest.raises(SimulationError, match="101 amplitudes need 1616 B"):
             hilbert.check_memory(101)
 
+    @pytest.mark.parametrize("n_ions", [2000, 20000])
+    def test_huge_ion_counts_get_a_message_not_an_overflow(self, n_ions):
+        # 5 * 2**N amplitudes of 16 B: a float of 2**2000 overflows, and 2**20000 has more digits than str() prints
+        with pytest.raises(SimulationError, match=rf"at least 2\^{n_ions + 2} amplitudes need at least 2\^{n_ions + 6} B, .*physical memory"):
+            ground_state(make_params(n_ions))
+
 
 class TestPopcounts:
     @pytest.mark.parametrize("n_ions", range(1, 13))
@@ -256,7 +265,43 @@ class TestPopulations:
                 assert 0.0 <= excited_population(s, ion) <= 1.0
 
 
+class TestPopulationKernel:
+    def test_matches_plain_numpy_on_batch_axes(self):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((2, 3, 40)) + 1j * rng.standard_normal((2, 3, 40))
+        assert np.allclose(hilbert.populations(rows), (np.abs(rows) ** 2).sum(axis=-1), rtol=1e-15, atol=0)
+
+    def test_nan_amplitude_gives_nan(self):
+        rows = np.ones((2, 8), dtype=complex)
+        rows[1, 3] = complex(np.nan, 0.0)
+        out = hilbert.populations(rows)
+        assert out[0] == 8.0 and math.isnan(out[1])
+
+    def test_statevector_on_a_strided_array(self):
+        p = make_params(2, nmax=2)
+        buffer = np.zeros(2 * p.dim, dtype=complex)
+        s = StateVector(buffer[::2], p, Frame())
+        assert np.shares_memory(s.amplitudes, buffer)
+        s.amplitudes[flat_index(p, 0, 0)] = 0.6
+        s.amplitudes[flat_index(p, 3, 1)] = 0.8j
+        assert s.norm() == pytest.approx(1.0, abs=1e-15)
+        assert fock_populations(s) == pytest.approx([0.36, 0.64, 0.0], abs=1e-15)
+        assert excited_population(s, 1) == pytest.approx(0.64, abs=1e-15)
+        assert s.to_dump()["amplitudes"] == [[a.real, a.imag] for a in s.amplitudes.tolist()]
+        apply_pulse(s, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1))
+        assert buffer[1::2].tolist() == [0j] * p.dim  # updated in place, between the gaps
+        assert s.norm() == pytest.approx(1.0, abs=1e-15)
+
+
 class TestDump:
+    def test_matches_the_per_amplitude_form_with_signed_zeros(self):
+        p = make_params(1, nmax=1)
+        amplitudes = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-300 - 2.5j])
+        s = StateVector(amplitudes, p, Frame())
+        per_amplitude = [[float(a.real), float(a.imag)] for a in s.amplitudes]
+        assert json.dumps(s.to_dump()["amplitudes"]) == json.dumps(per_amplitude)
+        assert json.dumps(s.to_dump()["amplitudes"][0]) == "[-0.0, 0.0]"
+
     def test_schema_and_order(self):
         p = make_params(2, nmax=1)
         s = target_ghz(p, 0.0)

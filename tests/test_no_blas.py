@@ -1,0 +1,59 @@
+"""Every population is taken without BLAS: the guards, the norm and the readouts.
+
+BLAS-backed reductions (``np.vecdot``, ``np.linalg.norm``, ``np.dot``,
+``np.vdot``) wake idle OpenBLAS threads, which costs milliseconds per
+call on a multi-core host.  Here they raise, and the preparation, a
+``.pseq`` run, a small scan and the readouts must not notice.
+"""
+
+import numpy as np
+import pytest
+
+from ionpulse import (
+    PulseMode,
+    RamseyConfig,
+    fock_populations,
+    prepare_max_entangled,
+    ramsey_scan,
+)
+from ionpulse import seqlang
+from conftest import make_params
+
+CANONICAL_3 = """\
+ions N=3
+carrier_pi2 ion=3
+jc_pi ion=3 n=0
+disp_pi all n=1
+disp_pi ion=3 n=1
+jc_pi ion=3 n=0
+"""
+
+
+@pytest.fixture
+def no_blas(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS-backed reduction called")
+
+    for owner, name in ((np, "vecdot"), (np.linalg, "norm"), (np, "dot"), (np, "vdot")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+@pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
+def test_preparation_and_readouts(no_blas, mode):
+    report = prepare_max_entangled(make_params(4), mode)
+    assert report.fidelity_vs_target >= 1.0 - 1e-12
+    assert abs(report.final_state.norm() - 1.0) <= 1e-12
+    assert fock_populations(report.final_state)[0] >= 1.0 - 1e-12
+
+
+def test_pseq_execute(no_blas):
+    program, _ = seqlang.parse(CANONICAL_3)
+    final, trace = seqlang.execute(program)
+    assert len(trace) == 5 and abs(trace[-1].norm - 1.0) <= 1e-12
+    assert fock_populations(final)[0] >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
+def test_small_scan(no_blas, mode):
+    config = RamseyConfig(params=make_params(3), wait_time=100.0, detuning_grid=(0.0, 1e-5, 2e-5), mode=mode)
+    assert ramsey_scan(config).max_abs_error <= 1e-12

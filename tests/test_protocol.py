@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -447,6 +448,20 @@ class TestBatchedScan:
         assert chunk == protocol.SCAN_CHUNK_BYTES // (make_params(8).dim * 16) == 6
         for length in (1, chunk - 1, chunk, chunk + 1, SCAN_POINTS):
             assert_scan_matches_reconstruction(8, mode, detuning_during_pulses, WAIT, length)
+
+    @pytest.mark.parametrize("detuning_during_pulses", [False, True], ids=["frame", "kick"])
+    def test_one_chunk_alive_at_a_time(self, monkeypatch, detuning_during_pulses):
+        # the memory check runs just before each chunk is allocated: every chunk read so far must be gone
+        read_chunks = []
+
+        def check_memory(n_amplitudes):
+            assert [ref() for ref in read_chunks] == [None] * len(read_chunks)
+
+        monkeypatch.setattr(protocol, "check_memory", check_memory)
+        monkeypatch.setattr(protocol, "SCAN_CHUNK_BYTES", 2 * make_params(3).dim * 16)
+        config = RamseyConfig(make_params(3), WAIT, (0.0,) * 5, detuning_during_pulses=detuning_during_pulses)
+        out = protocol._ramsey_rows(config, np.zeros(5), lambda rows, clock: read_chunks.append(weakref.ref(rows)))
+        assert out == [None] * 3 and len(read_chunks) == 3
 
     def test_large_states_run_one_row_per_chunk(self):
         assert protocol._chunk_rows(make_params(10)) == 1

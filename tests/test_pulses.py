@@ -25,6 +25,7 @@ from ionpulse import (
     pulse_duration,
 )
 from ionpulse import pulses
+from ionpulse.hilbert import levels_view, populations
 from ionpulse.pulses import apply_pulse_rows
 from conftest import make_params, random_state
 
@@ -444,6 +445,34 @@ class TestBatchAxis:
         rows[1] = dicke_extreme(p, "highest", 3).amplitudes
         with pytest.raises(LeakageError):
             apply_pulse_rows(rows, p, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=3), 0.0)
+
+    def test_guards_agree_with_plain_numpy_on_batch_rows(self):
+        # rows on a (2, 3) batch: the guard's per-level populations are what |a|^2 sums give
+        rng = np.random.default_rng(17)
+        p = make_params(3, nmax=3)
+        rows = np.array([[headroom_state(p, rng).amplitudes for _ in range(3)] for _ in range(2)])
+        levels = populations(levels_view(rows, p))
+        plain = (np.abs(rows.reshape(2, 3, p.n_levels, p.n_configs)) ** 2).sum(axis=-1)
+        assert np.allclose(levels, plain, rtol=1e-14, atol=1e-300)
+        assert np.allclose(np.sqrt(levels.sum(axis=-1)), np.linalg.norm(rows, axis=-1), rtol=0, atol=1e-15)
+        apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2), 0.0)
+
+    def test_nan_row_names_the_row(self):
+        p = make_params(2)
+        rows = np.repeat(ground_state(p).amplitudes[None, :], 4, axis=0)
+        rows[3, 7] = np.nan
+        with pytest.raises(SimulationError, match=r"drifted to nan in row 3"):
+            apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
+
+    def test_row_with_population_at_the_cutoff_leaks(self):
+        # a carrier moves nothing between Fock levels: row 2's weight at the cutoff stays there
+        p = make_params(2, nmax=2)
+        rows = np.repeat(ground_state(p).amplitudes[None, :], 3, axis=0)
+        rows[2, 0] = math.sqrt(1.0 - 1e-8)
+        rows[2, flat_index(p, 1, 2)] = 1e-4
+        with pytest.raises(LeakageError, match="1.000e-08 at the Fock cutoff n=2"):
+            apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
+        apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0, check_leakage=False)
 
     def test_nan_state_trips_the_norm_guard(self):
         s = ground_state(make_params(1))

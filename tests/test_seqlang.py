@@ -134,6 +134,14 @@ class TestParse:
         assert (err.line, err.column) == (1, 6)
         assert f"need {5 * 2**40 * 16} B" in err.message and "physical memory" in err.message
 
+    @pytest.mark.parametrize("n_ions", [2000, 20000])
+    def test_huge_ion_count_is_a_diagnostic_at_its_token(self, n_ions):
+        program, diags = parse(f"# far too many\nions   N={n_ions}\ncarrier_pi2 ion=1\n")
+        assert program is None
+        [err] = errors_of(diags)
+        assert (err.line, err.column) == (2, 8)
+        assert "physical memory" in err.message
+
     def test_sideband_beyond_cutoff(self):
         program, diags = parse("trap nmax=2\njc_pi ion=1 n=2\n")
         assert program is None
