@@ -214,9 +214,10 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _oracle_spot_check(seed: int) -> float:
     """Dense-matrix vs matrix-free application on a few random states.
 
-    N=5 spans two ion groups of the physical collective pulse's Kronecker
-    blocks (see ``pulses._KRON_BITS``), so a wrong group edge shows here.
-    The ideal specs check the all-pi swap and reversal on full-support states.
+    At N=5 the middle ions have bits on both sides, so a wrong bit layout
+    or an ion skipped by the physical collective pulse's per-ion loop
+    shows here.  The ideal specs check the all-pi swap and reversal on
+    full-support states.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

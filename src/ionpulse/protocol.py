@@ -170,8 +170,10 @@ def prepare_max_entangled(
     """
     mode = PulseMode(mode)
     state = ground_state(params, frame)
+    specs = preparation_sequence(params, mode)
+    check_memory((1 + len(specs)) * params.dim)  # the state and one snapshot per step
     step_states: list[StateVector] = []
-    _run_sequence(state, preparation_sequence(params, mode), step_states=step_states)
+    _run_sequence(state, specs, step_states=step_states)
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     phi = params.n_ions * omega0 * pulse_times[-1] if omega0 is not None else None
@@ -221,6 +223,7 @@ def trajectory_reference(
         5: (|g..g> + |e..e>)|0> / sqrt(2)
     """
     frame = frame if frame is not None else Frame(FRAME_R)
+    check_memory(len(pulse_times) * params.dim)
     states = []
     for clock, table in zip(pulse_times, _reference_tables(params, pulse_times)):
         amplitudes = np.zeros(params.dim, dtype=np.complex128)
@@ -320,7 +323,7 @@ def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
             f"small against the slowest Rabi frequency {smallest:.3e}; frame-invariant pulse "
             "transformations are inaccurate there",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,  # through _ramsey_rows to the caller of ramsey_run or ramsey_scan
         )
 
 
@@ -362,6 +365,7 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     specs = preparation_sequence(params, config.mode)
     wait = PulseSpec(PulseKind.WAIT, duration=config.wait_time)
     start = ground_state(params).amplitudes[None, :]
+    _check_validity(params, deltas)  # after ground_state's memory check: a state that cannot exist gets no warning
     per_row = config.detuning_during_pulses
     prepared_at = None if per_row else _run_rows(start, params, specs, 0.0)
     chunk = _chunk_rows(params)
@@ -388,7 +392,6 @@ def ramsey_run(config: RamseyConfig, delta: float) -> tuple[StateVector, float]:
     params = config.params
     frame = Frame(FRAME_R_PRIME, detuning=delta)
     deltas = np.array([frame.detuning], dtype=np.float64)
-    _check_validity(params, deltas)
     [state] = _ramsey_rows(config, deltas, lambda rows, clock: StateVector(rows[0], params, frame, clock=clock))
     return state, excited_population(state, params.n_ions)
 
@@ -405,7 +408,6 @@ def ramsey_scan(config: RamseyConfig) -> RamseyResult:
         raise ValueError("detuning grid must not be empty")
     params = config.params
     deltas = np.array(config.detuning_grid, dtype=np.float64)
-    _check_validity(params, deltas)
     readout = _ramsey_rows(config, deltas, lambda rows, _: excited_population_rows(rows, params, params.n_ions))
     p_sim = np.concatenate(readout)
     samples = [

@@ -54,12 +54,12 @@ per-level (cos, sin) columns and two temporaries; when every angle in the
 table is pi it is a swap with one temporary.  A collective pulse whose
 angles are all pi is one signed reversal of the configuration axis (a
 cached popcount factor), in both modes.  Any other collective pulse
-applies R(theta_m)^{(x)k} to each group of k = ``_KRON_BITS`` adjacent
-ion bits with one matmul per group: O(dim 2^k) flops in ceil(N/k)
-passes.  No kernel copies a state-sized view.  The kernels accept any
-leading batch axes, so :func:`apply_pulse_rows` applies one pulse to many
-states (rows of one array, sharing one clock) in a single call, and
-:func:`apply_pulse` is the same code on one :class:`StateVector`.
+is the single-ion kernel on each ion in turn: N passes, the same
+rotation kernel and no matrix product.  No kernel copies a state-sized
+view.  The kernels accept any leading batch axes, so
+:func:`apply_pulse_rows` applies one pulse to many states (rows of one
+array, sharing one clock) in a single call, and :func:`apply_pulse` is
+the same code on one :class:`StateVector`.
 :func:`dense_matrix` builds the same unitaries as explicit matrices
 through an independent kron/loop construction and is used by the
 test-suite to cross-check the fast path.
@@ -373,33 +373,6 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
     a[...] = new_a
 
 
-#: Ion bits per Kronecker block of the physical collective pulse: each
-#: group of k adjacent ions takes one matmul with R^{(x)k}, 2^k complex
-#: multiply-adds per amplitude.  Median time of the whole pulse on a
-#: random state, nmax=4, one BLAS thread on a 2-core VM, for
-#: k = 1, 2, 3, 4, 5, 6, 9:
-#:   N=12: 4.5, 1.05, 0.45, 0.36, 0.40, 0.54, 3.7 ms
-#:   N=16: 74, 18, 8.6, 6.9, 7.6, 9.7, 32 ms
-#:   N=18: 309, 100, 48, 39, 40, 55, 167 ms
-_KRON_BITS = 4
-
-
-@lru_cache(maxsize=8)
-def _kron_blocks(cos: tuple[float, ...], sin: tuple[float, ...], laser_phase: float, width: int) -> np.ndarray:
-    """R(theta_m)^{(x)width} for every (cos, sin) of theta_m/2, shape (levels, 2^width, 2^width).
-
-    R^{(x)k} is the same for every ordering of its k identical factors, so
-    the block acts on any k adjacent ion bits.
-    """
-    up = np.exp(1j * laser_phase)
-    blocks = np.empty((len(cos), 1 << width, 1 << width), dtype=np.complex128)
-    for block, c, s in zip(blocks, cos, sin):
-        rotation = np.array([[c, -s * np.conj(up)], [s * up, c]])
-        block[...] = reduce(np.kron, [rotation] * width)
-    blocks.flags.writeable = False
-    return blocks
-
-
 @lru_cache(maxsize=4)
 def _collective_flip(n_ions: int, laser_phase: float) -> np.ndarray:
     """Factor (-1)^popcount(b) e^{i phase (N - 2 popcount(b))} per bit word b, read-only.
@@ -415,34 +388,20 @@ def _collective_flip(n_ions: int, laser_phase: float) -> np.ndarray:
 
 
 def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: float, table) -> None:
-    """R(theta_m) with u = e^{i phase} on every ion at once, over the table's levels."""
-    levels, cos, sin, all_pi = table
-    n_ions = params.n_ions
-    blocks = levels_view(amplitudes, params)[..., levels, :]
-    if all_pi:
-        # Reversing the config axis maps bit word b to its complement mask - b.
-        blocks[...] = (_collective_flip(n_ions, laser_phase) * blocks)[..., ::-1]
+    """R(theta_m) with u = e^{i phase} on every ion at once, over the table's levels.
+
+    Rotations on different ions commute, so turning one ion at a time
+    applies R(theta_m)^{(x)N}.
+    """
+    levels, _, _, all_pi = table
+    if not all_pi:
+        u = np.exp(1j * laser_phase)
+        for ion in range(1, params.n_ions + 1):
+            _rotate_one_ion(amplitudes, params, ion, table, 0, u)
         return
-    # One Kronecker block per group of ion bits and level.  Each group
-    # reads one buffer and writes the other; after an odd number of
-    # groups the spare is copied back.
-    angles = tuple(cos.flat), tuple(sin.flat)
-    lead = blocks.shape[:-1]
-    src, dst = blocks, np.empty_like(blocks)
-    for bit in range(0, n_ions, _KRON_BITS):
-        width = min(_KRON_BITS, n_ions - bit)
-        kron = _kron_blocks(*angles, laser_phase, width)
-        high = 1 << (n_ions - bit - width)
-        if bit == 0:
-            # lowest group: rows of contiguous (high, 2^k) matrices times K^T
-            shape = lead + (high, 1 << width)
-            np.matmul(src.reshape(shape), kron.mT, out=dst.reshape(shape))
-        else:
-            shape = lead + (high, 1 << width, 1 << bit)
-            np.matmul(kron[:, None], src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-    if src is not blocks:
-        blocks[...] = src
+    blocks = levels_view(amplitudes, params)[..., levels, :]
+    # Reversing the config axis maps bit word b to its complement mask - b.
+    blocks[...] = (_collective_flip(params.n_ions, laser_phase) * blocks)[..., ::-1]
 
 
 def apply_pulse_rows(

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,14 @@ class TestMemoryBudget:
         assert code == 1
         assert err.startswith("error: ") and "physical memory" in err and "Traceback" not in err
         assert out == ""
+
+    def test_scan_memory_check_comes_before_the_validity_warning(self, capsys):
+        # --delta-max 1e-6 is outside the validity window at N=20000, where the state does not fit either
+        argv = ("ramsey-scan", "--ions", "20000", "--delta-min", "0", "--delta-max", "1e-6", "--points", "3", "--wait", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "physical memory" in err
 
 
 class TestTopLevel:

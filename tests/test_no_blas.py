@@ -1,22 +1,30 @@
-"""Every population is taken without BLAS: the guards, the norm and the readouts.
+"""Every population and every pulse kernel runs without BLAS.
 
-BLAS-backed reductions (``np.vecdot``, ``np.linalg.norm``, ``np.dot``,
-``np.vdot``) wake idle OpenBLAS threads, which costs milliseconds per
-call on a multi-core host.  Here they raise, and the preparation, a
-``.pseq`` run, a small scan and the readouts must not notice.
+BLAS-backed calls (``np.vecdot``, ``np.linalg.norm``, ``np.dot``,
+``np.vdot``, ``np.matmul``) wake idle OpenBLAS threads, which costs
+milliseconds per call on a multi-core host.  Here they raise, and the
+preparation, a ``.pseq`` run, a small scan, the readouts and a non-pi
+collective pulse must not notice.
 """
 
 import numpy as np
 import pytest
 
 from ionpulse import (
+    Frame,
+    PulseKind,
     PulseMode,
+    PulseSpec,
     RamseyConfig,
+    StateVector,
+    apply_pulse,
+    dense_matrix,
     fock_populations,
     prepare_max_entangled,
     ramsey_scan,
 )
 from ionpulse import seqlang
+from ionpulse.hilbert import populations
 from conftest import make_params
 
 CANONICAL_3 = """\
@@ -32,9 +40,9 @@ jc_pi ion=3 n=0
 @pytest.fixture
 def no_blas(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("BLAS-backed reduction called")
+        raise AssertionError("BLAS-backed call made")
 
-    for owner, name in ((np, "vecdot"), (np.linalg, "norm"), (np, "dot"), (np, "vdot")):
+    for owner, name in ((np, "vecdot"), (np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "matmul")):
         monkeypatch.setattr(owner, name, refuse)
 
 
@@ -57,3 +65,16 @@ def test_pseq_execute(no_blas):
 def test_small_scan(no_blas, mode):
     config = RamseyConfig(params=make_params(3), wait_time=100.0, detuning_grid=(0.0, 1e-5, 2e-5), mode=mode)
     assert ramsey_scan(config).max_abs_error <= 1e-12
+
+
+def test_non_pi_collective_pulse(no_blas):
+    # physical n=2 turns levels 1, 2, 3 by pi/2, pi, 3pi/2: not all pi, so the per-ion rotations run
+    params = make_params(9, nmax=3)
+    spec = PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=2, mode=PulseMode.PHYSICAL, laser_phase=0.37)
+    rng = np.random.default_rng(9)
+    vec = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+    vec /= np.sqrt(populations(vec))
+    state = StateVector(vec.copy(), params, Frame())
+    apply_pulse(state, spec, check_leakage=False)
+    # the oracle's `@` is the operator, which does not look up the patched np.matmul
+    assert np.max(np.abs(state.amplitudes - dense_matrix(spec, params) @ vec)) <= 1e-12

@@ -501,6 +501,23 @@ class TestScanMemoryBudget:
             ramsey_scan(config)
 
 
+class TestPreparationMemoryBudget:
+    def test_step_snapshots_counted(self, monkeypatch):
+        # the preparation holds six states at once: the state and one snapshot per step
+        params = make_params(3)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * params.dim * 16)
+        prepare_max_entangled(params)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * params.dim * 16 - 1)
+        with pytest.raises(SimulationError, match=f"{6 * params.dim} amplitudes need"):
+            prepare_max_entangled(params)
+
+    def test_reference_states_counted(self, monkeypatch):
+        params = make_params(3)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 4 * params.dim * 16)
+        with pytest.raises(SimulationError, match=f"{5 * params.dim} amplitudes need"):
+            trajectory_reference(params, [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
 class TestScanValidity:
     def test_one_warning_per_scan(self):
         params = make_params(2)
@@ -517,6 +534,23 @@ class TestScanValidity:
         message = str(caught[0].message)
         assert message.startswith("10 of 50 detunings")
         assert f"{20.0 * bound:.3e}" in message
+
+    @pytest.mark.parametrize("entry", ["run", "scan"])
+    def test_warning_points_at_the_caller(self, entry):
+        config = RamseyConfig(params=make_params(2), wait_time=10.0, detuning_grid=(0.1,))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ramsey_run(config, 0.1) if entry == "run" else ramsey_scan(config)
+        assert [w.filename for w in caught] == [__file__]
+
+    @pytest.mark.parametrize("entry", ["run", "scan"])
+    def test_memory_check_comes_first(self, entry):
+        # at N=40 the detuning is outside the validity window and the state does not fit
+        config = RamseyConfig(params=make_params(40), wait_time=1.0, detuning_grid=(1e-3,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="physical memory"):
+                ramsey_run(config, 1e-3) if entry == "run" else ramsey_scan(config)
 
     def test_valid_grid_is_silent(self):
         grid = tuple(x / WAIT for x in np.linspace(-1.0, 1.0, 30))

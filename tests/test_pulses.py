@@ -24,7 +24,7 @@ from ionpulse import (
     ground_state,
     pulse_duration,
 )
-from ionpulse import pulses
+from ionpulse import prepare_max_entangled, pulses, seqlang
 from ionpulse.hilbert import levels_view, populations
 from ionpulse.pulses import apply_pulse_rows
 from conftest import make_params, random_state
@@ -236,6 +236,35 @@ class TestDispersiveCollective:
         assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
 
+    @pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
+    def test_protocol_collective_pulses_take_the_reversal(self, monkeypatch, mode):
+        # The preparation's collective pulse (window top 1) and those of a
+        # .pseq prefix on |g..g>|0> (top 0) are all pi: never the per-ion loop.
+        rotate_every, rotate_one = pulses._rotate_every_ion, pulses._rotate_one_ion
+        turns, collective = [], []
+
+        def one_ion(amplitudes, params, ion, *rest):
+            turns.append(ion)
+            rotate_one(amplitudes, params, ion, *rest)
+
+        def every_ion(amplitudes, params, laser_phase, table):
+            top, before = pulses._fock_top(amplitudes, params), len(turns)
+            rotate_every(amplitudes, params, laser_phase, table)
+            collective.append((top, len(turns) - before))
+
+        monkeypatch.setattr(pulses, "_rotate_one_ion", one_ion)
+        monkeypatch.setattr(pulses, "_rotate_every_ion", every_ion)
+        prepare_max_entangled(make_params(4), mode)
+        suffix = " mode=physical" if mode is PulseMode.PHYSICAL else ""
+        prefix = ["wait T=2.5", "jc_pi ion=2 n=1", "disp_pi ion=1 n=2", "disp_pi all n=1", "disp_pi all n=3"]
+        canonical = ["carrier_pi2 ion=4", "jc_pi ion=4 n=0", "disp_pi all n=1", "disp_pi ion=4 n=1", "jc_pi ion=4 n=0"]
+        lines = [line if line.startswith(("wait", "carrier")) else line + suffix for line in prefix + canonical]
+        program, diagnostics = seqlang.parse("\n".join(["ions N=4", "trap nmax=3", *lines]) + "\n")
+        assert not diagnostics
+        seqlang.execute(program)
+        assert collective == [(1, 0), (0, 0), (0, 0), (1, 0)]
+
+
 class TestFreeEvolution:
     def test_pure_vibrational_phase(self):
         p = make_params(2, nu=1.4)
@@ -349,8 +378,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("nmax", [2, 3])
     @pytest.mark.parametrize("n_ions", range(1, 10))
     def test_every_spec_matches_dense_across_ion_groups(self, n_ions, nmax):
-        # N = 1..9 covers one to three ion groups of the physical collective
-        # pulse's Kronecker blocks and every group remainder 1..4
+        # N = 1..9 runs the physical collective pulse's per-ion loop over one
+        # to nine ions, each at every bit position up to the most significant
         rng = np.random.default_rng(100 * n_ions + nmax)
         p = make_params(n_ions, nmax=nmax, nu=1.23, eta=0.17, rabi=0.9)
         ions = sorted({1, (n_ions + 1) // 2, n_ions})
