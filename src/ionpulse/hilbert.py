@@ -19,6 +19,11 @@ call and no temporary the size of the state.  The norm, the Fock
 marginal, an ion's excited-state readout and the pulse guards (see
 :mod:`ionpulse.pulses`) all read it.
 
+The Fock window has one home too, :func:`_fock_top`: the levels up to the
+highest one holding a nonzero amplitude (NaN included).  The pulse kernels
+act on the window only, and :meth:`StateVector.copy` writes only the window
+into fresh zeroed memory, whose pages above it never become resident.
+
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
 so nothing is re-normalized or phase-fixed behind the caller's back.
@@ -188,6 +193,19 @@ def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarra
     return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
+def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
+    """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
+
+    One reduction over levels 1 .. n_max of every row: at N=18 it reads
+    what a level-by-level scan from n_max down to level 1 reads, in the
+    same time, and on small batches it costs one call instead of n_max.
+    A NaN counts as nonzero, so no level holding one is ever skipped.
+    """
+    above_ground = amplitudes.reshape(-1, params.n_levels, params.n_configs)[:, 1:, :]
+    occupied = np.flatnonzero(np.logical_or.reduce(above_ground, axis=(0, 2)))
+    return int(occupied[-1]) + 1 if occupied.size else 0
+
+
 def populations(amplitudes: np.ndarray) -> np.ndarray:
     """Sum of |a|^2 over the last axis of a complex array, for any leading axes.
 
@@ -269,7 +287,15 @@ class StateVector:
         self.clock = float(clock)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.params, self.frame, self.clock)
+        """An equal, independent state that writes only the Fock window.
+
+        Levels above :func:`_fock_top` stay untouched ``np.zeros`` pages, never
+        resident; the sign of a zero there (-0.0) is not kept.
+        """
+        window = (_fock_top(self.amplitudes, self.params) + 1) * self.params.n_configs
+        amplitudes = _zero_amplitudes(self.params)
+        amplitudes[:window] = self.amplitudes[:window]
+        return StateVector(amplitudes, self.params, self.frame, self.clock)
 
     @property
     def blocks(self) -> np.ndarray:
@@ -348,12 +374,19 @@ def target_ghz(params: TrapParams, phi: float = 0.0, frame: Frame | None = None)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, insensitive to a global phase of either state."""
+    """|<a|b>|^2, insensitive to a global phase of either state.
+
+    ``np.einsum`` sums over the float64 views, as in :func:`populations`: no
+    BLAS call and no temporary the size of a state.
+    """
     if a.params != b.params:
         raise ValueError("fidelity requires states with identical trap parameters")
     if a.frame != b.frame:
         raise ValueError("fidelity requires states expressed in the same frame")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    pa, pb = (s.amplitudes[:, None].view(np.float64) for s in (a, b))
+    real = np.einsum("ij,ij->", pa, pb)
+    imag = np.einsum("i,i->", pa[:, 0], pb[:, 1]) - np.einsum("i,i->", pa[:, 1], pb[:, 0])
+    return float(real * real + imag * imag)
 
 
 def excited_population(state: StateVector, ion_index: int) -> float:

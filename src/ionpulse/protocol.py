@@ -171,7 +171,8 @@ def prepare_max_entangled(
     mode = PulseMode(mode)
     state = ground_state(params, frame)
     specs = preparation_sequence(params, mode)
-    check_memory((1 + len(specs)) * params.dim)  # the state and one snapshot per step
+    # six whole states (the state and a snapshot per step): the address space they reserve
+    check_memory((1 + len(specs)) * params.dim)
     step_states: list[StateVector] = []
     _run_sequence(state, specs, step_states=step_states)
     pulse_times = [s.clock for s in step_states]
@@ -258,7 +259,7 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
     params = report.final_state.params
     residuals = []
     for sim, table in zip(report.step_states, _reference_tables(params, report.pulse_times)):
-        overlap = np.vdot(sim.amplitudes[list(table)], list(table.values()))
+        overlap = sum(sim.amplitudes[index].conjugate() * value for index, value in table.items())
         residuals.append(float(1.0 - abs(overlap) ** 2))
     return TrajectoryCheck(residuals=residuals, tolerance=tolerance)
 
@@ -372,7 +373,7 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     results = []
     for block in np.split(deltas, range(chunk, deltas.size, chunk)):
         kick = block if per_row else None
-        check_memory(block.size * params.dim)
+        check_memory((block.size + 1) * params.dim)  # the chunk's rows and the live one-row start
         rows = np.repeat(start, block.size, axis=0)
         clock = _run_rows(rows, params, specs, 0.0, kick) if per_row else prepared_at
         clock = clock + apply_pulse_rows(rows, params, wait, clock, block)

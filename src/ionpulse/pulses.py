@@ -40,14 +40,15 @@ carrier's theta = pi/2 is the same in both modes.
 Applications are matrix-free and in place, on per-Fock-block views of the
 flat amplitude array.  Every kernel acts only on the Fock window: levels
 0 .. top, where top is the highest level holding a nonzero amplitude in
-any row, found from the amplitudes once per call (the sideband's coupled
-pairs reach top + 1).  The levels above hold exact zeros, which every
-pulse maps to zeros, so the free phase and the rotations never touch
-them.  Only arithmetic on exact zeros is skipped, and a NaN counts as
-nonzero.  After every step one pass of :func:`ionpulse.hilbert.populations`
-over whole rows gives each row's per-level populations: the norm guard
-reads their sum and the leakage guard the top level, so both stay an
-independent check on the window.
+any row, found once per call by :func:`ionpulse.hilbert._fock_top`, the
+window's one home (the sideband's coupled pairs reach top + 1).  The
+levels above hold exact zeros, which every pulse maps to zeros, so the
+free phase and the rotations never touch them.  Only arithmetic on exact
+zeros is skipped, and a NaN counts as nonzero.  After every step one
+pass of :func:`ionpulse.hilbert.populations` over whole rows gives each
+row's per-level populations: the norm guard reads their sum and the
+leakage guard the top level, so both stay an independent check on the
+window.
 
 A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
@@ -84,6 +85,7 @@ from .hilbert import (
     SimulationError,
     StateVector,
     TrapParams,
+    _fock_top,
     _ion_view,
     _popcounts,
     levels_view,
@@ -233,19 +235,6 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
                 f"dispersive target_n {spec.target_n} beyond the cutoff {params.fock_cutoff}"
             )
     return pulse_duration(spec, params)
-
-
-def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
-    """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
-
-    One reduction over levels 1 .. n_max of every row: at N=18 it reads
-    what a level-by-level scan from n_max down to level 1 reads, in the
-    same time, and on small batches it costs one call instead of n_max.
-    A NaN counts as nonzero, so no level holding one is ever skipped.
-    """
-    above_ground = amplitudes.reshape(-1, params.n_levels, params.n_configs)[:, 1:, :]
-    occupied = np.flatnonzero(np.logical_or.reduce(above_ground, axis=(0, 2)))
-    return int(occupied[-1]) + 1 if occupied.size else 0
 
 
 @lru_cache(maxsize=64)

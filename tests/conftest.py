@@ -24,3 +24,12 @@ def random_state(params, rng, frame=None, clock=0.0):
     vec = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
     vec /= np.linalg.norm(vec)
     return StateVector(vec, params, frame if frame is not None else Frame(), clock=clock)
+
+
+def assert_exact_copy(state, equal_nan=False):
+    """``state.copy()`` equals a full ``ndarray.copy`` element by element and shares no memory with ``state``."""
+    copied = state.copy()
+    assert np.array_equal(copied.amplitudes, state.amplitudes.copy(), equal_nan=equal_nan)
+    assert not np.shares_memory(copied.amplitudes, state.amplitudes)
+    assert (copied.params, copied.frame, copied.clock) == (state.params, state.frame, state.clock)
+    return copied

@@ -25,7 +25,7 @@ from ionpulse import (
     target_ghz,
 )
 from ionpulse import hilbert
-from conftest import make_params, random_state
+from conftest import assert_exact_copy, make_params, random_state
 
 
 class TestParams:
@@ -291,6 +291,33 @@ class TestPopulationKernel:
         apply_pulse(s, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1))
         assert buffer[1::2].tolist() == [0j] * p.dim  # updated in place, between the gaps
         assert s.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestCopy:
+    def test_full_support_state(self):
+        assert_exact_copy(random_state(make_params(3, nmax=3), np.random.default_rng(12)))
+
+    def test_nan_on_the_top_level(self):
+        p = make_params(2, nmax=3)
+        s = ground_state(p)
+        s.amplitudes[flat_index(p, 1, 3)] = complex(np.nan, 0.0)
+        assert_exact_copy(s, equal_nan=True)
+
+    def test_amplitude_whose_population_underflows(self):
+        # |1e-300|^2 is 0.0, so a window taken from populations would drop the top level
+        p = make_params(2, nmax=3)
+        s = ground_state(p)
+        s.amplitudes[flat_index(p, 3, 3)] = 1e-300
+        assert fock_populations(s)[3] == 0.0
+        assert_exact_copy(s)
+
+    def test_statevector_on_a_strided_array(self):
+        p = make_params(2, nmax=2)
+        buffer = np.zeros(2 * p.dim, dtype=complex)
+        s = StateVector(buffer[::2], p, Frame(), clock=1.5)
+        s.amplitudes[flat_index(p, 0, 0)] = 0.6
+        s.amplitudes[flat_index(p, 3, 1)] = 0.8j
+        assert_exact_copy(s)
 
 
 class TestDump:

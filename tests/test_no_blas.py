@@ -3,8 +3,8 @@
 BLAS-backed calls (``np.vecdot``, ``np.linalg.norm``, ``np.dot``,
 ``np.vdot``, ``np.matmul``) wake idle OpenBLAS threads, which costs
 milliseconds per call on a multi-core host.  Here they raise, and the
-preparation, a ``.pseq`` run, a small scan, the readouts and a non-pi
-collective pulse must not notice.
+preparation with its trajectory check, a ``.pseq`` run, a small scan,
+the readouts, ``fidelity`` and a non-pi collective pulse must not notice.
 """
 
 import numpy as np
@@ -19,9 +19,12 @@ from ionpulse import (
     StateVector,
     apply_pulse,
     dense_matrix,
+    fidelity,
     fock_populations,
     prepare_max_entangled,
     ramsey_scan,
+    target_ghz,
+    verify_trajectory,
 )
 from ionpulse import seqlang
 from ionpulse.hilbert import populations
@@ -52,6 +55,8 @@ def test_preparation_and_readouts(no_blas, mode):
     assert report.fidelity_vs_target >= 1.0 - 1e-12
     assert abs(report.final_state.norm() - 1.0) <= 1e-12
     assert fock_populations(report.final_state)[0] >= 1.0 - 1e-12
+    assert verify_trajectory(report).passed
+    assert fidelity(report.final_state, target_ghz(report.final_state.params, report.best_phase)) >= 1.0 - 1e-12
 
 
 def test_pseq_execute(no_blas):

@@ -38,7 +38,7 @@ from ionpulse import (
 from ionpulse import hilbert, protocol
 from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
-from conftest import make_params
+from conftest import assert_exact_copy, make_params
 
 # Long enough that the detuning grids used below stay inside the validity
 # window |delta| << all Rabi frequencies.
@@ -139,6 +139,13 @@ class TestTrajectory:
                 for a, b in zip(ideal.step_states, phys.step_states, strict=True):
                     assert np.array_equal(a.amplitudes, b.amplitudes), (n, nmax)
 
+    def test_step_snapshots_copy_exactly(self):
+        for n in range(1, 13):
+            for nmax in (2, 3, 4):
+                for mode in PulseMode:
+                    for state in prepare_max_entangled(make_params(n, nmax=nmax), mode).step_states:
+                        assert_exact_copy(state)
+
     def test_residual_detects_phase_tampering(self):
         report = prepare_max_entangled(make_params(2))
         report.step_states[2].blocks[1:] *= np.exp(0.01j)
@@ -179,6 +186,16 @@ class TestTrajectory:
         assert not check.passed
         assert check.residuals[3] == pytest.approx(0.1, abs=1e-12)
         assert max(check.residuals[:3] + check.residuals[4:]) <= 1e-12
+
+    @pytest.mark.parametrize("step", range(5))
+    def test_snapshot_keeps_amplitude_moved_off_support(self, step):
+        # the moved amplitude sits on Fock level 2, above every step state's window
+        report = prepare_max_entangled(make_params(3))
+        self.move_off_support(report.step_states[step], 0.1)
+        report.step_states[step] = assert_exact_copy(report.step_states[step])
+        check = verify_trajectory(report, tolerance=1e-12)
+        assert not check.passed
+        assert check.residuals[step] == pytest.approx(0.1, abs=1e-12)
 
     def test_reference_states_are_normalized(self):
         params = make_params(4)
@@ -491,13 +508,21 @@ class TestScanMemoryBudget:
             ramsey_scan(config)
 
     def test_row_array_checked_before_allocation(self, monkeypatch):
-        # room for the prepared state but not for a chunk of five rows
+        # room for the prepared state but not for a chunk of five rows beside it
         params = make_params(2)
         monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 3 * params.dim * 16)
         config = RamseyConfig(
             params=params, wait_time=0.0, detuning_grid=(0.0,) * 5, detuning_during_pulses=True
         )
-        with pytest.raises(SimulationError, match=f"{5 * params.dim} amplitudes need"):
+        with pytest.raises(SimulationError, match=f"{6 * params.dim} amplitudes need"):
+            ramsey_scan(config)
+
+    def test_prepared_row_counted_beside_the_chunk(self, monkeypatch):
+        # room for five states: a five-row chunk fits alone, but not beside the one-row prepared start
+        params = make_params(3)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 5 * params.dim * 16)
+        config = RamseyConfig(params=params, wait_time=0.0, detuning_grid=(0.0,) * 5)
+        with pytest.raises(SimulationError, match=f"{6 * params.dim} amplitudes need"):
             ramsey_scan(config)
 
 
