@@ -14,6 +14,7 @@ from .hilbert import (
     FRAME_R_PRIME,
     BasisIndex,
     Frame,
+    InputError,
     SimulationError,
     StateVector,
     TrapParams,
@@ -69,6 +70,7 @@ __all__ = [
     "FRAME_R_PRIME",
     "BasisIndex",
     "Frame",
+    "InputError",
     "SimulationError",
     "StateVector",
     "TrapParams",

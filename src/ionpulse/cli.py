@@ -7,21 +7,24 @@ trajectory against its closed forms over a range of ion numbers, plus a
 dense-matrix spot check).
 
 Exit codes: 0 on success, 1 when a physics check fails, 2 on usage or
-parse errors.  All numbers printed here are produced by the simulation
-modules; output formats are fixed so identical flags give identical
-bytes.
+parse errors.  Only :func:`main` maps errors to exit codes: an
+:class:`InputError` from a flag rule or a library check is a usage error
+(2), a :class:`SimulationError` is ``error: ...`` and 1.  All numbers
+printed here are produced by the simulation modules; output formats are
+fixed so identical flags give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 import numpy as np
 
-from .hilbert import Frame, SimulationError, StateVector, TrapParams, populations
+from .hilbert import Frame, InputError, SimulationError, StateVector, TrapParams, populations
 from .pulses import PulseKind, PulseMode, PulseSpec, apply_pulse, dense_matrix
 from .protocol import (
     RamseyConfig,
@@ -41,46 +44,44 @@ RESIDUAL_GATE = 1e-10
 ORACLE_GATE = 1e-12
 
 
-def _add_trap_flags(parser: argparse.ArgumentParser, with_ions: bool = True) -> None:
+def _add_trap_flags(sub: argparse.ArgumentParser, with_ions: bool = True) -> None:
     if with_ions:
-        parser.add_argument("--ions", type=int, default=2, help="number of ions (default 2)")
-    parser.add_argument("--nu", type=float, default=1.0, help="trap frequency (default 1)")
-    parser.add_argument("--eta", type=float, default=0.1, help="Lamb-Dicke parameter (default 0.1)")
-    parser.add_argument("--rabi", type=float, default=1.0, help="carrier Rabi frequency (default 1)")
-    parser.add_argument("--nmax", type=int, default=4, help="Fock cutoff (default 4)")
-    parser.add_argument(
-        "--mode", choices=["ideal", "physical"], default="ideal", help="pulse mode (default ideal)"
-    )
+        sub.add_argument("--ions", type=int, default=2, help="number of ions (default 2)")
+    sub.add_argument("--nu", type=float, default=1.0, help="trap frequency (default 1)")
+    sub.add_argument("--eta", type=float, default=0.1, help="Lamb-Dicke parameter (default 0.1)")
+    sub.add_argument("--rabi", type=float, default=1.0, help="carrier Rabi frequency (default 1)")
+    sub.add_argument("--nmax", type=int, default=4, help="Fock cutoff (default 4)")
+    sub.add_argument("--mode", choices=["ideal", "physical"], default="ideal", help="pulse mode (default ideal)")
 
 
-def _add_output_flags(
-    parser: argparse.ArgumentParser, *, data_format: bool = False, dump_state: bool = False
-) -> None:
-    """--output, plus --format and --dump-state on the subcommands that honour them."""
-    parser.add_argument("--output", metavar="PATH", help="write data to PATH instead of stdout")
-    if data_format:
-        parser.add_argument("--format", choices=["csv", "json"], default="csv", help="data format")
+def _add_output_flags(sub: argparse.ArgumentParser, formats: tuple[str, ...] = (), dump_state: bool = False) -> None:
+    """--output, plus --format (``formats``, the first the default) and --dump-state where honoured."""
+    sub.add_argument("--output", metavar="PATH", help="write data to PATH instead of stdout")
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0], help="data format")
     if dump_state:
-        parser.add_argument("--dump-state", action="store_true", help="emit the final state as JSON")
+        sub.add_argument("--dump-state", action="store_true", help="emit the final state as JSON")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call and reused by every later one; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="ionpulse",
         description="Simulate entangling pulse sequences on N trapped ions plus one vibrational mode.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p_prep = sub.add_parser("prepare", help="run the five-pulse entangled-state preparation")
+    p_prep = commands.add_parser("prepare", help="run the five-pulse entangled-state preparation")
     _add_trap_flags(p_prep)
     _add_output_flags(p_prep, dump_state=True)
     p_prep.add_argument(
         "--omega0", type=float, default=None, help="transition frequency, reported lab-frame phase only"
     )
 
-    p_scan = sub.add_parser("ramsey-scan", help="scan the Ramsey fringe over a detuning grid")
+    p_scan = commands.add_parser("ramsey-scan", help="scan the Ramsey fringe over a detuning grid")
     _add_trap_flags(p_scan)
-    _add_output_flags(p_scan, data_format=True)
+    _add_output_flags(p_scan, ("csv", "json"))
     p_scan.add_argument("--delta-min", type=float, required=True, help="first detuning of the grid")
     p_scan.add_argument("--delta-max", type=float, required=True, help="last detuning of the grid")
     p_scan.add_argument("--points", type=int, required=True, help="number of grid points")
@@ -89,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
         # stock argparse does not treat "-2e-5" as a number, only "-2" or "-2.0"
         p_scan._negative_number_matcher = re.compile(r"^-(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
 
-    p_run = sub.add_parser("run", help="execute a .pseq pulse program")
+    p_run = commands.add_parser("run", help="execute a .pseq pulse program")
     p_run.add_argument("file", help="program file (.pseq)")
-    _add_output_flags(p_run, data_format=True, dump_state=True)
+    _add_output_flags(p_run, ("text", "json"), dump_state=True)
 
-    p_verify = sub.add_parser("verify", help="check trajectories against their closed forms")
+    p_verify = commands.add_parser("verify", help="check trajectories against their closed forms")
     _add_trap_flags(p_verify, with_ions=False)
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the randomized oracle spot check")
     p_verify.add_argument("--ions-min", type=int, default=1, help="first ion count (default 1)")
@@ -101,18 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser, n_ions: int | None = None) -> TrapParams:
-    try:
-        return TrapParams(
-            n_ions=n_ions if n_ions is not None else args.ions,
-            trap_freq=args.nu,
-            lamb_dicke=args.eta,
-            base_rabi=args.rabi,
-            fock_cutoff=args.nmax,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")  # pragma: no cover
+def _params_from_args(args: argparse.Namespace, n_ions: int | None = None) -> TrapParams:
+    return TrapParams(
+        n_ions=n_ions if n_ions is not None else args.ions,
+        trap_freq=args.nu,
+        lamb_dicke=args.eta,
+        base_rabi=args.rabi,
+        fock_cutoff=args.nmax,
+    )
 
 
 def _write_data(text: str, args: argparse.Namespace) -> bool:
@@ -125,10 +122,10 @@ def _write_data(text: str, args: argparse.Namespace) -> bool:
     return False
 
 
-def _require_dump_for_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _require_dump_for_output(args: argparse.Namespace) -> None:
     """--output only receives the --dump-state JSON in text mode, so it needs --dump-state."""
     if args.output and not args.dump_state:
-        parser.error("--output writes the --dump-state JSON; add --dump-state or drop --output")
+        raise InputError("--output writes the --dump-state JSON; add --dump-state or drop --output")
 
 
 def _print_step_table(trace: list[seqlang.StepTrace]) -> None:
@@ -137,9 +134,9 @@ def _print_step_table(trace: list[seqlang.StepTrace]) -> None:
         print(f"step {t.step}  {t.kind:<12s} t={t.clock:.15g}  norm={t.norm:.12f}  fock=[{pops}]")
 
 
-def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _require_dump_for_output(args, parser)
-    params = _params_from_args(args, parser)
+def cmd_prepare(args: argparse.Namespace) -> int:
+    _require_dump_for_output(args)
+    params = _params_from_args(args)
     mode = PulseMode(args.mode)
     report = prepare_max_entangled(params, mode, omega0=args.omega0)
     print(f"fidelity: {report.fidelity_vs_target:.12f}")
@@ -152,20 +149,14 @@ def cmd_prepare(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if report.fidelity_vs_target >= 1.0 - FIDELITY_GATE else 1
 
 
-def cmd_ramsey_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    params = _params_from_args(args, parser)
+def cmd_ramsey_scan(args: argparse.Namespace) -> int:
+    params = _params_from_args(args)
     if args.points < 1:
-        parser.error(f"--points must be >= 1, got {args.points}")
+        raise InputError(f"--points must be >= 1, got {args.points}")
     grid = np.linspace(args.delta_min, args.delta_max, args.points)
-    try:
-        config = RamseyConfig(
-            params=params,
-            wait_time=args.wait,
-            detuning_grid=tuple(float(d) for d in grid),
-            mode=PulseMode(args.mode),
-        )
-    except ValueError as exc:  # negative or non-finite --wait, non-finite grid bounds
-        parser.error(str(exc))
+    config = RamseyConfig(
+        params=params, wait_time=args.wait, detuning_grid=tuple(float(d) for d in grid), mode=PulseMode(args.mode)
+    )
     result = ramsey_scan(config)
     if args.format == "json":
         payload = json.dumps(result_to_json_dict(result)) + "\n"
@@ -177,9 +168,9 @@ def cmd_ramsey_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0 if result.max_abs_error <= SCAN_GATE else 1
 
 
-def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.format != "json":
-        _require_dump_for_output(args, parser)
+def cmd_run(args: argparse.Namespace) -> int:
+    if args.format == "text":
+        _require_dump_for_output(args)
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -191,11 +182,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(str(diag), file=sys.stderr)
     if program is None:
         return 2
-    try:
-        final, trace = seqlang.execute(program)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    final, trace = seqlang.execute(program)
     fid, _ = best_ghz_fidelity(final)
     if args.format == "json":
         # vars(t) is dataclasses.asdict(t) for this flat record, without asdict's deep copy
@@ -244,12 +231,14 @@ def _oracle_spot_check(seed: int) -> float:
     return worst
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.ions_min < 1 or args.ions_max < args.ions_min:
-        parser.error("require 1 <= --ions-min <= --ions-max")
+        raise InputError("require 1 <= --ions-min <= --ions-max")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     ok = True
     for n in range(args.ions_min, args.ions_max + 1):
-        params = _params_from_args(args, parser, n_ions=n)
+        params = _params_from_args(args, n_ions=n)
         report = prepare_max_entangled(params, PulseMode(args.mode))
         check = verify_trajectory(report, tolerance=RESIDUAL_GATE)
         residuals = " ".join(f"{r:.3e}" for r in check.residuals)
@@ -264,20 +253,16 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; the only place errors become exit codes."""
     parser = build_parser()
+    handlers = {"prepare": cmd_prepare, "ramsey-scan": cmd_ramsey_scan, "run": cmd_run, "verify": cmd_verify}
     try:
         args = parser.parse_args(argv)
+        try:
+            return handlers[args.command](args)
+        except InputError as exc:
+            parser.error(str(exc))  # usage and message on stderr, then SystemExit(2)
     except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    handlers = {
-        "prepare": cmd_prepare,
-        "ramsey-scan": cmd_ramsey_scan,
-        "run": cmd_run,
-        "verify": cmd_verify,
-    }
-    try:
-        return handlers[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside handlers
         return int(exc.code) if exc.code is not None else 0
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,7 @@ __all__ = [
     "FRAME_R",
     "FRAME_R_PRIME",
     "NORM_TOL",
+    "InputError",
     "SimulationError",
     "TrapParams",
     "Frame",
@@ -75,10 +76,14 @@ class SimulationError(RuntimeError):
     """An operation violated one of the simulator's contracts."""
 
 
+class InputError(ValueError):
+    """A parameter outside its documented range: bad input, rejected before any work."""
+
+
 def _require_finite(name: str, value: float) -> None:
     """Reject NaN and infinities up front, naming the offending field."""
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise InputError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,15 +110,15 @@ class TrapParams:
         for name in ("trap_freq", "lamb_dicke", "base_rabi"):
             _require_finite(name, getattr(self, name))
         if self.n_ions < 1:
-            raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
+            raise InputError(f"n_ions must be >= 1, got {self.n_ions}")
         if self.fock_cutoff < 1:
-            raise ValueError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
+            raise InputError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
         if not (self.trap_freq > 0):
-            raise ValueError(f"trap_freq must be positive, got {self.trap_freq}")
+            raise InputError(f"trap_freq must be positive, got {self.trap_freq}")
         if self.lamb_dicke < 0:
-            raise ValueError(f"lamb_dicke must be >= 0, got {self.lamb_dicke}")
+            raise InputError(f"lamb_dicke must be >= 0, got {self.lamb_dicke}")
         if self.base_rabi < 0:
-            raise ValueError(f"base_rabi must be >= 0, got {self.base_rabi}")
+            raise InputError(f"base_rabi must be >= 0, got {self.base_rabi}")
 
     @property
     def n_levels(self) -> int:
@@ -149,9 +154,9 @@ class Frame:
     def __post_init__(self) -> None:
         _require_finite("detuning", self.detuning)
         if self.tag not in (FRAME_R, FRAME_R_PRIME):
-            raise ValueError(f"frame tag must be {FRAME_R!r} or {FRAME_R_PRIME!r}, got {self.tag!r}")
+            raise InputError(f"frame tag must be {FRAME_R!r} or {FRAME_R_PRIME!r}, got {self.tag!r}")
         if self.tag == FRAME_R and self.detuning != 0.0:
-            raise ValueError("frame R has zero detuning by definition")
+            raise InputError("frame R has zero detuning by definition")
 
 
 class BasisIndex(NamedTuple):

@@ -51,6 +51,7 @@ from .hilbert import (
     FRAME_R,
     FRAME_R_PRIME,
     Frame,
+    InputError,
     StateVector,
     TrapParams,
     check_memory,
@@ -58,6 +59,7 @@ from .hilbert import (
     excited_population_rows,
     flat_index,
     ground_state,
+    _require_finite,
 )
 
 # free_evolve is not called here any more, but stays a module attribute:
@@ -71,6 +73,7 @@ from .pulses import (
     apply_pulse,
     apply_pulse_rows,
     free_evolve,  # noqa: F401
+    validate_pulse_spec,
 )
 
 __all__ = [
@@ -167,7 +170,10 @@ def prepare_max_entangled(
 
     In ideal mode the final state equals the target up to a global phase
     and the motion factors out into |0> exactly (to numerical precision).
+    A non-finite ``omega0`` raises :class:`InputError` before any allocation.
     """
+    if omega0 is not None:
+        _require_finite("omega0", omega0)
     mode = PulseMode(mode)
     state = ground_state(params, frame)
     specs = preparation_sequence(params, mode)
@@ -287,10 +293,9 @@ class RamseyConfig:
 
     def __post_init__(self) -> None:
         if not 0 <= self.wait_time < math.inf:
-            raise ValueError(f"wait_time must be finite and >= 0, got {self.wait_time!r}")
+            raise InputError(f"wait_time must be finite and >= 0, got {self.wait_time!r}")
         for index, delta in enumerate(self.detuning_grid):
-            if not math.isfinite(delta):
-                raise ValueError(f"detuning_grid[{index}] must be finite, got {delta!r}")
+            _require_finite(f"detuning_grid[{index}]", delta)
 
 
 @dataclass(frozen=True)
@@ -366,7 +371,9 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     specs = preparation_sequence(params, config.mode)
     wait = PulseSpec(PulseKind.WAIT, duration=config.wait_time)
     start = ground_state(params).amplitudes[None, :]
-    _check_validity(params, deltas)  # after ground_state's memory check: a state that cannot exist gets no warning
+    for spec in specs:  # after the memory check, before the warning: an input that cannot run gets the error alone
+        validate_pulse_spec(spec, params)
+    _check_validity(params, deltas)
     per_row = config.detuning_during_pulses
     prepared_at = None if per_row else _run_rows(start, params, specs, 0.0)
     chunk = _chunk_rows(params)
@@ -406,7 +413,7 @@ def ramsey_scan(config: RamseyConfig) -> RamseyResult:
     one warning for the whole scan.
     """
     if len(config.detuning_grid) == 0:
-        raise ValueError("detuning grid must not be empty")
+        raise InputError("detuning grid must not be empty")
     params = config.params
     deltas = np.array(config.detuning_grid, dtype=np.float64)
     readout = _ramsey_rows(config, deltas, lambda rows, _: excited_population_rows(rows, params, params.n_ions))

@@ -1,12 +1,21 @@
+import argparse
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ionpulse
 from ionpulse import cli as cli_module
-from ionpulse.cli import main
+from ionpulse.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CANONICAL_2 = """\
 ions N=2
@@ -48,6 +57,13 @@ class TestPrepare:
         t5_line = [line for line in out.splitlines() if line.startswith("step 5")][0]
         t5 = float(t5_line.split("t=")[1].split()[0])
         assert float(phi_line.split()[1]) == pytest.approx(2 * 2.0 * t5, rel=1e-12)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_omega0_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "prepare", "--ions", "2", "--omega0", value)
+        assert code == 2
+        assert f"omega0 must be finite, got {value}" in err
+        assert out == ""
 
     def test_dump_state_schema(self, capsys, tmp_path):
         out_path = tmp_path / "state.json"
@@ -144,6 +160,17 @@ class TestRamseyScan:
         assert field in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, label", [("--rabi", "carrier"), ("--eta", "sideband")], ids=["rabi-0", "eta-0"]
+    )
+    def test_zero_rabi_frequency_gets_the_error_alone(self, capsys, flag, label):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *self.ARGS, flag, "0")
+        assert code == 1
+        assert err == f"error: {label} Rabi frequency must be positive, got 0.0\n"
+        assert out == ""
+
     def test_non_finite_trap_usage_error(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS, "--nu", "inf")
         assert code == 2
@@ -194,6 +221,19 @@ class TestRun:
         assert data["fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert data["steps"][-1]["fock_populations"][0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_format_text_is_the_default(self, capsys, tmp_path):
+        path = tmp_path / "prog.pseq"
+        path.write_text(CANONICAL_2)
+        assert run_cli(capsys, "run", str(path), "--format", "text") == run_cli(capsys, "run", str(path))
+
+    def test_format_csv_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "prog.pseq"
+        path.write_text(CANONICAL_2)
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "csv")
+        assert code == 2
+        assert "invalid choice: 'csv'" in err
+        assert out == ""
+
     def test_warning_only_program_still_runs(self, capsys, tmp_path):
         path = tmp_path / "empty.pseq"
         path.write_text("# nothing\n")
@@ -239,6 +279,16 @@ class TestVerify:
     def test_bad_range_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--ions-min", "4", "--ions-max", "2")
         assert code == 2
+
+    def test_negative_seed_usage_error_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli_module, "prepare_max_entangled", no_sweep)
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert "--seed must be >= 0, got -1" in err
+        assert out == ""
 
 
 class TestFlags:
@@ -326,3 +376,62 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "explode")
         assert code == 2
+
+
+class TestOneParser:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_main_matches_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        # flags set by one call (--format json, --omega0, --seed) must not leak into the next
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+        (tmp_path / "prog.pseq").write_text(CANONICAL_2)
+        scan = list(TestRamseyScan.ARGS)
+        calls = [
+            ["run", "prog.pseq", "--format", "json"],
+            ["run", "prog.pseq"],
+            [*scan, "--format", "json"],
+            scan,
+            ["prepare", "--ions", "2", "--omega0", "2"],
+            ["prepare", "--ions", "2"],
+            ["verify", "--ions-max", "1", "--seed", "3"],
+            ["verify", "--ions-max", "1"],
+            ["prepare", "--ions", "2", "--output", "F"],
+        ]
+        parser = build_parser()
+        in_process = [run_cli(capsys, *argv) for argv in calls]
+        assert build_parser() is parser
+        src = str(Path(ionpulse.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        driver = "import sys; from ionpulse.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv, got in zip(calls, in_process):
+            fresh = subprocess.run([sys.executable, "-c", driver, *argv], capture_output=True, text=True, env=env)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _readme_usage() -> dict[str, str]:
+    """Subcommand -> its lines in the fenced block under README's "Command line" heading."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    usage: dict[str, str] = {}
+    command = None
+    for line in block.strip().splitlines():
+        if line.startswith("ionpulse "):
+            command = line.split()[1]
+        usage[command] = usage.get(command, "") + line + "\n"
+    return usage
+
+
+class TestReadmeUsage:
+    def test_readme_shows_each_subcommands_flags(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        usage = _readme_usage()
+        assert usage.keys() == commands.choices.keys()
+        for name, sub in commands.choices.items():
+            flags = {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")}
+            assert set(re.findall(r"--[a-z0-9-]+", usage[name])) == flags - {"--help"}, name
+            shown = re.search(r"--format ([a-z|]+)", usage[name])
+            formats = sub._option_string_actions.get("--format")
+            assert (shown.group(1).split("|") if shown else None) == (list(formats.choices) if formats else None), name

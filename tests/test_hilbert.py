@@ -9,6 +9,7 @@ from ionpulse import (
     FRAME_R,
     FRAME_R_PRIME,
     Frame,
+    InputError,
     PulseKind,
     PulseSpec,
     SimulationError,
@@ -68,6 +69,41 @@ class TestParams:
         Frame(FRAME_R_PRIME, detuning=0.5)  # fine
         with pytest.raises(ValueError):
             Frame("lab")
+
+
+class TestInputError:
+    """Bad input raises InputError, the CLI's usage error; a caller's index or shape bug stays a plain ValueError."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_params(0),
+            lambda: make_params(2, nu=math.nan),
+            lambda: Frame(FRAME_R, detuning=0.5),
+            lambda: Frame("lab"),
+            lambda: Frame(FRAME_R_PRIME, detuning=math.inf),
+        ],
+        ids=["n_ions", "trap_freq", "frame-r-detuning", "frame-tag", "frame-detuning"],
+    )
+    def test_input_checks_raise_input_error(self, make):
+        with pytest.raises(InputError) as caught:
+            make()
+        assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: flat_index(p, 1 << p.n_ions, 0),
+            lambda p: split_index(p, p.dim),
+            lambda p: StateVector(np.zeros(3, dtype=complex), p, Frame()),
+            lambda p: fidelity(ground_state(p), ground_state(make_params(3))),
+        ],
+        ids=["flat_index", "split_index", "state-shape", "fidelity-mismatch"],
+    )
+    def test_caller_bugs_stay_plain_value_errors(self, call):
+        with pytest.raises(ValueError) as caught:
+            call(make_params(2))
+        assert not isinstance(caught.value, InputError)
 
 
 class TestBasisLayout:

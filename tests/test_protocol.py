@@ -9,7 +9,9 @@ import pytest
 from ionpulse import (
     FRAME_R_PRIME,
     Frame,
+    InputError,
     LeakageError,
+    PulseError,
     PulseMode,
     RabiLaw,
     RamseyConfig,
@@ -577,6 +579,17 @@ class TestScanValidity:
             with pytest.raises(SimulationError, match="physical memory"):
                 ramsey_run(config, 1e-3) if entry == "run" else ramsey_scan(config)
 
+    @pytest.mark.parametrize("entry", ["run", "scan"])
+    @pytest.mark.parametrize("zero", ["base_rabi", "lamb_dicke"])
+    def test_pulse_check_comes_before_the_warning(self, entry, zero):
+        # a zero Rabi frequency puts every nonzero detuning outside the validity window, and no pulse can run
+        params = make_params(2, rabi=0.0) if zero == "base_rabi" else make_params(2, eta=0.0)
+        config = RamseyConfig(params=params, wait_time=1.0, detuning_grid=(1e-3,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PulseError, match="Rabi frequency must be positive"):
+                ramsey_run(config, 1e-3) if entry == "run" else ramsey_scan(config)
+
     def test_valid_grid_is_silent(self):
         grid = tuple(x / WAIT for x in np.linspace(-1.0, 1.0, 30))
         config = RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=grid)
@@ -600,3 +613,25 @@ class TestNonFiniteInputs:
         config = RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=(0.0,))
         with pytest.raises(ValueError, match="detuning"):
             ramsey_run(config, math.nan)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RamseyConfig(params=make_params(2), wait_time=-1.0, detuning_grid=(0.0,)),
+            lambda: RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=(math.nan,)),
+            lambda: ramsey_scan(RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=())),
+        ],
+        ids=["wait_time", "detuning_grid", "empty-grid"],
+    )
+    def test_scan_input_checks_raise_input_error(self, make):
+        with pytest.raises(InputError):
+            make()
+
+    @pytest.mark.parametrize("omega0", [math.nan, math.inf, -math.inf])
+    def test_omega0_rejected_before_any_allocation(self, monkeypatch, omega0):
+        def no_state(*args, **kwargs):
+            raise AssertionError("allocated a state")
+
+        monkeypatch.setattr(protocol, "ground_state", no_state)
+        with pytest.raises(InputError, match="omega0 must be finite"):
+            prepare_max_entangled(make_params(2), omega0=omega0)
