@@ -29,6 +29,7 @@ from .pulses import PulseKind, PulseMode, PulseSpec, apply_pulse, dense_matrix
 from .protocol import (
     RamseyConfig,
     best_ghz_fidelity,
+    check_preparation_memory,
     prepare_max_entangled,
     preparation_sequence,
     ramsey_scan,
@@ -236,6 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("require 1 <= --ions-min <= --ions-max")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    check_preparation_memory(_params_from_args(args, n_ions=args.ions_max))  # the largest N, before the sweep
     ok = True
     for n in range(args.ions_min, args.ions_max + 1):
         params = _params_from_args(args, n_ions=n)

@@ -19,10 +19,14 @@ call and no temporary the size of the state.  The norm, the Fock
 marginal, an ion's excited-state readout and the pulse guards (see
 :mod:`ionpulse.pulses`) all read it.
 
-The Fock window has one home too, :func:`_fock_top`: the levels up to the
-highest one holding a nonzero amplitude (NaN included).  The pulse kernels
-act on the window only, and :meth:`StateVector.copy` writes only the window
-into fresh zeroed memory, whose pages above it never become resident.
+The Fock window is the levels up to the highest one holding a nonzero
+amplitude (NaN included).  :func:`_fock_top` finds it from scratch, and
+:func:`_lower_top` lowers a known bound to it, reading only the levels it
+drops and the one it keeps.  The pulse kernels act on the window only, and
+:meth:`StateVector.copy` writes only the window into fresh zeroed memory,
+whose pages above it never become resident.  The runners that own their
+states (:mod:`ionpulse.protocol`, :mod:`ionpulse.seqlang`) carry the window
+from step to step and hand it to both, so neither reads the levels above it.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -211,6 +215,19 @@ def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
     return int(occupied[-1]) + 1 if occupied.size else 0
 
 
+def _lower_top(amplitudes: np.ndarray, params: TrapParams, top: int) -> int:
+    """:func:`_fock_top` of rows whose levels above ``top`` hold exact zeros.
+
+    Lowers ``top`` while its level holds only zeros in every row, so an
+    occupied top level costs one read of that level alone.  As in
+    :func:`_fock_top`, a NaN counts as nonzero and -0.0 as zero.
+    """
+    levels = levels_view(amplitudes, params)
+    while top > 0 and not levels[..., top, :].any():
+        top -= 1
+    return top
+
+
 def populations(amplitudes: np.ndarray) -> np.ndarray:
     """Sum of |a|^2 over the last axis of a complex array, for any leading axes.
 
@@ -291,13 +308,17 @@ class StateVector:
         self.frame = frame
         self.clock = float(clock)
 
-    def copy(self) -> "StateVector":
+    def copy(self, *, top: int | None = None) -> "StateVector":
         """An equal, independent state that writes only the Fock window.
 
-        Levels above :func:`_fock_top` stay untouched ``np.zeros`` pages, never
-        resident; the sign of a zero there (-0.0) is not kept.
+        ``top`` is the window from a caller that tracks it; without it
+        :func:`_fock_top` finds it.  Levels above stay untouched
+        ``np.zeros`` pages, never resident; the sign of a zero there
+        (-0.0) is not kept.
         """
-        window = (_fock_top(self.amplitudes, self.params) + 1) * self.params.n_configs
+        if top is None:
+            top = _fock_top(self.amplitudes, self.params)
+        window = (top + 1) * self.params.n_configs
         amplitudes = _zero_amplitudes(self.params)
         amplitudes[:window] = self.amplitudes[:window]
         return StateVector(amplitudes, self.params, self.frame, self.clock)

@@ -59,6 +59,7 @@ from .hilbert import (
     excited_population_rows,
     flat_index,
     ground_state,
+    _fock_top,
     _require_finite,
 )
 
@@ -73,7 +74,9 @@ from .pulses import (
     apply_pulse,
     apply_pulse_rows,
     free_evolve,  # noqa: F401
+    pulse_duration,
     validate_pulse_spec,
+    _window_after,
 )
 
 __all__ = [
@@ -83,6 +86,7 @@ __all__ = [
     "RamseyResult",
     "TrajectoryCheck",
     "preparation_sequence",
+    "check_preparation_memory",
     "prepare_max_entangled",
     "best_ghz_fidelity",
     "trajectory_reference",
@@ -123,13 +127,25 @@ def preparation_sequence(params: TrapParams, mode: PulseMode | str = PulseMode.I
 def _run_sequence(
     state: StateVector,
     specs: list[PulseSpec],
+    top: int,
     step_states: list[StateVector] | None = None,
 ) -> StateVector:
+    """Apply ``specs`` to ``state``, whose Fock window is ``top``, carrying the window from step to step."""
     for spec in specs:
-        apply_pulse(state, spec)
+        apply_pulse(state, spec, top=top)
+        top = _window_after(state.amplitudes, state.params, spec, top)
         if step_states is not None:
-            step_states.append(state.copy())
+            step_states.append(state.copy(top=top))
     return state
+
+
+def check_preparation_memory(params: TrapParams) -> None:
+    """Raise before a preparation whose state and step snapshots would not fit in physical memory.
+
+    Six whole states (the state and a snapshot per step): the address
+    space they reserve.
+    """
+    check_memory((1 + len(preparation_sequence(params))) * params.dim)
 
 
 @dataclass
@@ -170,17 +186,25 @@ def prepare_max_entangled(
 
     In ideal mode the final state equals the target up to a global phase
     and the motion factors out into |0> exactly (to numerical precision).
-    A non-finite ``omega0`` raises :class:`InputError` before any allocation.
+    An ``omega0`` that makes ``phi_schroedinger`` non-finite raises
+    :class:`InputError` before any allocation.
     """
+    mode = PulseMode(mode)
+    specs = preparation_sequence(params, mode)
     if omega0 is not None:
         _require_finite("omega0", omega0)
-    mode = PulseMode(mode)
+        t5 = 0.0
+        for spec in specs:  # the clock after the last pulse, summed as the run sums it
+            t5 = t5 + pulse_duration(spec, params)
+        if not math.isfinite(params.n_ions * omega0 * t5):
+            raise InputError(
+                f"omega0 must keep the lab-frame phase N*omega0*t5 finite, got omega0={omega0!r} "
+                f"with N={params.n_ions} and t5={t5!r}"
+            )
     state = ground_state(params, frame)
-    specs = preparation_sequence(params, mode)
-    # six whole states (the state and a snapshot per step): the address space they reserve
-    check_memory((1 + len(specs)) * params.dim)
+    check_preparation_memory(params)
     step_states: list[StateVector] = []
-    _run_sequence(state, specs, step_states=step_states)
+    _run_sequence(state, specs, 0, step_states=step_states)  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     phi = params.n_ions * omega0 * pulse_times[-1] if omega0 is not None else None
@@ -273,7 +297,7 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
 def reversed_sequence(state: StateVector, mode: PulseMode | str = PulseMode.IDEAL) -> StateVector:
     """Apply the five preparation pulses in reverse order at the current clock."""
     specs = list(reversed(preparation_sequence(state.params, mode)))
-    return _run_sequence(state, specs)
+    return _run_sequence(state, specs, _fock_top(state.amplitudes, state.params))
 
 
 @dataclass(frozen=True)
@@ -338,20 +362,22 @@ def _run_rows(
     params: TrapParams,
     specs: list[PulseSpec],
     clock: float,
+    top: int,
     detunings: np.ndarray | None = None,
-) -> float:
-    """Apply ``specs`` to every row from the shared ``clock``; return the clock after them.
+) -> tuple[float, int]:
+    """Apply ``specs`` to every row from the shared ``clock`` and Fock window ``top``; return both after them.
 
     With ``detunings`` (one per row) each pulse is followed by the detuning
     phase accumulated over its duration: the ``detuning_during_pulses``
     diagnostic.
     """
     for spec in specs:
-        duration = apply_pulse_rows(rows, params, spec, clock)
+        duration = apply_pulse_rows(rows, params, spec, clock, top=top)
         clock = clock + duration
         if detunings is not None:
             apply_detuning_phase(rows, params, detunings, duration)
-    return clock
+        top = _window_after(rows, params, spec, top)
+    return clock, top
 
 
 def _chunk_rows(params: TrapParams) -> int:
@@ -375,16 +401,18 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
         validate_pulse_spec(spec, params)
     _check_validity(params, deltas)
     per_row = config.detuning_during_pulses
-    prepared_at = None if per_row else _run_rows(start, params, specs, 0.0)
+    # the ground state's window is level 0
+    prepared = None if per_row else _run_rows(start, params, specs, 0.0, 0)
     chunk = _chunk_rows(params)
     results = []
     for block in np.split(deltas, range(chunk, deltas.size, chunk)):
         kick = block if per_row else None
         check_memory((block.size + 1) * params.dim)  # the chunk's rows and the live one-row start
         rows = np.repeat(start, block.size, axis=0)
-        clock = _run_rows(rows, params, specs, 0.0, kick) if per_row else prepared_at
-        clock = clock + apply_pulse_rows(rows, params, wait, clock, block)
-        clock = _run_rows(rows, params, specs[::-1], clock, kick)
+        clock, top = _run_rows(rows, params, specs, 0.0, 0, kick) if per_row else prepared
+        clock = clock + apply_pulse_rows(rows, params, wait, clock, block, top=top)
+        top = _window_after(rows, params, wait, top)
+        clock, _ = _run_rows(rows, params, specs[::-1], clock, top, kick)
         results.append(read(rows, clock))
         del rows  # before the next chunk is allocated
     return results

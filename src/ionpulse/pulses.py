@@ -40,15 +40,17 @@ carrier's theta = pi/2 is the same in both modes.
 Applications are matrix-free and in place, on per-Fock-block views of the
 flat amplitude array.  Every kernel acts only on the Fock window: levels
 0 .. top, where top is the highest level holding a nonzero amplitude in
-any row, found once per call by :func:`ionpulse.hilbert._fock_top`, the
-window's one home (the sideband's coupled pairs reach top + 1).  The
-levels above hold exact zeros, which every pulse maps to zeros, so the
-free phase and the rotations never touch them.  Only arithmetic on exact
-zeros is skipped, and a NaN counts as nonzero.  After every step one
-pass of :func:`ionpulse.hilbert.populations` over whole rows gives each
-row's per-level populations: the norm guard reads their sum and the
-leakage guard the top level, so both stay an independent check on the
-window.
+any row (the sideband's coupled pairs reach top + 1).  The levels above
+hold exact zeros, which every pulse maps to zeros, so the free phase and
+the rotations never touch them.  Only arithmetic on exact zeros is
+skipped, and a NaN counts as nonzero.  A runner that owns its state
+knows the window without reading it: it passes ``top`` to each call and
+moves it on with :func:`_window_after`.  A call without ``top`` finds the
+window with :func:`ionpulse.hilbert._fock_top`.  After every step one
+pass of :func:`ionpulse.hilbert.populations` over the window gives each
+row's per-level populations: the norm guard reads their sum, and the
+leakage guard their top level once the window reaches the cutoff (below
+it that level holds exact zeros).
 
 A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
@@ -87,6 +89,7 @@ from .hilbert import (
     TrapParams,
     _fock_top,
     _ion_view,
+    _lower_top,
     _popcounts,
     levels_view,
     populations,
@@ -283,14 +286,15 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return math.cos(theta / 2.0), math.sin(theta / 2.0)
 
 
-def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool) -> None:
+def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool, top: int) -> None:
     """The guards after a step: every row's norm and, unless disabled, its population at the Fock cutoff.
 
-    One pass gives every row's per-level populations: the norm is the
-    root of their sum, the leakage their top level.  A NaN norm counts
-    as drifted.
+    One pass over the window, levels 0 .. ``top``, gives every row's
+    per-level populations (the levels above hold exact zeros): the norm
+    is the root of their sum, the leakage their top level, read only when
+    the window reaches the cutoff.  A NaN norm counts as drifted.
     """
-    levels = populations(levels_view(amplitudes, params))
+    levels = populations(levels_view(amplitudes, params)[..., : top + 1, :])
     norms = np.sqrt(levels.sum(axis=-1))
     within = np.abs(norms - 1.0) <= NORM_TOL
     if np.count_nonzero(within) != within.size:
@@ -298,10 +302,12 @@ def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool)
         where = f" in row {row}" if within.ndim else ""
         norm = float(np.reshape(norms, -1)[row])
         raise SimulationError(f"state norm drifted to {norm!r}{where} (|norm - 1| > {NORM_TOL})")
-    top = levels[..., -1]
-    if check_leakage and np.count_nonzero(top > LEAKAGE_TOL):
+    if not check_leakage or top < params.fock_cutoff:
+        return
+    cutoff = levels[..., -1]
+    if np.count_nonzero(cutoff > LEAKAGE_TOL):
         raise LeakageError(
-            f"population {np.max(top):.3e} at the Fock cutoff n={params.fock_cutoff}; "
+            f"population {np.max(cutoff):.3e} at the Fock cutoff n={params.fock_cutoff}; "
             "raise fock_cutoff for a trustworthy simulation"
         )
 
@@ -393,6 +399,11 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
     blocks[...] = (_collective_flip(params.n_ions, laser_phase) * blocks)[..., ::-1]
 
 
+def _sideband_top(table, top: int) -> int:
+    """The window a sideband leaves from window ``top``: its highest pair's |g> level at most."""
+    return max(top, table[0].stop)
+
+
 def apply_pulse_rows(
     amplitudes: np.ndarray,
     params: TrapParams,
@@ -401,20 +412,24 @@ def apply_pulse_rows(
     detuning: float | np.ndarray = 0.0,
     *,
     check_leakage: bool = True,
+    top: int | None = None,
 ) -> float:
     """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration.
 
     Every row is one state, and all rows share the start time ``t0``.
     ``detuning`` (one per row, or one for all) only enters wait steps.
-    The Fock window is found here, from the amplitudes, on every call;
-    a pulse rotates the pairs its angle table lists and then gives the
-    window its free phase.  After the step every row's norm is checked,
-    and after a pulse every row's population at the Fock cutoff, unless
+    ``top`` is the rows' Fock window, the highest level holding a nonzero
+    amplitude, from a caller that tracks it (see :func:`_window_after`);
+    without it the window is found from the amplitudes.  A pulse rotates
+    the pairs its angle table lists and then gives the window its free
+    phase.  After the step every row's norm is checked, and after a
+    pulse every row's population at the Fock cutoff, unless
     ``check_leakage=False``; that bypass is meant for unitary-equivalence
     checks on synthetic full-support states, not for simulations.
     """
     duration = validate_pulse_spec(spec, params)
-    top = _fock_top(amplitudes, params)
+    if top is None:
+        top = _fock_top(amplitudes, params)
     if spec.kind is PulseKind.WAIT:
         if duration > 0:
             _apply_free_phases(amplitudes, params, duration, top)
@@ -427,21 +442,37 @@ def apply_pulse_rows(
         elif spec.kind is PulseKind.JC_PI:
             u = 1j * np.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)
-            top = max(top, table[0].stop)  # the highest pair's |g> level
+            top = _sideband_top(table, top)
         else:
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
         _apply_free_phases(amplitudes, params, duration, top)
-    _check_rows(amplitudes, params, check_leakage)
+    _check_rows(amplitudes, params, check_leakage, top)
     return duration
 
 
-def apply_pulse(state: StateVector, spec: PulseSpec, *, check_leakage: bool = True) -> StateVector:
+def apply_pulse(
+    state: StateVector, spec: PulseSpec, *, check_leakage: bool = True, top: int | None = None
+) -> StateVector:
     """Apply one PulseSpec to the state at its clock; see :func:`apply_pulse_rows`."""
     duration = apply_pulse_rows(
-        state.amplitudes, state.params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage
+        state.amplitudes, state.params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top
     )
     state.clock = state.clock + duration
     return state
+
+
+def _window_after(amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, top: int) -> int:
+    """The Fock window of rows that ``spec`` was just applied to with window ``top``.
+
+    A sideband raises it as its free-phase pass did; any step then lowers
+    it while its top level holds only exact zeros.  So a runner that
+    starts from a known window keeps it equal to what
+    :func:`ionpulse.hilbert._fock_top` would find, step after step,
+    without reading the levels above it.
+    """
+    if spec.kind is PulseKind.JC_PI:
+        top = _sideband_top(_angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top), top)
+    return _lower_top(amplitudes, params, top)
 
 
 def free_evolve(state: StateVector, duration: float) -> StateVector:

@@ -39,8 +39,17 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .hilbert import Frame, SimulationError, StateVector, TrapParams, check_memory, fock_populations, ground_state
-from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, apply_pulse, validate_pulse_spec
+from .hilbert import (
+    Frame,
+    SimulationError,
+    StateVector,
+    TrapParams,
+    _fock_top,
+    check_memory,
+    fock_populations,
+    ground_state,
+)
+from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, _window_after, apply_pulse, validate_pulse_spec
 
 __all__ = [
     "DEFAULT_PARAMS",
@@ -311,20 +320,23 @@ def execute(
     Starts from the ground state in the program's frame unless ``initial``
     is given (it is copied, not mutated, and must match the program's
     parameters).  Failures during a step re-raise as SequenceError with
-    the step's source position.
+    the step's source position.  The Fock window is found once, at the
+    start, and carried from step to step.
     """
     if initial is None:
-        state = ground_state(program.params, program.frame)
+        state, top = ground_state(program.params, program.frame), 0
     else:
         if initial.params != program.params:
             raise ValueError("initial state parameters do not match the program header")
-        state = initial.copy()
+        top = _fock_top(initial.amplitudes, initial.params)
+        state = initial.copy(top=top)
     trace: list[StepTrace] = []
     spans = program.source_spans or [(0, 0)] * len(program.steps)
     for step, (spec, (line, column)) in enumerate(zip(program.steps, spans), start=1):
         try:
-            apply_pulse(state, spec)
+            apply_pulse(state, spec, top=top)
         except (SimulationError, ValueError) as exc:
             raise SequenceError(line, column, str(exc)) from exc
+        top = _window_after(state.amplitudes, state.params, spec, top)
         trace.append(StepTrace.after(step, spec, state))
     return state, trace

@@ -13,6 +13,7 @@ import pytest
 
 import ionpulse
 from ionpulse import cli as cli_module
+from ionpulse import hilbert
 from ionpulse.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -63,6 +64,14 @@ class TestPrepare:
         code, out, err = run_cli(capsys, "prepare", "--ions", "2", "--omega0", value)
         assert code == 2
         assert f"omega0 must be finite, got {value}" in err
+        assert out == ""
+
+    def test_overflowing_phase_usage_error(self, capsys):
+        # omega0 is finite, but N * omega0 * t5 overflows: no "phi: inf" and exit 0
+        code, out, err = run_cli(capsys, "prepare", "--ions", "2", "--omega0", "1e306")
+        assert code == 2
+        [error] = [line for line in err.splitlines() if "error:" in line]
+        assert "omega0" in error and "N*omega0*t5" in error
         assert out == ""
 
     def test_dump_state_schema(self, capsys, tmp_path):
@@ -357,6 +366,15 @@ class TestMemoryBudget:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error: ") and "physical memory" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_verify_checks_the_largest_n_before_the_sweep(self, capsys, monkeypatch):
+        # room for one N=6 preparation (six states) only: N=7 and 8 would not fit
+        dim = hilbert.TrapParams(n_ions=6, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0).dim
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * dim * 16)
+        code, out, err = run_cli(capsys, "verify", "--ions-max", "8")
+        assert code == 1
+        assert err.startswith("error: ") and "physical memory" in err
         assert out == ""
 
     def test_scan_memory_check_comes_before_the_validity_warning(self, capsys):

@@ -635,3 +635,21 @@ class TestNonFiniteInputs:
         monkeypatch.setattr(protocol, "ground_state", no_state)
         with pytest.raises(InputError, match="omega0 must be finite"):
             prepare_max_entangled(make_params(2), omega0=omega0)
+
+    @pytest.mark.parametrize("omega0", [1e306, -1e306, math.nextafter(math.inf, 0.0)])
+    def test_overflowing_phase_rejected_before_any_allocation(self, monkeypatch, omega0):
+        def no_state(*args, **kwargs):
+            raise AssertionError("allocated a state")
+
+        monkeypatch.setattr(protocol, "ground_state", no_state)
+        with pytest.raises(InputError, match=r"omega0 must keep the lab-frame phase N\*omega0\*t5 finite"):
+            prepare_max_entangled(make_params(2), omega0=omega0)
+
+    def test_largest_finite_phase_reported(self):
+        # the check rejects only what overflows: the same product, one notch smaller, is reported
+        p = make_params(2)
+        t5 = prepare_max_entangled(p).pulse_times[-1]
+        omega0 = math.nextafter(math.inf, 0.0) / (p.n_ions * t5) / 2
+        report = prepare_max_entangled(p, omega0=omega0)
+        assert math.isfinite(report.phi_schroedinger)
+        assert report.phi_schroedinger == p.n_ions * omega0 * t5
