@@ -23,8 +23,12 @@ The Fock window is the levels up to the highest one holding a nonzero
 amplitude (NaN included).  :func:`_fock_top` finds it from scratch, and
 :func:`_lower_top` lowers a known bound to it, reading only the levels it
 drops and the one it keeps.  The pulse kernels act on the window only, and
-:meth:`StateVector.copy` writes only the window into fresh zeroed memory,
-whose pages above it never become resident.  The runners that own their
+:meth:`StateVector.copy` stores only the window: the whole zero-padded
+array is built the first time ``amplitudes`` or ``blocks`` is read, and
+kept from then on, so a write through either one is seen by every later
+reader.  A snapshot nobody reads as a whole (the preparation's step states
+under :func:`ionpulse.protocol.verify_trajectory`, which reads single
+amplitudes) never costs more than its window.  The runners that own their
 states (:mod:`ionpulse.protocol`, :mod:`ionpulse.seqlang`) carry the window
 from step to step and hand it to both, so neither reads the levels above it.
 
@@ -274,9 +278,12 @@ def _zero_amplitudes(params: TrapParams) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _popcounts(n_ions: int) -> np.ndarray:
-    """Number of excited ions for every bit word 0 .. 2**N - 1."""
-    # int64, not bitwise_count's uint8: callers form N - 2 popcount(b)
-    return np.bitwise_count(np.arange(1 << n_ions)).astype(np.int64)
+    """Number of excited ions for every bit word 0 .. 2**N - 1, as uint8 (1 B per word).
+
+    Unsigned: a caller that forms N - 2 popcount(b) must do it in a
+    signed type, or it wraps (N=3, popcount 3 gives 253 in uint8).
+    """
+    return np.bitwise_count(np.arange(1 << n_ions))
 
 
 class StateVector:
@@ -289,7 +296,7 @@ class StateVector:
     and never decreases.
     """
 
-    __slots__ = ("amplitudes", "params", "frame", "clock")
+    __slots__ = ("_amplitudes", "_window", "params", "frame", "clock")
 
     def __init__(
         self,
@@ -308,28 +315,55 @@ class StateVector:
         self.frame = frame
         self.clock = float(clock)
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The flat (dim,) amplitude array, writable.
+
+        A snapshot from :meth:`copy` builds it on the first read: its
+        stored window, zero-padded above.  From then on the state holds
+        that array alone.
+        """
+        if self._window is not None:
+            amplitudes = _zero_amplitudes(self.params)
+            amplitudes[: self._window.size] = self._window
+            self.amplitudes = amplitudes
+        return self._amplitudes
+
+    @amplitudes.setter
+    def amplitudes(self, amplitudes: np.ndarray) -> None:
+        self._amplitudes, self._window = amplitudes, None
+
     def copy(self, *, top: int | None = None) -> "StateVector":
-        """An equal, independent state that writes only the Fock window.
+        """An equal, independent state that stores only the Fock window, levels 0 .. ``top``.
 
         ``top`` is the window from a caller that tracks it; without it
-        :func:`_fock_top` finds it.  Levels above stay untouched
-        ``np.zeros`` pages, never resident; the sign of a zero there
-        (-0.0) is not kept.
+        :func:`_fock_top` finds it.  The whole array is built on the first
+        read of ``amplitudes`` or ``blocks``, with +0.0 above the window
+        (the sign of a zero there, -0.0, is not kept).
         """
-        if top is None:
-            top = _fock_top(self.amplitudes, self.params)
-        window = (top + 1) * self.params.n_configs
-        amplitudes = _zero_amplitudes(self.params)
-        amplitudes[:window] = self.amplitudes[:window]
-        return StateVector(amplitudes, self.params, self.frame, self.clock)
+        if self._window is not None:  # a snapshot of a snapshot: the same window
+            window = self._window.copy()
+        else:
+            if top is None:
+                top = _fock_top(self._amplitudes, self.params)
+            window = self._amplitudes[: (top + 1) * self.params.n_configs].copy()
+        snapshot = StateVector.__new__(StateVector)
+        snapshot._amplitudes, snapshot._window = None, window
+        snapshot.params, snapshot.frame, snapshot.clock = self.params, self.frame, self.clock
+        return snapshot
 
     @property
     def blocks(self) -> np.ndarray:
         """Writable (n_levels, 2**N) view: one row per Fock level."""
         return levels_view(self.amplitudes, self.params)
 
+    def _amplitude_at(self, flat: int) -> np.complex128:
+        """The amplitude at a flat index, read from the stored levels: a snapshot's whole array is not built."""
+        stored = self._amplitudes if self._window is None else self._window
+        return stored[flat] if flat < stored.size else np.complex128(0.0)
+
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
-        return complex(self.amplitudes[flat_index(self.params, ion_bits, fock_n)])
+        return complex(self._amplitude_at(flat_index(self.params, ion_bits, fock_n)))
 
     def norm(self) -> float:
         return math.sqrt(populations(self.amplitudes))

@@ -142,8 +142,10 @@ def _run_sequence(
 def check_preparation_memory(params: TrapParams) -> None:
     """Raise before a preparation whose state and step snapshots would not fit in physical memory.
 
-    Six whole states (the state and a snapshot per step): the address
-    space they reserve.
+    Six whole states (the state and a snapshot per step).  A snapshot
+    stores only its Fock window, but any reader of its ``amplitudes`` or
+    ``blocks`` (the CLI step table, a dump, a test) builds the whole
+    array, so all six can be whole at once.
     """
     check_memory((1 + len(preparation_sequence(params))) * params.dim)
 
@@ -281,15 +283,16 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
     The references carry the exact phase factors, so a wrong relative
     phase between branches shows up as a nonzero residual.  Each
     reference is exactly zero outside its two nonzero entries, so the
-    overlap is taken over those entries only, without building the dense
-    references.  For any finite step state that is the same quantity as
-    the full inner product with :func:`trajectory_reference`'s states;
+    overlap is taken over those entries only, read from each snapshot's
+    stored levels, without building the dense references or the
+    snapshots' whole arrays.  For any finite step state that is the same
+    quantity as the full inner product with :func:`trajectory_reference`'s states;
     amplitude moved off the support shows as the norm missing on it.
     """
     params = report.final_state.params
     residuals = []
     for sim, table in zip(report.step_states, _reference_tables(params, report.pulse_times)):
-        overlap = sum(sim.amplitudes[index].conjugate() * value for index, value in table.items())
+        overlap = sum(sim._amplitude_at(index).conjugate() * value for index, value in table.items())
         residuals.append(float(1.0 - abs(overlap) ** 2))
     return TrajectoryCheck(residuals=residuals, tolerance=tolerance)
 
@@ -374,9 +377,9 @@ def _run_rows(
     for spec in specs:
         duration = apply_pulse_rows(rows, params, spec, clock, top=top)
         clock = clock + duration
+        top = _window_after(rows, params, spec, top)  # a phase maps zeros to zeros: the same window after it
         if detunings is not None:
-            apply_detuning_phase(rows, params, detunings, duration)
-        top = _window_after(rows, params, spec, top)
+            apply_detuning_phase(rows, params, detunings, duration, top=top)
     return clock, top
 
 

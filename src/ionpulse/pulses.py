@@ -56,10 +56,16 @@ A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
 table is pi it is a swap with one temporary.  A collective pulse whose
 angles are all pi is one signed reversal of the configuration axis (a
-cached popcount factor), in both modes.  Any other collective pulse
+cached popcount sign), in both modes.  Any other collective pulse
 is the single-ion kernel on each ion in turn: N passes, the same
-rotation kernel and no matrix product.  No kernel copies a state-sized
-view.  The kernels accept any leading batch axes, so
+rotation kernel and no matrix product.  The detuning phase gathers a
+table of N+1 phases per row by popcount and multiplies the window.  No
+kernel allocates its temporaries: they are written with ``out=`` into a
+per-thread work buffer (:func:`_workspace`) that grows to the largest
+request, at most the size of the rows a kernel acts on, and is reused
+by every later call on that thread, so its pages stay resident instead
+of being returned to the OS and faulted in again on every call.  The
+kernels accept any leading batch axes, so
 :func:`apply_pulse_rows` applies one pulse to many states (rows of one
 array, sharing one clock) in a single call, and :func:`apply_pulse` is
 the same code on one :class:`StateVector`.
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -262,21 +269,53 @@ def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: flo
     levels_view(amplitudes, params)[..., 1 : top + 1, :] *= _free_phases(params.trap_freq, duration, top)
 
 
+_WORKSPACE = threading.local()
+
+
+def _workspace(shape: tuple[int, ...], count: int = 1) -> list[np.ndarray]:
+    """``count`` disjoint contiguous complex arrays of ``shape``, carved from this thread's work buffer.
+
+    The buffer grows to the largest request and is kept, so the kernels
+    that write their temporaries into it allocate nothing once it has
+    grown.  Each request is at most the size of the rows the kernel acts
+    on.  A returned array is valid until the next request on the same
+    thread.
+    """
+    size = math.prod(shape)
+    buffer = getattr(_WORKSPACE, "buffer", None)
+    if buffer is None or buffer.size < count * size:
+        buffer = _WORKSPACE.buffer = np.empty(count * size, dtype=np.complex128)
+    return [buffer[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
+
+
 def apply_detuning_phase(
-    amplitudes: np.ndarray, params: TrapParams, detuning: float | np.ndarray, duration: float
+    amplitudes: np.ndarray,
+    params: TrapParams,
+    detuning: float | np.ndarray,
+    duration: float,
+    *,
+    top: int | None = None,
 ) -> None:
     """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row.
 
     ``detuning`` is a float or an array with the leading shape of
     ``amplitudes``.  The single home of the detuning phase: free evolution
     and the ``detuning_during_pulses`` diagnostic both go through it.
-    Nothing is touched when every detuning or the duration is zero.
+    Nothing is touched when every detuning or the duration is zero.  Each
+    row's N+1 phases, one per popcount k, are gathered by the cached
+    popcount table and multiply the Fock window, levels 0 .. ``top``
+    (found from the amplitudes when not given); the exact zeros above it
+    are left as they are.
     """
     if duration == 0.0 or not np.count_nonzero(detuning):
         return
+    if top is None:
+        top = _fock_top(amplitudes, params)
     detuning = np.asarray(detuning, dtype=np.float64)
-    phase = np.exp(-1j * detuning[..., None] * duration * _popcounts(params.n_ions))
-    levels_view(amplitudes, params)[...] *= phase[..., None, :]
+    table = np.exp(-1j * detuning[..., None] * duration * np.arange(params.n_ions + 1))
+    [phase] = _workspace(table.shape[:-1] + (params.n_configs,))
+    np.take(table, _popcounts(params.n_ions), axis=-1, out=phase, mode="clip")  # "clip": unbuffered out
+    levels_view(amplitudes, params)[..., : top + 1, :] *= phase[..., None, :]
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -320,8 +359,10 @@ def _angle_table(
 
     The one place a pulse's mode is read.  Level m stands for the pair
     (|g,m+1>, |e,m>) of the sideband and for the level itself otherwise.
-    The columns are read-only, shaped (levels, 1, 1).  An empty window
-    counts as all pi (there is nothing to rotate).
+    The columns are read-only, shaped (levels, 1, 1), and complex, so a
+    product with a state's amplitudes casts nothing (a cast makes NumPy
+    copy through buffers); the values are those of the real columns.  An
+    empty window counts as all pi (there is nothing to rotate).
     """
     if kind is PulseKind.CARRIER_PI_HALF:
         levels = range(top + 1)
@@ -335,7 +376,8 @@ def _angle_table(
     else:
         levels = range(1, top + 1)
         thetas = [math.pi * m / target_n for m in levels]
-    cos, sin = np.array([_half_angle(theta) for theta in thetas]).reshape(-1, 2).T.reshape(2, -1, 1, 1)
+    halves = np.array([_half_angle(theta) for theta in thetas], dtype=np.complex128)
+    cos, sin = halves.reshape(-1, 2).T.reshape(2, -1, 1, 1)
     cos.flags.writeable = sin.flags.writeable = False
     return slice(levels.start, levels.stop), cos, sin, all(theta == math.pi for theta in thetas)
 
@@ -345,9 +387,9 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
 
     In place (a, b) <- (c a + x b, c b + y a) with x = -s conj(u), y = s u,
     broadcast over the levels with the table's (c, s) columns: two
-    temporaries the size of ``a``, and no view is copied.  When every
-    angle is pi (c = 0, s = 1) the update is the swap (x b, y a) with one
-    temporary.
+    temporaries the size of ``a`` from the work buffer, and no view is
+    copied.  When every angle is pi (c = 0, s = 1) the update is the swap
+    (x b, y a) with one temporary.
     """
     levels, cos, sin, all_pi = table
     view = _ion_view(amplitudes, params, ion)
@@ -355,12 +397,14 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
     b = view[..., levels, :, 1, :]
     x = -u.conjugate()
     if all_pi:
-        new_a = x * b
+        [new_a] = _workspace(a.shape)
+        np.multiply(x, b, out=new_a)
         np.multiply(u, a, out=b)
         a[...] = new_a
         return
-    new_a = cos * a
-    term = (sin * x) * b
+    new_a, term = _workspace(a.shape, 2)
+    np.multiply(cos, a, out=new_a)
+    np.multiply(sin * x, b, out=term)
     new_a += term
     np.multiply(sin * u, a, out=term)
     b *= cos
@@ -372,12 +416,13 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
 def _collective_flip(n_ions: int, laser_phase: float) -> np.ndarray:
     """Factor (-1)^popcount(b) e^{i phase (N - 2 popcount(b))} per bit word b, read-only.
 
-    Real (a sign) at laser phase 0, which halves the cached bytes.
+    An int8 sign at laser phase 0, 1 B per word; a product with it is
+    bit-identical to one with a float64 sign.
     """
     pc = _popcounts(n_ions)
-    coef = np.where(pc % 2 == 0, 1.0, -1.0)
+    coef = np.where(pc & 1, np.int8(-1), np.int8(1))
     if laser_phase != 0.0:
-        coef = coef * np.exp(1j * laser_phase * (n_ions - 2 * pc))
+        coef = coef * np.exp(1j * laser_phase * (n_ions - 2 * pc.astype(np.int64)))  # signed: uint8 wraps
     coef.flags.writeable = False
     return coef
 
@@ -395,8 +440,10 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
             _rotate_one_ion(amplitudes, params, ion, table, 0, u)
         return
     blocks = levels_view(amplitudes, params)[..., levels, :]
+    [flipped] = _workspace(blocks.shape)
+    np.multiply(_collective_flip(params.n_ions, laser_phase), blocks, out=flipped)
     # Reversing the config axis maps bit word b to its complement mask - b.
-    blocks[...] = (_collective_flip(params.n_ions, laser_phase) * blocks)[..., ::-1]
+    blocks[...] = flipped[..., ::-1]
 
 
 def _sideband_top(table, top: int) -> int:
@@ -433,7 +480,7 @@ def apply_pulse_rows(
     if spec.kind is PulseKind.WAIT:
         if duration > 0:
             _apply_free_phases(amplitudes, params, duration, top)
-            apply_detuning_phase(amplitudes, params, detuning, duration)
+            apply_detuning_phase(amplitudes, params, detuning, duration, top=top)
         check_leakage = False  # phases move no population
     else:
         table = _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)

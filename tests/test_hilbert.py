@@ -216,7 +216,7 @@ class TestPopcounts:
     @pytest.mark.parametrize("n_ions", range(1, 13))
     def test_table_counts_excited_ions(self, n_ions):
         table = hilbert._popcounts(n_ions)
-        assert table.dtype == np.int64
+        assert table.dtype == np.uint8  # 1 B per word; callers form N - 2 popcount in a signed type
         assert table.tolist() == [bin(b).count("1") for b in range(1 << n_ions)]
 
 
