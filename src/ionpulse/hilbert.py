@@ -20,17 +20,16 @@ marginal, an ion's excited-state readout and the pulse guards (see
 :mod:`ionpulse.pulses`) all read it.
 
 The Fock window is the levels up to the highest one holding a nonzero
-amplitude (NaN included).  :func:`_fock_top` finds it from scratch, and
-:func:`_lower_top` lowers a known bound to it, reading only the levels it
-drops and the one it keeps.  The pulse kernels act on the window only, and
+amplitude (NaN included), found by :func:`_fock_top` from a known bound
+or the cutoff.  The pulse kernels act on the window only, and
 :meth:`StateVector.copy` stores only the window: the whole zero-padded
 array is built the first time ``amplitudes`` or ``blocks`` is read, and
 kept from then on, so a write through either one is seen by every later
-reader.  A snapshot nobody reads as a whole (the preparation's step states
-under :func:`ionpulse.protocol.verify_trajectory`, which reads single
-amplitudes) never costs more than its window.  The runners that own their
-states (:mod:`ionpulse.protocol`, :mod:`ionpulse.seqlang`) carry the window
-from step to step and hand it to both, so neither reads the levels above it.
+reader.  A snapshot read only amplitude by amplitude (the preparation's
+step states under :func:`ionpulse.protocol.verify_trajectory`) never
+costs more than its window.  The runners that own their states
+(:mod:`ionpulse.protocol`, :mod:`ionpulse.seqlang`) carry the window from
+step to step and hand it to both, so neither reads the levels above it.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -88,10 +87,10 @@ class InputError(ValueError):
     """A parameter outside its documented range: bad input, rejected before any work."""
 
 
-def _require_finite(name: str, value: float) -> None:
-    """Reject NaN and infinities up front, naming the offending field."""
+def _require_finite(name: str, value: float, error: type[Exception] = InputError) -> None:
+    """Reject NaN and infinities up front, naming the offending field or quantity."""
     if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -206,27 +205,14 @@ def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarra
     return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
-def _fock_top(amplitudes: np.ndarray, params: TrapParams) -> int:
+def _fock_top(amplitudes: np.ndarray, params: TrapParams, top: int | None = None) -> int:
     """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
 
-    One reduction over levels 1 .. n_max of every row: at N=18 it reads
-    what a level-by-level scan from n_max down to level 1 reads, in the
-    same time, and on small batches it costs one call instead of n_max.
-    A NaN counts as nonzero, so no level holding one is ever skipped.
-    """
-    above_ground = amplitudes.reshape(-1, params.n_levels, params.n_configs)[:, 1:, :]
-    occupied = np.flatnonzero(np.logical_or.reduce(above_ground, axis=(0, 2)))
-    return int(occupied[-1]) + 1 if occupied.size else 0
-
-
-def _lower_top(amplitudes: np.ndarray, params: TrapParams, top: int) -> int:
-    """:func:`_fock_top` of rows whose levels above ``top`` hold exact zeros.
-
-    Lowers ``top`` while its level holds only zeros in every row, so an
-    occupied top level costs one read of that level alone.  As in
-    :func:`_fock_top`, a NaN counts as nonzero and -0.0 as zero.
+    Lowers ``top`` (the cutoff when None; the levels above must hold exact zeros) while its
+    level holds only zeros in every row, one read per level.  NaN counts as nonzero, -0.0 as zero.
     """
     levels = levels_view(amplitudes, params)
+    top = params.fock_cutoff if top is None else top
     while top > 0 and not levels[..., top, :].any():
         top -= 1
     return top

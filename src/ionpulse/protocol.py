@@ -29,13 +29,12 @@ quantify that approximation instead of leaving it silent.
 
 Because Delta only enters through diagonal phases, a scan carries its
 detuning grid as a batch axis: grid points are rows of one amplitude
-array, and each pulse is applied to all rows in one call.  The
-preparation runs once and is copied into every row (per row only with
-``detuning_during_pulses``); the wait is one diagonal phase with each
-row's own Delta; the reversed pulses and the readout act on all rows at
-once.  Rows run in chunks whose array stays within ``SCAN_CHUNK_BYTES``,
-so memory does not grow with the grid.  :func:`ramsey_run` is the
-one-point case.
+array.  The scheme is one step list (preparation, wait, reversed
+preparation), and each step is applied to all rows in one call with each
+row's own Delta.  The preparation runs once and is copied into every row
+(per row only with ``detuning_during_pulses``).  Rows run in chunks
+whose array stays within ``SCAN_CHUNK_BYTES``, so memory does not grow
+with the grid.  :func:`ramsey_run` is the one-point case.
 """
 
 from __future__ import annotations
@@ -193,12 +192,14 @@ def prepare_max_entangled(
     """
     mode = PulseMode(mode)
     specs = preparation_sequence(params, mode)
+    phi = None
     if omega0 is not None:
         _require_finite("omega0", omega0)
         t5 = 0.0
         for spec in specs:  # the clock after the last pulse, summed as the run sums it
             t5 = t5 + pulse_duration(spec, params)
-        if not math.isfinite(params.n_ions * omega0 * t5):
+        phi = params.n_ions * omega0 * t5
+        if not math.isfinite(phi):
             raise InputError(
                 f"omega0 must keep the lab-frame phase N*omega0*t5 finite, got omega0={omega0!r} "
                 f"with N={params.n_ions} and t5={t5!r}"
@@ -209,7 +210,6 @@ def prepare_max_entangled(
     _run_sequence(state, specs, 0, step_states=step_states)  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
-    phi = params.n_ions * omega0 * pulse_times[-1] if omega0 is not None else None
     return PreparationReport(
         final_state=state,
         fidelity_vs_target=fid,
@@ -366,19 +366,21 @@ def _run_rows(
     specs: list[PulseSpec],
     clock: float,
     top: int,
-    detunings: np.ndarray | None = None,
+    detunings: float | np.ndarray = 0.0,
+    during_pulses: bool = False,
 ) -> tuple[float, int]:
     """Apply ``specs`` to every row from the shared ``clock`` and Fock window ``top``; return both after them.
 
-    With ``detunings`` (one per row) each pulse is followed by the detuning
-    phase accumulated over its duration: the ``detuning_during_pulses``
-    diagnostic.
+    ``detunings`` (one per row, or one for all) reach every step; only a
+    wait reads them.  With ``during_pulses`` every other step is followed
+    by the detuning phase accumulated over its duration: the
+    ``detuning_during_pulses`` diagnostic.
     """
     for spec in specs:
-        duration = apply_pulse_rows(rows, params, spec, clock, top=top)
+        duration = apply_pulse_rows(rows, params, spec, clock, detunings, top=top)
         clock = clock + duration
         top = _window_after(rows, params, spec, top)  # a phase maps zeros to zeros: the same window after it
-        if detunings is not None:
+        if during_pulses and spec.kind is not PulseKind.WAIT:
             apply_detuning_phase(rows, params, detunings, duration, top=top)
     return clock, top
 
@@ -391,32 +393,27 @@ def _chunk_rows(params: TrapParams) -> int:
 def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     """``read(rows, clock)`` of the Ramsey scheme's final rows, one call per chunk of ``deltas``.
 
-    Frame-invariant pulses do not depend on the detuning, so the
-    preparation runs once, on one row that every chunk copies; with
-    ``detuning_during_pulses`` each chunk runs it on its own rows.  A
-    chunk is freed once read, so at most one is alive at a time.
+    Every step runs through :func:`_run_rows`.  The steps every row shares
+    run once, on a start row that every chunk copies: the whole
+    preparation, or none with ``detuning_during_pulses``.  Each chunk runs
+    the rest and is freed once read, so at most one is alive at a time.
     """
     params = config.params
-    specs = preparation_sequence(params, config.mode)
-    wait = PulseSpec(PulseKind.WAIT, duration=config.wait_time)
+    prep = preparation_sequence(params, config.mode)
+    steps = [*prep, PulseSpec(PulseKind.WAIT, duration=config.wait_time), *reversed(prep)]
     start = ground_state(params).amplitudes[None, :]
-    for spec in specs:  # after the memory check, before the warning: an input that cannot run gets the error alone
+    for spec in prep:  # after the memory check, before the warning: an input that cannot run gets the error alone
         validate_pulse_spec(spec, params)
     _check_validity(params, deltas)
-    per_row = config.detuning_during_pulses
-    # the ground state's window is level 0
-    prepared = None if per_row else _run_rows(start, params, specs, 0.0, 0)
+    shared = 0 if config.detuning_during_pulses else len(prep)
+    clock, top = _run_rows(start, params, steps[:shared], 0.0, 0)  # the ground state's window is level 0
     chunk = _chunk_rows(params)
     results = []
     for block in np.split(deltas, range(chunk, deltas.size, chunk)):
-        kick = block if per_row else None
         check_memory((block.size + 1) * params.dim)  # the chunk's rows and the live one-row start
         rows = np.repeat(start, block.size, axis=0)
-        clock, top = _run_rows(rows, params, specs, 0.0, 0, kick) if per_row else prepared
-        clock = clock + apply_pulse_rows(rows, params, wait, clock, block, top=top)
-        top = _window_after(rows, params, wait, top)
-        clock, _ = _run_rows(rows, params, specs[::-1], clock, top, kick)
-        results.append(read(rows, clock))
+        end, _ = _run_rows(rows, params, steps[shared:], clock, top, block, config.detuning_during_pulses)
+        results.append(read(rows, end))
         del rows  # before the next chunk is allocated
     return results
 

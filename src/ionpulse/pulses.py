@@ -40,38 +40,32 @@ carrier's theta = pi/2 is the same in both modes.
 Applications are matrix-free and in place, on per-Fock-block views of the
 flat amplitude array.  Every kernel acts only on the Fock window: levels
 0 .. top, where top is the highest level holding a nonzero amplitude in
-any row (the sideband's coupled pairs reach top + 1).  The levels above
-hold exact zeros, which every pulse maps to zeros, so the free phase and
-the rotations never touch them.  Only arithmetic on exact zeros is
-skipped, and a NaN counts as nonzero.  A runner that owns its state
-knows the window without reading it: it passes ``top`` to each call and
-moves it on with :func:`_window_after`.  A call without ``top`` finds the
-window with :func:`ionpulse.hilbert._fock_top`.  After every step one
-pass of :func:`ionpulse.hilbert.populations` over the window gives each
-row's per-level populations: the norm guard reads their sum, and the
-leakage guard their top level once the window reaches the cutoff (below
-it that level holds exact zeros).
+any row (NaN included; the sideband's coupled pairs reach top + 1).  The
+levels above hold exact zeros, which every pulse maps to zeros, so no
+kernel touches them.  A runner that owns its state passes ``top`` to each
+call and moves it on with :func:`_window_after`; a call without ``top``
+finds it with :func:`ionpulse.hilbert._fock_top`.  Before a step changes
+anything its end time and the phases it forms must be finite; after it,
+one pass of :func:`ionpulse.hilbert.populations` over the window gives
+each row's per-level populations: the norm guard reads their sum, the
+leakage guard their top level once the window reaches the cutoff.
 
 A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
 table is pi it is a swap with one temporary.  A collective pulse whose
 angles are all pi is one signed reversal of the configuration axis (a
-cached popcount sign), in both modes.  Any other collective pulse
-is the single-ion kernel on each ion in turn: N passes, the same
-rotation kernel and no matrix product.  The detuning phase gathers a
+cached popcount sign), in both modes; any other collective pulse is the
+single-ion kernel on each ion in turn.  The detuning phase gathers a
 table of N+1 phases per row by popcount and multiplies the window.  No
 kernel allocates its temporaries: they are written with ``out=`` into a
 per-thread work buffer (:func:`_workspace`) that grows to the largest
-request, at most the size of the rows a kernel acts on, and is reused
-by every later call on that thread, so its pages stay resident instead
-of being returned to the OS and faulted in again on every call.  The
-kernels accept any leading batch axes, so
+request and is kept, so its pages stay resident instead of being faulted
+in again on every call.  The kernels accept any leading batch axes:
 :func:`apply_pulse_rows` applies one pulse to many states (rows of one
-array, sharing one clock) in a single call, and :func:`apply_pulse` is
-the same code on one :class:`StateVector`.
-:func:`dense_matrix` builds the same unitaries as explicit matrices
-through an independent kron/loop construction and is used by the
-test-suite to cross-check the fast path.
+array, sharing one clock) in one call, and :func:`apply_pulse` is the
+same code on one :class:`StateVector`.  :func:`dense_matrix` builds the
+same unitaries as explicit matrices through an independent kron/loop
+construction, for the test-suite to cross-check the fast path.
 
 Phase origin: all drive fields are taken to be in phase at t = 0, so a
 pulse's phase factors depend on the absolute start time t0 carried by the
@@ -96,8 +90,8 @@ from .hilbert import (
     TrapParams,
     _fock_top,
     _ion_view,
-    _lower_top,
     _popcounts,
+    _require_finite,
     levels_view,
     populations,
 )
@@ -219,8 +213,7 @@ def pulse_duration(spec: PulseSpec, params: TrapParams) -> float:
 
 def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
     """Raise PulseError if the spec cannot be applied under these parameters; return its duration."""
-    if not math.isfinite(spec.laser_phase):
-        raise PulseError(f"laser_phase must be finite, got {spec.laser_phase!r}")
+    _require_finite("laser_phase", spec.laser_phase, PulseError)
     if spec.kind is PulseKind.WAIT:
         return pulse_duration(spec, params)
     if spec.duration is not None:
@@ -245,6 +238,29 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
                 f"dispersive target_n {spec.target_n} beyond the cutoff {params.fock_cutoff}"
             )
     return pulse_duration(spec, params)
+
+
+def _check_detuning_phase(detuning: float | np.ndarray, duration: float, n_ions: int) -> None:
+    """Raise PulseError unless the largest detuning phase |Delta| * duration * N, in the table's order, is finite."""
+    bound = float(np.abs(detuning).max()) * duration * n_ions
+    _require_finite("the detuning phase Delta * duration * N", bound, PulseError)
+
+
+def _check_step_phases(
+    params: TrapParams, spec: PulseSpec, t0: float, duration: float, detuning: float | np.ndarray
+) -> None:
+    """Raise PulseError when the step's end time or a phase it forms is not finite, before any amplitude changes.
+
+    Each phase is bounded at its largest factor, formed in the kernels'
+    order, so a finite bound keeps every term a kernel forms finite.
+    """
+    _require_finite("the clock t0 + duration at the end of the step", t0 + duration, PulseError)
+    if duration:  # a zero wait forms no phase
+        _require_finite("the trap phase nu * n_max * duration", params.trap_freq * params.fock_cutoff * duration, PulseError)
+    if spec.kind is PulseKind.JC_PI:
+        _require_finite("the sideband phase nu * t0 + phase", params.trap_freq * t0 + spec.laser_phase, PulseError)
+    elif spec.kind is PulseKind.WAIT:
+        _check_detuning_phase(detuning, duration, params.n_ions)
 
 
 @lru_cache(maxsize=64)
@@ -312,6 +328,7 @@ def apply_detuning_phase(
     if top is None:
         top = _fock_top(amplitudes, params)
     detuning = np.asarray(detuning, dtype=np.float64)
+    _check_detuning_phase(detuning, duration, params.n_ions)
     table = np.exp(-1j * detuning[..., None] * duration * np.arange(params.n_ions + 1))
     [phase] = _workspace(table.shape[:-1] + (params.n_configs,))
     np.take(table, _popcounts(params.n_ions), axis=-1, out=phase, mode="clip")  # "clip": unbuffered out
@@ -464,17 +481,19 @@ def apply_pulse_rows(
     """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration.
 
     Every row is one state, and all rows share the start time ``t0``.
-    ``detuning`` (one per row, or one for all) only enters wait steps.
-    ``top`` is the rows' Fock window, the highest level holding a nonzero
-    amplitude, from a caller that tracks it (see :func:`_window_after`);
-    without it the window is found from the amplitudes.  A pulse rotates
-    the pairs its angle table lists and then gives the window its free
-    phase.  After the step every row's norm is checked, and after a
-    pulse every row's population at the Fock cutoff, unless
-    ``check_leakage=False``; that bypass is meant for unitary-equivalence
-    checks on synthetic full-support states, not for simulations.
+    ``detuning`` (one per row, or one for all) only enters wait steps.  A
+    step whose end time or phases are not finite raises PulseError before
+    it changes any amplitude.  ``top`` is the rows' Fock window from a
+    caller that tracks it (see :func:`_window_after`); without it the
+    window is found from the amplitudes.  A pulse rotates the pairs its
+    angle table lists and then gives the window its free phase.  After the
+    step every row's norm is checked, and after a pulse every row's
+    population at the Fock cutoff, unless ``check_leakage=False``; that
+    bypass is meant for unitary-equivalence checks on synthetic
+    full-support states, not for simulations.
     """
     duration = validate_pulse_spec(spec, params)
+    _check_step_phases(params, spec, t0, duration, detuning)
     if top is None:
         top = _fock_top(amplitudes, params)
     if spec.kind is PulseKind.WAIT:
@@ -511,15 +530,12 @@ def apply_pulse(
 def _window_after(amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, top: int) -> int:
     """The Fock window of rows that ``spec`` was just applied to with window ``top``.
 
-    A sideband raises it as its free-phase pass did; any step then lowers
-    it while its top level holds only exact zeros.  So a runner that
-    starts from a known window keeps it equal to what
-    :func:`ionpulse.hilbert._fock_top` would find, step after step,
-    without reading the levels above it.
+    A sideband raises it as its free-phase pass did, then :func:`ionpulse.hilbert._fock_top`
+    lowers it: a runner keeps its window exact without reading the levels above it.
     """
     if spec.kind is PulseKind.JC_PI:
         top = _sideband_top(_angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top), top)
-    return _lower_top(amplitudes, params, top)
+    return _fock_top(amplitudes, params, top)
 
 
 def free_evolve(state: StateVector, duration: float) -> StateVector:

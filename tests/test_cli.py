@@ -251,6 +251,42 @@ class TestRun:
         assert "warning: no steps" in err
 
 
+class TestNonFiniteClockOrPhase:
+    """A step whose end time or a phase it forms overflows: exit 1, one named error, no output, no warning."""
+
+    @staticmethod
+    def assert_one_error(capsys, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert caught == []
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and named in line and line.endswith("must be finite, got inf")
+        return line
+
+    @pytest.mark.parametrize(
+        "steps, line, named",
+        [
+            # the first wait's nu * n_max * T overflows, before the clock does at the second
+            (["wait T=1e308", "carrier_pi2 ion=1", "wait T=1e308", "carrier_pi2 ion=1"], 2, "trap phase"),
+            (["wait T=1e308", "wait T=1e308", "jc_pi ion=2 n=0"], 2, "trap phase"),
+            (["frame Rprime delta=1e300", "wait T=1e10"], 3, "detuning phase"),
+            (["trap nu=1e-10", "wait T=1e308", "wait T=1e308"], 4, "clock"),
+            (["trap nu=2 nmax=1", "wait T=8e307", "wait T=8e307", "jc_pi ion=2 n=0"], 5, "sideband phase"),
+        ],
+        ids=["carrier-after-long-waits", "sideband-after-long-waits", "detuned-wait", "clock", "sideband"],
+    )
+    def test_program_error_at_the_overflowing_step(self, capsys, tmp_path, steps, line, named):
+        path = tmp_path / "overflow.pseq"
+        path.write_text("\n".join(["ions N=2", *steps]) + "\n")
+        error = self.assert_one_error(capsys, ["run", str(path)], named)
+        assert error.startswith(f"error: {line}:1: ")
+
+    def test_prepare_with_overflowing_trap_phase(self, capsys):
+        self.assert_one_error(capsys, ["prepare", "--ions", "3", "--nu", "1e308", "--mode", "physical"], "trap phase")
+
+
 class TestVerify:
     def test_default_range_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

@@ -356,6 +356,37 @@ class TestCopy:
         assert_exact_copy(s)
 
 
+@st.composite
+def level_rows(draw):
+    """Amplitude rows whose every (row, level) block is all zeros of either sign, or zeros plus one NaN, 1e-300 or normal entry."""
+    n_ions, nmax, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    p = make_params(n_ions, nmax=nmax)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], size=(n_rows, p.n_levels, p.n_configs, 2))
+    levels = np.copysign(0.0, signs).view(np.complex128)[..., 0]
+    entries = st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), 1e-300, -1e-300j, 0.6 - 0.8j])
+    for row in range(n_rows):
+        for level in range(p.n_levels):
+            if draw(st.booleans()):
+                levels[row, level, draw(st.integers(0, p.n_configs - 1))] = draw(entries)
+    return p, levels.reshape(n_rows, p.dim)
+
+
+class TestFockTop:
+    @given(case=level_rows())
+    def test_lowers_every_bound_to_the_highest_nonzero_level(self, case):
+        p, rows = case
+        # reference: every level holding an entry that compares unequal to zero (NaN does, -0.0 does not)
+        occupied = np.flatnonzero((rows.reshape(-1, p.n_levels, p.n_configs) != 0).any(axis=(0, 2)))
+        window = int(occupied[-1]) if occupied.size else 0
+        assert hilbert._fock_top(rows, p) == window
+        for top in range(window, p.fock_cutoff + 1):
+            assert hilbert._fock_top(rows, p, top) == window
+        for row in rows:  # a single (dim,) state: its own window
+            occupied = np.flatnonzero((row.reshape(p.n_levels, p.n_configs) != 0).any(axis=1))
+            assert hilbert._fock_top(row, p) == (int(occupied[-1]) if occupied.size else 0)
+
+
 class TestDump:
     def test_matches_the_per_amplitude_form_with_signed_zeros(self):
         p = make_params(1, nmax=1)

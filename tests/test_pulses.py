@@ -26,7 +26,7 @@ from ionpulse import (
 )
 from ionpulse import prepare_max_entangled, pulses, seqlang
 from ionpulse.hilbert import levels_view, populations
-from ionpulse.pulses import apply_pulse_rows
+from ionpulse.pulses import apply_detuning_phase, apply_pulse_rows
 from conftest import make_params, random_state
 
 SQRT2 = math.sqrt(2.0)
@@ -517,6 +517,51 @@ class TestBatchAxis:
     def test_non_finite_laser_phase_rejected(self):
         with pytest.raises(PulseError, match="laser_phase"):
             apply_pulse(ground_state(make_params(1)), PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1, laser_phase=math.nan))
+
+
+class TestNonFiniteClockOrPhase:
+    """A step whose end time or a phase it forms is not finite raises PulseError before it changes any amplitude."""
+
+    @staticmethod
+    def assert_rejected(rows, match, call):
+        before = rows.copy()
+        with pytest.raises(PulseError, match=match):
+            call()
+        assert rows.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind.value}-{s.mode.value}")
+    def test_infinite_start_time(self, spec):
+        p = make_params(2, nmax=3)
+        rows = windowed_rows(p, np.random.default_rng(5), (1, 2))
+        self.assert_rejected(rows, "clock", lambda: apply_pulse_rows(rows, p, spec, math.inf, check_leakage=False))
+
+    def test_clock_overflowing_at_the_end_of_a_wait(self):
+        p = make_params(2, nu=1e-10)
+        rows = windowed_rows(p, np.random.default_rng(6), (1,))
+        wait = PulseSpec(PulseKind.WAIT, duration=1e308)
+        self.assert_rejected(rows, "clock", lambda: apply_pulse_rows(rows, p, wait, 1e308))
+
+    def test_trap_phase_counts_every_level_up_to_the_cutoff(self):
+        # nu * 4 * T overflows although the state occupies level 0 only
+        p = make_params(2, nmax=4)
+        rows = ground_state(p).amplitudes[None, :].copy()
+        wait = PulseSpec(PulseKind.WAIT, duration=1e308)
+        self.assert_rejected(rows, "trap phase", lambda: apply_pulse_rows(rows, p, wait, 0.0))
+        apply_pulse_rows(rows, p, PulseSpec(PulseKind.WAIT, duration=0.0), 1e308)  # a zero wait forms no phase
+
+    def test_sideband_phase(self):
+        p = make_params(2, nmax=1, nu=2.0)
+        rows = ground_state(p).amplitudes[None, :].copy()
+        spec = PulseSpec(PulseKind.JC_PI, target_ion=2, target_n=0)
+        self.assert_rejected(rows, "sideband phase", lambda: apply_pulse_rows(rows, p, spec, 1.6e308))
+
+    def test_detuning_phase_of_one_row(self):
+        p = make_params(3)
+        rows = windowed_rows(p, np.random.default_rng(7), (0, 2))
+        wait = PulseSpec(PulseKind.WAIT, duration=1e10)
+        detunings = np.array([0.1, 1e300])
+        self.assert_rejected(rows, "detuning phase", lambda: apply_pulse_rows(rows, p, wait, 0.0, detunings))
+        self.assert_rejected(rows, "detuning phase", lambda: apply_detuning_phase(rows, p, detunings, 1e10))
 
 
 def windowed_rows(params, rng, tops):
