@@ -21,15 +21,27 @@ marginal, an ion's excited-state readout and the pulse guards (see
 
 The Fock window is the levels up to the highest one holding a nonzero
 amplitude (NaN included), found by :func:`_fock_top` from a known bound
-or the cutoff.  The pulse kernels act on the window only, and
-:meth:`StateVector.copy` stores only the window: the whole zero-padded
-array is built the first time ``amplitudes`` or ``blocks`` is read, and
-kept from then on, so a write through either one is seen by every later
-reader.  A snapshot read only amplitude by amplitude (the preparation's
-step states under :func:`ionpulse.protocol.verify_trajectory`) never
-costs more than its window.  The runners that own their states
-(:mod:`ionpulse.protocol`, :mod:`ionpulse.seqlang`) carry the window from
-step to step and hand it to both, so neither reads the levels above it.
+or the cutoff.  A :class:`StateVector` either holds the whole flat array
+or stores only levels 0 .. top, in one of two bases:
+
+* the configuration basis above, 2**N amplitudes per level: the window
+  of a snapshot taken by :meth:`StateVector.copy` from a whole state;
+* the sector basis |n>|s_N>|D_k>, 2N amplitudes per level at flat index
+  ``s * N + k``: s is ion N's state and D_k the normalised Dicke state
+  of k excitations among ions 1 .. N-1.  Pulses on ion N and collective
+  pi pulses never leave it, so the five-pulse preparation runs on
+  2N(n_max + 1) amplitudes (:func:`_sector_ground_state`).  The sector
+  coefficient of D_k is sqrt(C(N-1, k)) times the amplitude of each of
+  its bit words.  At N <= 2 the two bases coincide index for index.
+
+The whole array is built by one function, :func:`_lift`, on the first
+read of ``amplitudes`` or ``blocks``, and kept from then on, so a write
+through either one is seen by every later reader.  Readers that need
+only a few numbers (:meth:`StateVector._amplitude_at`, the norm,
+:func:`fock_populations`) read the stored levels and never build it.
+The runners that own their states (:mod:`ionpulse.protocol`,
+:mod:`ionpulse.seqlang`) carry the window from step to step and hand it
+to the kernels, so neither reads the levels above it.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -43,7 +55,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -127,17 +139,18 @@ class TrapParams:
         if self.base_rabi < 0:
             raise InputError(f"base_rabi must be >= 0, got {self.base_rabi}")
 
-    @property
+    # Cached: every kernel call reads these to shape its views.
+    @cached_property
     def n_levels(self) -> int:
         """Number of Fock levels kept, n_max + 1."""
         return self.fock_cutoff + 1
 
-    @property
+    @cached_property
     def n_configs(self) -> int:
         """Number of electronic configurations, 2**N."""
         return 1 << self.n_ions
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.n_levels * self.n_configs
 
@@ -190,18 +203,36 @@ def split_index(params: TrapParams, flat: int) -> BasisIndex:
 
 
 def levels_view(amplitudes: np.ndarray, params: TrapParams) -> np.ndarray:
-    """Writable (..., n_levels, 2**N) view of amplitude rows of shape (..., dim).
+    """Writable (..., n_levels, width) view of amplitude rows of shape (..., n_levels * width).
 
     Leading axes are batch axes: every row is one state, and the pulse
-    kernels and guards act on all rows at once.
+    kernels and guards act on all rows at once.  The width is 2**N for
+    rows of shape (..., dim) and 2N for sector rows.
     """
-    return amplitudes.reshape(amplitudes.shape[:-1] + (params.n_levels, params.n_configs))
+    return amplitudes.reshape(amplitudes.shape[:-1] + (params.n_levels, -1))
+
+
+def _in_sector(amplitudes: np.ndarray, params: TrapParams) -> bool:
+    """Whether rows hold every Fock level in the sector basis, 2N per level, rather than in 2**N configurations.
+
+    The two widths differ from N = 3 up; below, the bases coincide and the rows count as configurations.
+    """
+    return amplitudes.shape[-1] != params.dim
 
 
 def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarray:
-    """View (..., n_levels, high_bits, 2, low_bits) of (..., dim) rows with ion ``ion``'s bit (1-based) on axis -2."""
-    bit = ion - 1
-    shape = (params.n_levels, 1 << (params.n_ions - 1 - bit), 2, 1 << bit)
+    """View (..., n_levels, high_bits, 2, low_bits) of (..., dim) rows with ion ``ion``'s bit (1-based) on axis -2.
+
+    Sector rows address ion N alone, as (..., n_levels, 1, 2, N): s_N on axis -2, k on the last.
+    """
+    n = params.n_ions
+    if _in_sector(amplitudes, params):
+        if ion != n:
+            raise ValueError(f"the sector basis addresses ion {n} alone, not ion {ion}")
+        shape = (params.n_levels, 1, 2, n)
+    else:
+        bit = ion - 1
+        shape = (params.n_levels, 1 << (n - 1 - bit), 2, 1 << bit)
     return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
@@ -263,13 +294,70 @@ def _zero_amplitudes(params: TrapParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _popcounts(n_ions: int) -> np.ndarray:
-    """Number of excited ions for every bit word 0 .. 2**N - 1, as uint8 (1 B per word).
+def _popcounts(n_ions: int, sector: bool = False) -> np.ndarray:
+    """Number of excited ions per configuration index, as uint8 (1 B each).
 
-    Unsigned: a caller that forms N - 2 popcount(b) must do it in a
-    signed type, or it wraps (N=3, popcount 3 gives 253 in uint8).
+    For every bit word 0 .. 2**N - 1, or with ``sector`` k + s for every
+    sector index s * N + k.  Unsigned: a caller that forms
+    N - 2 popcount(b) must do it in a signed type, or it wraps (N=3,
+    popcount 3 gives 253 in uint8).
     """
+    if sector:
+        s, k = np.divmod(np.arange(2 * n_ions), n_ions)
+        return (s + k).astype(np.uint8)
     return np.bitwise_count(np.arange(1 << n_ions))
+
+
+@lru_cache(maxsize=32)
+def _dicke_scale(n_ions: int) -> np.ndarray:
+    """1/sqrt(C(N-1, k)) per sector index s * N + k, as a (2N, 1) read-only column: a word's share of its Dicke coefficient."""
+    shares = [1.0 / math.sqrt(math.comb(n_ions - 1, k)) for k in range(n_ions)]
+    column = np.array(shares * 2)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _word_amplitudes(levels: np.ndarray, n_ions: int) -> np.ndarray:
+    """Sector coefficients (..., 2N) as the amplitude of each bit word of their Dicke state.
+
+    The real and imaginary parts are scaled apart, so a zero keeps its
+    sign and a coefficient with C(N-1, k) = 1 keeps its bits.
+    """
+    parts = levels[..., None].view(np.float64) * _dicke_scale(n_ions)
+    return parts.view(np.complex128)[..., 0]
+
+
+@lru_cache(maxsize=4)
+def _sector_words(n_ions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every bit word grouped by its sector index: the words of index f are ``words[bounds[f] : bounds[f + 1]]``.
+
+    Word b has the index s * (N - 1) + popcount(b), s its top bit.
+    """
+    index = (np.arange(1 << n_ions) >> (n_ions - 1)).astype(np.uint16) * (n_ions - 1) + _popcounts(n_ions)
+    words = np.argsort(index, kind="stable")  # a radix sort on 16-bit keys
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=2 * n_ions))))
+    words.flags.writeable = bounds.flags.writeable = False
+    return words, bounds
+
+
+def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
+    """The whole flat array of stored levels 0 .. top in either basis, with +0.0 above them.
+
+    A configuration-basis window is copied in.  A sector coefficient is
+    written, as :func:`_word_amplitudes`, to every bit word of its Dicke
+    state; only coefficients with a bit set (NaN and -0.0 included) are
+    written, so the cost is the words they cover, not the state.
+    """
+    amplitudes = _zero_amplitudes(params)
+    if levels.shape[1] == params.n_configs:
+        amplitudes[: levels.size] = levels.reshape(-1)
+        return amplitudes
+    whole = levels_view(amplitudes, params)
+    words, bounds = _sector_words(params.n_ions)
+    scaled = _word_amplitudes(levels, params.n_ions)
+    for n, f in zip(*np.nonzero(levels.view(np.uint64).reshape(levels.shape + (2,)).any(axis=-1))):
+        whole[n, words[bounds[f] : bounds[f + 1]]] = scaled[n, f]
+    return amplitudes
 
 
 class StateVector:
@@ -279,10 +367,12 @@ class StateVector:
     ``clock`` in place and return the same object.  Use :meth:`copy`
     before branching, e.g. one clone per point of a parameter scan.
     ``clock`` is the absolute time since the common phase origin t = 0
-    and never decreases.
+    and never decreases.  A state may store only its Fock window, in the
+    configuration or the sector basis (see the module docstring), until
+    its whole array is read.
     """
 
-    __slots__ = ("_amplitudes", "_window", "params", "frame", "clock")
+    __slots__ = ("_amplitudes", "_levels", "params", "frame", "clock")
 
     def __init__(
         self,
@@ -301,42 +391,65 @@ class StateVector:
         self.frame = frame
         self.clock = float(clock)
 
+    @classmethod
+    def _stored(cls, levels: np.ndarray, params: TrapParams, frame: Frame, clock: float) -> "StateVector":
+        """A state that stores ``levels``, (top + 1, width) in either basis; whole when that is every level of 2**N."""
+        state = cls.__new__(cls)
+        if levels.shape == (params.n_levels, params.n_configs):
+            state.amplitudes = levels.reshape(-1)
+        else:
+            state._amplitudes, state._levels = None, levels
+        state.params, state.frame, state.clock = params, frame, clock
+        return state
+
     @property
     def amplitudes(self) -> np.ndarray:
         """The flat (dim,) amplitude array, writable.
 
-        A snapshot from :meth:`copy` builds it on the first read: its
-        stored window, zero-padded above.  From then on the state holds
-        that array alone.
+        A state that stores only its levels builds it on the first read
+        (:func:`_lift`).  From then on the state holds that array alone.
         """
-        if self._window is not None:
-            amplitudes = _zero_amplitudes(self.params)
-            amplitudes[: self._window.size] = self._window
-            self.amplitudes = amplitudes
+        if self._levels is not None:
+            self.amplitudes = _lift(self._levels, self.params)
         return self._amplitudes
 
     @amplitudes.setter
     def amplitudes(self, amplitudes: np.ndarray) -> None:
-        self._amplitudes, self._window = amplitudes, None
+        self._amplitudes, self._levels = amplitudes, None
+
+    def _stored_levels(self) -> np.ndarray:
+        """The stored levels 0 .. top as (top + 1, width) in the stored basis, without building the whole array."""
+        return levels_view(self._amplitudes, self.params) if self._levels is None else self._levels
+
+    def _rows(self) -> np.ndarray:
+        """The flat amplitudes of every Fock level in the stored basis, for the pulse kernels.
+
+        A sector-stored state gives its 2N(n_max + 1) coefficients (the
+        levels above its window are padded with zeros once); every other
+        state gives its whole array.
+        """
+        levels = self._levels
+        if levels is None or levels.shape[1] == self.params.n_configs:
+            return self.amplitudes
+        if len(levels) < self.params.n_levels:
+            self._levels = np.zeros((self.params.n_levels, levels.shape[1]), dtype=np.complex128)
+            self._levels[: len(levels)] = levels
+        return self._levels.reshape(-1)
 
     def copy(self, *, top: int | None = None) -> "StateVector":
-        """An equal, independent state that stores only the Fock window, levels 0 .. ``top``.
+        """An equal, independent state that stores only the Fock window, levels 0 .. ``top``, in the stored basis.
 
         ``top`` is the window from a caller that tracks it; without it
         :func:`_fock_top` finds it.  The whole array is built on the first
         read of ``amplitudes`` or ``blocks``, with +0.0 above the window
         (the sign of a zero there, -0.0, is not kept).
         """
-        if self._window is not None:  # a snapshot of a snapshot: the same window
-            window = self._window.copy()
-        else:
+        levels = self._stored_levels()
+        if len(levels) == self.params.n_levels:  # every level stored: keep the window
             if top is None:
-                top = _fock_top(self._amplitudes, self.params)
-            window = self._amplitudes[: (top + 1) * self.params.n_configs].copy()
-        snapshot = StateVector.__new__(StateVector)
-        snapshot._amplitudes, snapshot._window = None, window
-        snapshot.params, snapshot.frame, snapshot.clock = self.params, self.frame, self.clock
-        return snapshot
+                top = _fock_top(levels.reshape(-1), self.params)
+            levels = levels[: top + 1]
+        return StateVector._stored(levels.copy(), self.params, self.frame, self.clock)
 
     @property
     def blocks(self) -> np.ndarray:
@@ -344,15 +457,29 @@ class StateVector:
         return levels_view(self.amplitudes, self.params)
 
     def _amplitude_at(self, flat: int) -> np.complex128:
-        """The amplitude at a flat index, read from the stored levels: a snapshot's whole array is not built."""
-        stored = self._amplitudes if self._window is None else self._window
-        return stored[flat] if flat < stored.size else np.complex128(0.0)
+        """The amplitude at a flat index, read from the stored levels: the whole array is not built.
+
+        In the sector it is the coefficient of the word's Dicke state
+        times 1/sqrt(C(N-1, k)).
+        """
+        if self._levels is None:
+            return self._amplitudes[flat]
+        levels, n_ions = self._levels, self.params.n_ions
+        fock_n, bits = divmod(flat, self.params.n_configs)
+        if fock_n >= len(levels):
+            return np.complex128(0.0)
+        if levels.shape[1] == self.params.n_configs:
+            return levels[fock_n, bits]
+        s = bits >> (n_ions - 1)
+        index = s * (n_ions - 1) + bits.bit_count()
+        return _word_amplitudes(levels[fock_n], n_ions)[index]
 
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
         return complex(self._amplitude_at(flat_index(self.params, ion_bits, fock_n)))
 
     def norm(self) -> float:
-        return math.sqrt(populations(self.amplitudes))
+        """Root of the summed populations of the stored levels (the whole array is not built)."""
+        return math.sqrt(populations(self._stored_levels().reshape(-1)))
 
     def to_dump(self) -> dict:
         """JSON-ready dict in the documented flat order (fock-major)."""
@@ -387,6 +514,13 @@ def ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
     amplitudes = _zero_amplitudes(params)
     amplitudes[flat_index(params, 0, 0)] = 1.0
     return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)
+
+
+def _sector_ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
+    """:func:`ground_state` stored in the sector basis: 2N(n_max + 1) amplitudes, the whole array at N <= 2."""
+    levels = np.zeros((params.n_levels, 2 * params.n_ions), dtype=np.complex128)
+    levels[0, 0] = 1.0
+    return StateVector._stored(levels, params, _default_frame(frame), 0.0)
 
 
 def dicke_extreme(
@@ -454,5 +588,7 @@ def excited_population_rows(amplitudes: np.ndarray, params: TrapParams, ion_inde
 
 
 def fock_populations(state: StateVector) -> np.ndarray:
-    """Marginal distribution over the Fock levels 0 .. n_max."""
-    return populations(state.blocks)
+    """Marginal distribution over the Fock levels 0 .. n_max, read from the stored levels (the whole array is not built)."""
+    stored = populations(state._stored_levels())
+    above = state.params.n_levels - stored.size
+    return np.concatenate((stored, np.zeros(above))) if above else stored

@@ -60,6 +60,7 @@ from .hilbert import (
     ground_state,
     _fock_top,
     _require_finite,
+    _sector_ground_state,
 )
 
 # free_evolve is not called here any more, but stays a module attribute:
@@ -75,6 +76,8 @@ from .pulses import (
     free_evolve,  # noqa: F401
     pulse_duration,
     validate_pulse_spec,
+    _check_detuning_phase,
+    _check_step_phases,
     _window_after,
 )
 
@@ -129,10 +132,14 @@ def _run_sequence(
     top: int,
     step_states: list[StateVector] | None = None,
 ) -> StateVector:
-    """Apply ``specs`` to ``state``, whose Fock window is ``top``, carrying the window from step to step."""
+    """Apply ``specs`` to ``state``, whose Fock window is ``top``, carrying the window from step to step.
+
+    The window is read from the rows the kernels act on, so a state stored
+    in the sector basis stays there.
+    """
     for spec in specs:
         apply_pulse(state, spec, top=top)
-        top = _window_after(state.amplitudes, state.params, spec, top)
+        top = _window_after(state._rows(), state.params, spec, top)
         if step_states is not None:
             step_states.append(state.copy(top=top))
     return state
@@ -141,10 +148,10 @@ def _run_sequence(
 def check_preparation_memory(params: TrapParams) -> None:
     """Raise before a preparation whose state and step snapshots would not fit in physical memory.
 
-    Six whole states (the state and a snapshot per step).  A snapshot
-    stores only its Fock window, but any reader of its ``amplitudes`` or
-    ``blocks`` (the CLI step table, a dump, a test) builds the whole
-    array, so all six can be whole at once.
+    Six whole states (the final state and a snapshot per step).  The run
+    itself stores 2N(n_max + 1) amplitudes per state, but any reader of a
+    snapshot's ``amplitudes`` or ``blocks`` (a test, a tamper check)
+    builds its whole array, so all six can be whole at once.
     """
     check_memory((1 + len(preparation_sequence(params))) * params.dim)
 
@@ -188,7 +195,10 @@ def prepare_max_entangled(
     In ideal mode the final state equals the target up to a global phase
     and the motion factors out into |0> exactly (to numerical precision).
     An ``omega0`` that makes ``phi_schroedinger`` non-finite raises
-    :class:`InputError` before any allocation.
+    :class:`InputError` before any allocation.  The pulses run in the
+    sector basis (see :mod:`ionpulse.hilbert`), so each step state stores
+    2N amplitudes per Fock level of its window; the final state is lifted
+    to its whole array before it is returned.
     """
     mode = PulseMode(mode)
     specs = preparation_sequence(params, mode)
@@ -204,10 +214,12 @@ def prepare_max_entangled(
                 f"omega0 must keep the lab-frame phase N*omega0*t5 finite, got omega0={omega0!r} "
                 f"with N={params.n_ions} and t5={t5!r}"
             )
-    state = ground_state(params, frame)
+    check_memory(params.dim)  # the whole final state alone first, then with the snapshots' whole arrays
     check_preparation_memory(params)
+    state = _sector_ground_state(params, frame)
     step_states: list[StateVector] = []
     _run_sequence(state, specs, 0, step_states=step_states)  # the ground state's window is level 0
+    state.amplitudes  # noqa: B018 - the report hands back the whole final array
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     return PreparationReport(
@@ -300,7 +312,7 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
 def reversed_sequence(state: StateVector, mode: PulseMode | str = PulseMode.IDEAL) -> StateVector:
     """Apply the five preparation pulses in reverse order at the current clock."""
     specs = list(reversed(preparation_sequence(state.params, mode)))
-    return _run_sequence(state, specs, _fock_top(state.amplitudes, state.params))
+    return _run_sequence(state, specs, _fock_top(state._rows(), state.params))
 
 
 @dataclass(frozen=True)
@@ -360,6 +372,23 @@ def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
         )
 
 
+def _check_steps(params: TrapParams, steps: list[PulseSpec], deltas: np.ndarray, during_pulses: bool) -> None:
+    """Raise PulseError if any step of the scheme cannot run, so that such an input gets the error alone.
+
+    Each step is checked at its start clock, summed as :func:`_run_rows`
+    sums it, with the grid's largest |Delta|: the same checks every step
+    repeats when it runs.
+    """
+    largest = float(np.abs(deltas).max())
+    clock = 0.0
+    for spec in steps:
+        duration = validate_pulse_spec(spec, params)
+        _check_step_phases(params, spec, clock, duration, largest)
+        if during_pulses and spec.kind is not PulseKind.WAIT:
+            _check_detuning_phase(largest, duration, params.n_ions)
+        clock = clock + duration
+
+
 def _run_rows(
     rows: np.ndarray,
     params: TrapParams,
@@ -402,8 +431,7 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     prep = preparation_sequence(params, config.mode)
     steps = [*prep, PulseSpec(PulseKind.WAIT, duration=config.wait_time), *reversed(prep)]
     start = ground_state(params).amplitudes[None, :]
-    for spec in prep:  # after the memory check, before the warning: an input that cannot run gets the error alone
-        validate_pulse_spec(spec, params)
+    _check_steps(params, steps, deltas, config.detuning_during_pulses)  # after the memory check, before the warning
     _check_validity(params, deltas)
     shared = 0 if config.detuning_during_pulses else len(prep)
     clock, top = _run_rows(start, params, steps[:shared], 0.0, 0)  # the ground state's window is level 0

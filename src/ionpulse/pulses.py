@@ -38,13 +38,20 @@ map exactly, so both modes coincide on the targeted subspace.  The
 carrier's theta = pi/2 is the same in both modes.
 
 Applications are matrix-free and in place, on per-Fock-block views of the
-flat amplitude array.  Every kernel acts only on the Fock window: levels
-0 .. top, where top is the highest level holding a nonzero amplitude in
-any row (NaN included; the sideband's coupled pairs reach top + 1).  The
-levels above hold exact zeros, which every pulse maps to zeros, so no
-kernel touches them.  A runner that owns its state passes ``top`` to each
-call and moves it on with :func:`_window_after`; a call without ``top``
-finds it with :func:`ionpulse.hilbert._fock_top`.  Before a step changes
+flat amplitude array.  The kernels read the configuration axis from the
+rows they are given: 2**N bit words, or the 2N indices s * N + k of the
+sector basis (see :mod:`ionpulse.hilbert`), where ion N alone is
+addressable and the popcount of index s * N + k is k + s.  A
+:class:`StateVector` stored in the sector stays there for waits, pulses
+on ion N and collective pi pulses, and is lifted to its whole array
+before any other pulse (:func:`_sector_holds`).  Every kernel acts only
+on the Fock window: levels 0 .. top, where top is the highest level
+holding a nonzero amplitude in any row (NaN included; the sideband's
+coupled pairs reach top + 1).  The levels above hold exact zeros,
+which every pulse maps to zeros, so no kernel touches them.  A runner
+that owns its state passes ``top`` to each call and moves it on with
+:func:`_window_after`; a call without ``top`` finds it with
+:func:`ionpulse.hilbert._fock_top`.  Before a step changes
 anything its end time and the phases it forms must be finite; after it,
 one pass of :func:`ionpulse.hilbert.populations` over the window gives
 each row's per-level populations: the norm guard reads their sum, the
@@ -54,7 +61,8 @@ A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
 table is pi it is a swap with one temporary.  A collective pulse whose
 angles are all pi is one signed reversal of the configuration axis (a
-cached popcount sign), in both modes; any other collective pulse is the
+cached popcount sign), in both modes: bit word b goes to its complement,
+sector index f to 2N - 1 - f.  Any other collective pulse is the
 single-ion kernel on each ion in turn.  The detuning phase gathers a
 table of N+1 phases per row by popcount and multiplies the window.  No
 kernel allocates its temporaries: they are written with ``out=`` into a
@@ -89,6 +97,7 @@ from .hilbert import (
     StateVector,
     TrapParams,
     _fock_top,
+    _in_sector,
     _ion_view,
     _popcounts,
     _require_finite,
@@ -317,22 +326,36 @@ def apply_detuning_phase(
     ``detuning`` is a float or an array with the leading shape of
     ``amplitudes``.  The single home of the detuning phase: free evolution
     and the ``detuning_during_pulses`` diagnostic both go through it.
-    Nothing is touched when every detuning or the duration is zero.  Each
-    row's N+1 phases, one per popcount k, are gathered by the cached
-    popcount table and multiply the Fock window, levels 0 .. ``top``
-    (found from the amplitudes when not given); the exact zeros above it
-    are left as they are.
+    Nothing is touched when every detuning or the duration is zero.  A
+    phase that is not finite raises PulseError before anything changes
+    (a wait step checks it with its other phases, in
+    :func:`_check_step_phases`, and calls :func:`_detuning_phase`).
     """
     if duration == 0.0 or not np.count_nonzero(detuning):
         return
+    _check_detuning_phase(detuning, duration, params.n_ions)
+    _detuning_phase(amplitudes, params, detuning, duration, top)
+
+
+def _detuning_phase(
+    amplitudes: np.ndarray, params: TrapParams, detuning: float | np.ndarray, duration: float, top: int | None
+) -> None:
+    """The kernel of :func:`apply_detuning_phase`, for a nonzero detuning and duration whose bound was checked.
+
+    Each row's N+1 phases, one per popcount, are gathered by the cached
+    popcount table of the rows' basis and multiply the Fock window, levels
+    0 .. ``top`` (found from the amplitudes when None); the exact zeros
+    above it are left as they are.
+    """
     if top is None:
         top = _fock_top(amplitudes, params)
     detuning = np.asarray(detuning, dtype=np.float64)
-    _check_detuning_phase(detuning, duration, params.n_ions)
     table = np.exp(-1j * detuning[..., None] * duration * np.arange(params.n_ions + 1))
-    [phase] = _workspace(table.shape[:-1] + (params.n_configs,))
-    np.take(table, _popcounts(params.n_ions), axis=-1, out=phase, mode="clip")  # "clip": unbuffered out
-    levels_view(amplitudes, params)[..., : top + 1, :] *= phase[..., None, :]
+    levels = levels_view(amplitudes, params)
+    [phase] = _workspace(table.shape[:-1] + levels.shape[-1:])
+    counts = _popcounts(params.n_ions, _in_sector(amplitudes, params))
+    np.take(table, counts, axis=-1, out=phase, mode="clip")  # "clip": unbuffered out
+    levels[..., : top + 1, :] *= phase[..., None, :]
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -429,14 +452,14 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
     a[...] = new_a
 
 
-@lru_cache(maxsize=4)
-def _collective_flip(n_ions: int, laser_phase: float) -> np.ndarray:
-    """Factor (-1)^popcount(b) e^{i phase (N - 2 popcount(b))} per bit word b, read-only.
+@lru_cache(maxsize=8)
+def _collective_flip(n_ions: int, laser_phase: float, sector: bool = False) -> np.ndarray:
+    """Factor (-1)^popcount(b) e^{i phase (N - 2 popcount(b))} per bit word b (per sector index with ``sector``), read-only.
 
     An int8 sign at laser phase 0, 1 B per word; a product with it is
     bit-identical to one with a float64 sign.
     """
-    pc = _popcounts(n_ions)
+    pc = _popcounts(n_ions, sector)
     coef = np.where(pc & 1, np.int8(-1), np.int8(1))
     if laser_phase != 0.0:
         coef = coef * np.exp(1j * laser_phase * (n_ions - 2 * pc.astype(np.int64)))  # signed: uint8 wraps
@@ -458,8 +481,9 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
         return
     blocks = levels_view(amplitudes, params)[..., levels, :]
     [flipped] = _workspace(blocks.shape)
-    np.multiply(_collective_flip(params.n_ions, laser_phase), blocks, out=flipped)
-    # Reversing the config axis maps bit word b to its complement mask - b.
+    np.multiply(_collective_flip(params.n_ions, laser_phase, _in_sector(amplitudes, params)), blocks, out=flipped)
+    # Reversing the config axis maps bit word b to its complement mask - b,
+    # and sector index s * N + k to (1 - s) * N + (N - 1 - k) = 2N - 1 - index.
     blocks[...] = flipped[..., ::-1]
 
 
@@ -481,6 +505,8 @@ def apply_pulse_rows(
     """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration.
 
     Every row is one state, and all rows share the start time ``t0``.
+    The rows may instead be one state's 2N(n_max + 1) sector coefficients,
+    for a pulse the sector represents (see :func:`apply_pulse`).
     ``detuning`` (one per row, or one for all) only enters wait steps.  A
     step whose end time or phases are not finite raises PulseError before
     it changes any amplitude.  ``top`` is the rows' Fock window from a
@@ -499,7 +525,8 @@ def apply_pulse_rows(
     if spec.kind is PulseKind.WAIT:
         if duration > 0:
             _apply_free_phases(amplitudes, params, duration, top)
-            apply_detuning_phase(amplitudes, params, detuning, duration, top=top)
+            if np.count_nonzero(detuning):  # its bound was checked above
+                _detuning_phase(amplitudes, params, detuning, duration, top)
         check_leakage = False  # phases move no population
     else:
         table = _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)
@@ -516,13 +543,34 @@ def apply_pulse_rows(
     return duration
 
 
+def _sector_holds(spec: PulseSpec, params: TrapParams, top: int) -> bool:
+    """Whether the sector basis represents ``spec`` on window ``top``.
+
+    A wait and a pulse on ion N do; so does a collective pulse that turns
+    every level by pi, a signed reversal.  Any other collective pulse turns
+    the ions one at a time, through states outside the sector.
+    """
+    if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
+        return spec.target_n >= 1 and _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)[3]
+    return spec.kind is PulseKind.WAIT or spec.target_ion == params.n_ions
+
+
 def apply_pulse(
     state: StateVector, spec: PulseSpec, *, check_leakage: bool = True, top: int | None = None
 ) -> StateVector:
-    """Apply one PulseSpec to the state at its clock; see :func:`apply_pulse_rows`."""
-    duration = apply_pulse_rows(
-        state.amplitudes, state.params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top
-    )
+    """Apply one PulseSpec to the state at its clock; see :func:`apply_pulse_rows`.
+
+    A sector-stored state stays in the sector when it represents ``spec``
+    (:func:`_sector_holds`); otherwise its whole array is built first.
+    """
+    params = state.params
+    rows = state._rows()
+    if _in_sector(rows, params):
+        if top is None:
+            top = _fock_top(rows, params)
+        if not _sector_holds(spec, params, top):
+            rows = state.amplitudes
+    duration = apply_pulse_rows(rows, params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top)
     state.clock = state.clock + duration
     return state
 

@@ -286,6 +286,16 @@ class TestNonFiniteClockOrPhase:
     def test_prepare_with_overflowing_trap_phase(self, capsys):
         self.assert_one_error(capsys, ["prepare", "--ions", "3", "--nu", "1e308", "--mode", "physical"], "trap phase")
 
+    @pytest.mark.parametrize(
+        "delta, wait, named",
+        [("1", "1e308", "trap phase"), ("1e300", "1e10", "detuning phase")],
+        ids=["trap-phase", "detuning-phase"],
+    )
+    def test_scan_that_cannot_run_gets_no_validity_warning(self, capsys, delta, wait, named):
+        # 2 of the 3 detunings break the validity bound, but the wait cannot run at all
+        argv = ["ramsey-scan", "--ions", "2", "--delta-min", f"-{delta}", "--delta-max", delta, "--points", "3"]
+        self.assert_one_error(capsys, [*argv, "--wait", wait], named)
+
 
 class TestVerify:
     def test_default_range_passes(self, capsys):

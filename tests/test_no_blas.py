@@ -3,8 +3,9 @@
 BLAS-backed calls (``np.vecdot``, ``np.linalg.norm``, ``np.dot``,
 ``np.vdot``, ``np.matmul``) wake idle OpenBLAS threads, which costs
 milliseconds per call on a multi-core host.  Here they raise, and the
-preparation with its trajectory check, a ``.pseq`` run, a small scan,
-the readouts, ``fidelity`` and a non-pi collective pulse must not notice.
+preparation with its trajectory check (in the sector basis and its final
+lift from N=3), a ``.pseq`` run, a small scan, the readouts, ``fidelity``
+and a non-pi collective pulse must not notice.
 """
 
 import numpy as np
@@ -57,6 +58,15 @@ def test_preparation_and_readouts(no_blas, mode):
     assert fock_populations(report.final_state)[0] >= 1.0 - 1e-12
     assert verify_trajectory(report).passed
     assert fidelity(report.final_state, target_ghz(report.final_state.params, report.best_phase)) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
+def test_sector_preparation_and_trajectory_check(no_blas, mode):
+    report = prepare_max_entangled(make_params(9), mode)
+    check = verify_trajectory(report)
+    assert check.passed and max(check.residuals) <= 1e-12
+    assert report.fidelity_vs_target >= 1.0 - 1e-12
+    assert [fock_populations(s)[0] for s in report.step_states] == pytest.approx([1.0, 0.5, 0.5, 0.5, 1.0], abs=1e-12)
 
 
 def test_pseq_execute(no_blas):

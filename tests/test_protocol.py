@@ -590,6 +590,19 @@ class TestScanValidity:
             with pytest.raises(PulseError, match="Rabi frequency must be positive"):
                 ramsey_run(config, 1e-3) if entry == "run" else ramsey_scan(config)
 
+    @pytest.mark.parametrize(
+        "wait, delta, during, named",
+        [(1e308, 1.0, False, "trap phase"), (1e10, 1e300, False, "detuning phase"), (0.0, 1e308, True, "detuning phase")],
+        ids=["wait-trap-phase", "wait-detuning-phase", "during-pulses"],
+    )
+    def test_step_phase_check_comes_before_the_warning(self, wait, delta, during, named):
+        # every step is checked at its start clock with the grid's largest |delta|, the later ones included
+        config = RamseyConfig(make_params(2), wait, (1.0, -delta), detuning_during_pulses=during)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PulseError, match=named):
+                ramsey_scan(config)
+
     def test_valid_grid_is_silent(self):
         grid = tuple(x / WAIT for x in np.linspace(-1.0, 1.0, 30))
         config = RamseyConfig(params=make_params(2), wait_time=WAIT, detuning_grid=grid)
@@ -633,6 +646,7 @@ class TestNonFiniteInputs:
             raise AssertionError("allocated a state")
 
         monkeypatch.setattr(protocol, "ground_state", no_state)
+        monkeypatch.setattr(protocol, "_sector_ground_state", no_state)
         with pytest.raises(InputError, match="omega0 must be finite"):
             prepare_max_entangled(make_params(2), omega0=omega0)
 
@@ -642,6 +656,7 @@ class TestNonFiniteInputs:
             raise AssertionError("allocated a state")
 
         monkeypatch.setattr(protocol, "ground_state", no_state)
+        monkeypatch.setattr(protocol, "_sector_ground_state", no_state)
         with pytest.raises(InputError, match=r"omega0 must keep the lab-frame phase N\*omega0\*t5 finite"):
             prepare_max_entangled(make_params(2), omega0=omega0)
 

@@ -563,6 +563,17 @@ class TestNonFiniteClockOrPhase:
         self.assert_rejected(rows, "detuning phase", lambda: apply_pulse_rows(rows, p, wait, 0.0, detunings))
         self.assert_rejected(rows, "detuning phase", lambda: apply_detuning_phase(rows, p, detunings, 1e10))
 
+    def test_wait_forms_its_detuning_bound_once(self, monkeypatch):
+        p = make_params(3)
+        rows = windowed_rows(p, np.random.default_rng(8), (0, 2))
+        calls = []
+        check = pulses._check_detuning_phase
+        monkeypatch.setattr(pulses, "_check_detuning_phase", lambda *args: calls.append(args) or check(*args))
+        apply_pulse_rows(rows, p, PulseSpec(PulseKind.WAIT, duration=3.0), 0.0, np.array([0.1, -0.2]))
+        assert len(calls) == 1
+        apply_detuning_phase(rows, p, np.array([0.1, -0.2]), 3.0)  # the diagnostic's direct call checks its own
+        assert len(calls) == 2
+
 
 def windowed_rows(params, rng, tops):
     """Normalized random rows, row i supported on Fock levels 0 .. tops[i] and exactly zero above."""

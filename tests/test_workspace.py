@@ -55,7 +55,10 @@ class TestKernelsAllocateNoTemporaries:
 
     @pytest.fixture(autouse=True)
     def warm_up(self):
-        prepare_max_entangled(self.params, PulseMode.PHYSICAL)
+        # the preparation runs in the sector basis, so grow the work buffer on a whole state
+        state = ground_state(self.params)
+        for spec in preparation_sequence(self.params, PulseMode.PHYSICAL):
+            apply_pulse(state, spec)
 
     def limit(self):
         limit = self.params.dim * AMPLITUDE_BYTES / 8
