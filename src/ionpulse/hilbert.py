@@ -21,27 +21,26 @@ marginal, an ion's excited-state readout and the pulse guards (see
 
 The Fock window is the levels up to the highest one holding a nonzero
 amplitude (NaN included), found by :func:`_fock_top` from a known bound
-or the cutoff.  A :class:`StateVector` either holds the whole flat array
-or stores only levels 0 .. top, in one of two bases:
+or the cutoff.  The runners that own their states (:mod:`ionpulse.protocol`,
+:mod:`ionpulse.seqlang`) carry the window from step to step and hand it
+to the kernels, so neither reads the levels above it.
 
-* the configuration basis above, 2**N amplitudes per level: the window
-  of a snapshot taken by :meth:`StateVector.copy` from a whole state;
-* the sector basis |n>|s_N>|D_k>, 2N amplitudes per level at flat index
-  ``s * N + k``: s is ion N's state and D_k the normalised Dicke state
-  of k excitations among ions 1 .. N-1.  Pulses on ion N and collective
-  pi pulses never leave it, so the five-pulse preparation runs on
-  2N(n_max + 1) amplitudes (:func:`_sector_ground_state`).  The sector
-  coefficient of D_k is sqrt(C(N-1, k)) times the amplitude of each of
-  its bit words.  At N <= 2 the two bases coincide index for index.
+A :class:`StateVector` stores either its whole flat array or its
+coefficients in the sector basis |n>|s_N>|D_k>: 2N amplitudes per Fock
+level, every level stored, at flat index ``s * N + k``, where s is ion
+N's state and D_k the normalised Dicke state of k excitations among ions
+1 .. N-1.  Pulses on ion N and collective pi pulses never leave it, so
+the five-pulse preparation runs on 2N(n_max + 1) amplitudes
+(:func:`_sector_ground_state`).  The sector coefficient of D_k is
+sqrt(C(N-1, k)) times the amplitude of each of its bit words.  At
+N <= 2 the two bases coincide index for index.
 
 The whole array is built by one function, :func:`_lift`, on the first
 read of ``amplitudes`` or ``blocks``, and kept from then on, so a write
 through either one is seen by every later reader.  Readers that need
 only a few numbers (:meth:`StateVector._amplitude_at`, the norm,
-:func:`fock_populations`) read the stored levels and never build it.
-The runners that own their states (:mod:`ionpulse.protocol`,
-:mod:`ionpulse.seqlang`) carry the window from step to step and hand it
-to the kernels, so neither reads the levels above it.
+:func:`fock_populations`) read the stored coefficients and never build
+it.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -341,17 +340,14 @@ def _sector_words(n_ions: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
-    """The whole flat array of stored levels 0 .. top in either basis, with +0.0 above them.
+    """The whole flat array of the sector coefficients ``levels``, shape (n_levels, 2N).
 
-    A configuration-basis window is copied in.  A sector coefficient is
-    written, as :func:`_word_amplitudes`, to every bit word of its Dicke
-    state; only coefficients with a bit set (NaN and -0.0 included) are
-    written, so the cost is the words they cover, not the state.
+    A coefficient is written, as :func:`_word_amplitudes`, to every bit
+    word of its Dicke state; only coefficients with a bit set (NaN and
+    -0.0 included) are written, so the cost is the words they cover, not
+    the state, and the rest stays +0.0.
     """
     amplitudes = _zero_amplitudes(params)
-    if levels.shape[1] == params.n_configs:
-        amplitudes[: levels.size] = levels.reshape(-1)
-        return amplitudes
     whole = levels_view(amplitudes, params)
     words, bounds = _sector_words(params.n_ions)
     scaled = _word_amplitudes(levels, params.n_ions)
@@ -367,9 +363,9 @@ class StateVector:
     ``clock`` in place and return the same object.  Use :meth:`copy`
     before branching, e.g. one clone per point of a parameter scan.
     ``clock`` is the absolute time since the common phase origin t = 0
-    and never decreases.  A state may store only its Fock window, in the
-    configuration or the sector basis (see the module docstring), until
-    its whole array is read.
+    and never decreases.  A state may store its sector coefficients
+    instead of its whole array (see the module docstring) until that
+    array is read.
     """
 
     __slots__ = ("_amplitudes", "_levels", "params", "frame", "clock")
@@ -392,13 +388,10 @@ class StateVector:
         self.clock = float(clock)
 
     @classmethod
-    def _stored(cls, levels: np.ndarray, params: TrapParams, frame: Frame, clock: float) -> "StateVector":
-        """A state that stores ``levels``, (top + 1, width) in either basis; whole when that is every level of 2**N."""
+    def _sector(cls, levels: np.ndarray, params: TrapParams, frame: Frame, clock: float) -> "StateVector":
+        """A state that stores the sector coefficients ``levels``, shape (n_levels, 2N)."""
         state = cls.__new__(cls)
-        if levels.shape == (params.n_levels, params.n_configs):
-            state.amplitudes = levels.reshape(-1)
-        else:
-            state._amplitudes, state._levels = None, levels
+        state._amplitudes, state._levels = None, levels
         state.params, state.frame, state.clock = params, frame, clock
         return state
 
@@ -406,8 +399,8 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         """The flat (dim,) amplitude array, writable.
 
-        A state that stores only its levels builds it on the first read
-        (:func:`_lift`).  From then on the state holds that array alone.
+        A sector-stored state builds it on the first read (:func:`_lift`).
+        From then on the state holds that array alone.
         """
         if self._levels is not None:
             self.amplitudes = _lift(self._levels, self.params)
@@ -417,39 +410,15 @@ class StateVector:
     def amplitudes(self, amplitudes: np.ndarray) -> None:
         self._amplitudes, self._levels = amplitudes, None
 
-    def _stored_levels(self) -> np.ndarray:
-        """The stored levels 0 .. top as (top + 1, width) in the stored basis, without building the whole array."""
-        return levels_view(self._amplitudes, self.params) if self._levels is None else self._levels
-
     def _rows(self) -> np.ndarray:
-        """The flat amplitudes of every Fock level in the stored basis, for the pulse kernels.
+        """The flat amplitudes in the stored basis, for the pulse kernels: 2N(n_max + 1) sector coefficients or the whole array."""
+        return self._amplitudes if self._levels is None else self._levels.reshape(-1)
 
-        A sector-stored state gives its 2N(n_max + 1) coefficients (the
-        levels above its window are padded with zeros once); every other
-        state gives its whole array.
-        """
-        levels = self._levels
-        if levels is None or levels.shape[1] == self.params.n_configs:
-            return self.amplitudes
-        if len(levels) < self.params.n_levels:
-            self._levels = np.zeros((self.params.n_levels, levels.shape[1]), dtype=np.complex128)
-            self._levels[: len(levels)] = levels
-        return self._levels.reshape(-1)
-
-    def copy(self, *, top: int | None = None) -> "StateVector":
-        """An equal, independent state that stores only the Fock window, levels 0 .. ``top``, in the stored basis.
-
-        ``top`` is the window from a caller that tracks it; without it
-        :func:`_fock_top` finds it.  The whole array is built on the first
-        read of ``amplitudes`` or ``blocks``, with +0.0 above the window
-        (the sign of a zero there, -0.0, is not kept).
-        """
-        levels = self._stored_levels()
-        if len(levels) == self.params.n_levels:  # every level stored: keep the window
-            if top is None:
-                top = _fock_top(levels.reshape(-1), self.params)
-            levels = levels[: top + 1]
-        return StateVector._stored(levels.copy(), self.params, self.frame, self.clock)
+    def copy(self) -> "StateVector":
+        """An equal, independent state that stores a byte copy of what this one stores: its whole array or its sector coefficients."""
+        if self._levels is None:
+            return StateVector(self._amplitudes.copy(), self.params, self.frame, self.clock)
+        return StateVector._sector(self._levels.copy(), self.params, self.frame, self.clock)
 
     @property
     def blocks(self) -> np.ndarray:
@@ -457,29 +426,24 @@ class StateVector:
         return levels_view(self.amplitudes, self.params)
 
     def _amplitude_at(self, flat: int) -> np.complex128:
-        """The amplitude at a flat index, read from the stored levels: the whole array is not built.
+        """The amplitude at a flat index, read from what is stored: the whole array is not built.
 
         In the sector it is the coefficient of the word's Dicke state
         times 1/sqrt(C(N-1, k)).
         """
         if self._levels is None:
             return self._amplitudes[flat]
-        levels, n_ions = self._levels, self.params.n_ions
+        n_ions = self.params.n_ions
         fock_n, bits = divmod(flat, self.params.n_configs)
-        if fock_n >= len(levels):
-            return np.complex128(0.0)
-        if levels.shape[1] == self.params.n_configs:
-            return levels[fock_n, bits]
-        s = bits >> (n_ions - 1)
-        index = s * (n_ions - 1) + bits.bit_count()
-        return _word_amplitudes(levels[fock_n], n_ions)[index]
+        index = (bits >> (n_ions - 1)) * (n_ions - 1) + bits.bit_count()
+        return _word_amplitudes(self._levels[fock_n], n_ions)[index]
 
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
         return complex(self._amplitude_at(flat_index(self.params, ion_bits, fock_n)))
 
     def norm(self) -> float:
-        """Root of the summed populations of the stored levels (the whole array is not built)."""
-        return math.sqrt(populations(self._stored_levels().reshape(-1)))
+        """Root of the summed populations of what is stored (the whole array is not built)."""
+        return math.sqrt(populations(self._rows()))
 
     def to_dump(self) -> dict:
         """JSON-ready dict in the documented flat order (fock-major)."""
@@ -517,10 +481,10 @@ def ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
 
 
 def _sector_ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
-    """:func:`ground_state` stored in the sector basis: 2N(n_max + 1) amplitudes, the whole array at N <= 2."""
+    """:func:`ground_state` stored in the sector basis: 2N(n_max + 1) amplitudes."""
     levels = np.zeros((params.n_levels, 2 * params.n_ions), dtype=np.complex128)
     levels[0, 0] = 1.0
-    return StateVector._stored(levels, params, _default_frame(frame), 0.0)
+    return StateVector._sector(levels, params, _default_frame(frame), 0.0)
 
 
 def dicke_extreme(
@@ -588,7 +552,5 @@ def excited_population_rows(amplitudes: np.ndarray, params: TrapParams, ion_inde
 
 
 def fock_populations(state: StateVector) -> np.ndarray:
-    """Marginal distribution over the Fock levels 0 .. n_max, read from the stored levels (the whole array is not built)."""
-    stored = populations(state._stored_levels())
-    above = state.params.n_levels - stored.size
-    return np.concatenate((stored, np.zeros(above))) if above else stored
+    """Marginal distribution over the Fock levels 0 .. n_max, read from what is stored (the whole array is not built)."""
+    return populations(levels_view(state._rows(), state.params))

@@ -141,19 +141,18 @@ def _run_sequence(
         apply_pulse(state, spec, top=top)
         top = _window_after(state._rows(), state.params, spec, top)
         if step_states is not None:
-            step_states.append(state.copy(top=top))
+            step_states.append(state.copy())
     return state
 
 
 def check_preparation_memory(params: TrapParams) -> None:
-    """Raise before a preparation whose state and step snapshots would not fit in physical memory.
+    """Raise before a preparation whose final state would not fit in physical memory.
 
-    Six whole states (the final state and a snapshot per step).  The run
-    itself stores 2N(n_max + 1) amplitudes per state, but any reader of a
-    snapshot's ``amplitudes`` or ``blocks`` (a test, a tamper check)
-    builds its whole array, so all six can be whole at once.
+    The run stores 2N(n_max + 1) amplitudes per state and builds one whole
+    array, the final state's.  A reader that builds a step state's whole
+    array checks its own memory (:func:`ionpulse.hilbert._lift`).
     """
-    check_memory((1 + len(preparation_sequence(params))) * params.dim)
+    check_memory(params.dim)
 
 
 @dataclass
@@ -197,8 +196,8 @@ def prepare_max_entangled(
     An ``omega0`` that makes ``phi_schroedinger`` non-finite raises
     :class:`InputError` before any allocation.  The pulses run in the
     sector basis (see :mod:`ionpulse.hilbert`), so each step state stores
-    2N amplitudes per Fock level of its window; the final state is lifted
-    to its whole array before it is returned.
+    2N(n_max + 1) amplitudes; the final state is lifted to its whole array
+    before it is returned.
     """
     mode = PulseMode(mode)
     specs = preparation_sequence(params, mode)
@@ -214,7 +213,6 @@ def prepare_max_entangled(
                 f"omega0 must keep the lab-frame phase N*omega0*t5 finite, got omega0={omega0!r} "
                 f"with N={params.n_ions} and t5={t5!r}"
             )
-    check_memory(params.dim)  # the whole final state alone first, then with the snapshots' whole arrays
     check_preparation_memory(params)
     state = _sector_ground_state(params, frame)
     step_states: list[StateVector] = []
@@ -296,7 +294,7 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
     phase between branches shows up as a nonzero residual.  Each
     reference is exactly zero outside its two nonzero entries, so the
     overlap is taken over those entries only, read from each snapshot's
-    stored levels, without building the dense references or the
+    stored coefficients, without building the dense references or the
     snapshots' whole arrays.  For any finite step state that is the same
     quantity as the full inner product with :func:`trajectory_reference`'s states;
     amplitude moved off the support shows as the norm missing on it.

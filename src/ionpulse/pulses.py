@@ -64,11 +64,8 @@ angles are all pi is one signed reversal of the configuration axis (a
 cached popcount sign), in both modes: bit word b goes to its complement,
 sector index f to 2N - 1 - f.  Any other collective pulse is the
 single-ion kernel on each ion in turn.  The detuning phase gathers a
-table of N+1 phases per row by popcount and multiplies the window.  No
-kernel allocates its temporaries: they are written with ``out=`` into a
-per-thread work buffer (:func:`_workspace`) that grows to the largest
-request and is kept, so its pages stay resident instead of being faulted
-in again on every call.  The kernels accept any leading batch axes:
+table of N+1 phases per row by popcount and multiplies the window.  The
+kernels accept any leading batch axes:
 :func:`apply_pulse_rows` applies one pulse to many states (rows of one
 array, sharing one clock) in one call, and :func:`apply_pulse` is the
 same code on one :class:`StateVector`.  :func:`dense_matrix` builds the
@@ -85,7 +82,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -294,25 +290,6 @@ def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: flo
     levels_view(amplitudes, params)[..., 1 : top + 1, :] *= _free_phases(params.trap_freq, duration, top)
 
 
-_WORKSPACE = threading.local()
-
-
-def _workspace(shape: tuple[int, ...], count: int = 1) -> list[np.ndarray]:
-    """``count`` disjoint contiguous complex arrays of ``shape``, carved from this thread's work buffer.
-
-    The buffer grows to the largest request and is kept, so the kernels
-    that write their temporaries into it allocate nothing once it has
-    grown.  Each request is at most the size of the rows the kernel acts
-    on.  A returned array is valid until the next request on the same
-    thread.
-    """
-    size = math.prod(shape)
-    buffer = getattr(_WORKSPACE, "buffer", None)
-    if buffer is None or buffer.size < count * size:
-        buffer = _WORKSPACE.buffer = np.empty(count * size, dtype=np.complex128)
-    return [buffer[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
-
-
 def apply_detuning_phase(
     amplitudes: np.ndarray,
     params: TrapParams,
@@ -351,11 +328,8 @@ def _detuning_phase(
         top = _fock_top(amplitudes, params)
     detuning = np.asarray(detuning, dtype=np.float64)
     table = np.exp(-1j * detuning[..., None] * duration * np.arange(params.n_ions + 1))
-    levels = levels_view(amplitudes, params)
-    [phase] = _workspace(table.shape[:-1] + levels.shape[-1:])
-    counts = _popcounts(params.n_ions, _in_sector(amplitudes, params))
-    np.take(table, counts, axis=-1, out=phase, mode="clip")  # "clip": unbuffered out
-    levels[..., : top + 1, :] *= phase[..., None, :]
+    phase = np.take(table, _popcounts(params.n_ions, _in_sector(amplitudes, params)), axis=-1)
+    levels_view(amplitudes, params)[..., : top + 1, :] *= phase[..., None, :]
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -427,9 +401,9 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
 
     In place (a, b) <- (c a + x b, c b + y a) with x = -s conj(u), y = s u,
     broadcast over the levels with the table's (c, s) columns: two
-    temporaries the size of ``a`` from the work buffer, and no view is
-    copied.  When every angle is pi (c = 0, s = 1) the update is the swap
-    (x b, y a) with one temporary.
+    temporaries the size of ``a``, and no view is copied.  When every
+    angle is pi (c = 0, s = 1) the update is the swap (x b, y a) with one
+    temporary.
     """
     levels, cos, sin, all_pi = table
     view = _ion_view(amplitudes, params, ion)
@@ -437,16 +411,13 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
     b = view[..., levels, :, 1, :]
     x = -u.conjugate()
     if all_pi:
-        [new_a] = _workspace(a.shape)
-        np.multiply(x, b, out=new_a)
+        new_a = x * b
         np.multiply(u, a, out=b)
         a[...] = new_a
         return
-    new_a, term = _workspace(a.shape, 2)
-    np.multiply(cos, a, out=new_a)
-    np.multiply(sin * x, b, out=term)
-    new_a += term
-    np.multiply(sin * u, a, out=term)
+    new_a = cos * a
+    new_a += (sin * x) * b
+    term = (sin * u) * a
     b *= cos
     b += term
     a[...] = new_a
@@ -480,8 +451,7 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
             _rotate_one_ion(amplitudes, params, ion, table, 0, u)
         return
     blocks = levels_view(amplitudes, params)[..., levels, :]
-    [flipped] = _workspace(blocks.shape)
-    np.multiply(_collective_flip(params.n_ions, laser_phase, _in_sector(amplitudes, params)), blocks, out=flipped)
+    flipped = _collective_flip(params.n_ions, laser_phase, _in_sector(amplitudes, params)) * blocks
     # Reversing the config axis maps bit word b to its complement mask - b,
     # and sector index s * N + k to (1 - s) * N + (N - 1 - k) = 2N - 1 - index.
     blocks[...] = flipped[..., ::-1]

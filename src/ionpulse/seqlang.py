@@ -328,8 +328,8 @@ def execute(
     else:
         if initial.params != program.params:
             raise ValueError("initial state parameters do not match the program header")
-        top = _fock_top(initial.amplitudes, initial.params)
-        state = initial.copy(top=top)
+        state = initial.copy()
+        top = _fock_top(state.amplitudes, state.params)
     trace: list[StepTrace] = []
     spans = program.source_spans or [(0, 0)] * len(program.steps)
     for step, (spec, (line, column)) in enumerate(zip(program.steps, spans), start=1):

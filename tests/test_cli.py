@@ -415,9 +415,9 @@ class TestMemoryBudget:
         assert out == ""
 
     def test_verify_checks_the_largest_n_before_the_sweep(self, capsys, monkeypatch):
-        # room for one N=6 preparation (six states) only: N=7 and 8 would not fit
+        # room for one N=6 state only: the final states of N=7 and 8 would not fit
         dim = hilbert.TrapParams(n_ions=6, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0).dim
-        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * dim * 16)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: dim * 16)
         code, out, err = run_cli(capsys, "verify", "--ions-max", "8")
         assert code == 1
         assert err.startswith("error: ") and "physical memory" in err

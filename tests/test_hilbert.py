@@ -337,7 +337,7 @@ class TestCopy:
         p = make_params(2, nmax=3)
         s = ground_state(p)
         s.amplitudes[flat_index(p, 1, 3)] = complex(np.nan, 0.0)
-        assert_exact_copy(s, equal_nan=True)
+        assert_exact_copy(s)
 
     def test_amplitude_whose_population_underflows(self):
         # |1e-300|^2 is 0.0, so a window taken from populations would drop the top level

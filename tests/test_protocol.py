@@ -530,12 +530,12 @@ class TestScanMemoryBudget:
 
 class TestPreparationMemoryBudget:
     def test_step_snapshots_counted(self, monkeypatch):
-        # the preparation holds six states at once: the state and one snapshot per step
+        # the step snapshots store sector coefficients: the one whole array is the final state
         params = make_params(3)
-        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * params.dim * 16)
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: params.dim * 16)
         prepare_max_entangled(params)
-        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * params.dim * 16 - 1)
-        with pytest.raises(SimulationError, match=f"{6 * params.dim} amplitudes need"):
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: params.dim * 16 - 1)
+        with pytest.raises(SimulationError, match=f"{params.dim} amplitudes need"):
             prepare_max_entangled(params)
 
     def test_reference_states_counted(self, monkeypatch):

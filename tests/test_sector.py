@@ -97,6 +97,16 @@ class TestSectorRunEqualsWholeRun:
                     assert np.max(np.abs(state.amplitudes - vector)) <= 1e-12
 
 
+class TestStepStates:
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    @pytest.mark.parametrize("nmax", [2, 3, 4])
+    @pytest.mark.parametrize("n_ions", range(1, 13))
+    def test_last_step_state_is_a_byte_copy_of_the_final_state(self, n_ions, nmax, mode):
+        # signed zeros above the window included: a snapshot copies what its state stores
+        report = prepare_max_entangled(make_params(n_ions, nmax=nmax), mode)
+        assert report.step_states[4].amplitudes.tobytes() == report.final_state.amplitudes.tobytes()
+
+
 class TestWholeArrays:
     @staticmethod
     def count_lifts(monkeypatch):
@@ -155,8 +165,9 @@ class TestLift:
         # sector coefficient c of D_k: c / sqrt(C(N-1, k)) on each of its words
         p = make_params(4, nmax=2)
         rng = np.random.default_rng(7)
-        levels = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-        state = hilbert.StateVector._stored(levels, p, Frame(), 0.0)
+        levels = np.zeros((p.n_levels, 8), dtype=complex)  # every level stored, the top one zero
+        levels[:2] = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        state = hilbert.StateVector._sector(levels, p, Frame(), 0.0)
         want = np.zeros(p.dim, dtype=complex)
         for n in range(2):
             for bits in range(p.n_configs):
@@ -169,7 +180,7 @@ class TestLift:
 
     def test_signed_zeros_and_nan_are_lifted(self):
         p = make_params(3, nmax=1)
-        levels = np.zeros((1, 6), dtype=complex)
+        levels = np.zeros((p.n_levels, 6), dtype=complex)
         levels[0, 1] = complex(-0.0, 0.0)
         levels[0, 4] = complex(math.nan, 0.0)
         whole = hilbert._lift(levels, p)
