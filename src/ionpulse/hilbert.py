@@ -35,12 +35,12 @@ the five-pulse preparation runs on 2N(n_max + 1) amplitudes
 sqrt(C(N-1, k)) times the amplitude of each of its bit words.  At
 N <= 2 the two bases coincide index for index.
 
-The whole array is built by one function, :func:`_lift`, on the first
-read of ``amplitudes`` or ``blocks``, and kept from then on, so a write
-through either one is seen by every later reader.  Readers that need
-only a few numbers (:meth:`StateVector._amplitude_at`, the norm,
-:func:`fock_populations`) read the stored coefficients and never build
-it.
+The whole array is built by one function, :func:`_lift`, a memory check
+and one gather, on the first read of ``amplitudes`` or ``blocks``, and
+kept from then on, so a write through either one is seen by every later
+reader.  Readers that need only a few numbers
+(:meth:`StateVector._amplitude_at`, the norm, :func:`fock_populations`)
+read the stored coefficients and never build it.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -172,6 +172,8 @@ class Frame:
 
     def __post_init__(self) -> None:
         _require_finite("detuning", self.detuning)
+        if self.reference_freq is not None:
+            _require_finite("reference_freq", self.reference_freq)
         if self.tag not in (FRAME_R, FRAME_R_PRIME):
             raise InputError(f"frame tag must be {FRAME_R!r} or {FRAME_R_PRIME!r}, got {self.tag!r}")
         if self.tag == FRAME_R and self.detuning != 0.0:
@@ -327,32 +329,26 @@ def _word_amplitudes(levels: np.ndarray, n_ions: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _sector_words(n_ions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every bit word grouped by its sector index: the words of index f are ``words[bounds[f] : bounds[f + 1]]``.
+def _word_index(n_ions: int) -> np.ndarray:
+    """The sector index s * (N - 1) + popcount(b) of every bit word b, s its top bit, as intp.
 
-    Word b has the index s * (N - 1) + popcount(b), s its top bit.
+    Shared by every call, so callers must not write to it.  It is left
+    writeable because ``np.take`` copies a read-only index on each call.
     """
-    index = (np.arange(1 << n_ions) >> (n_ions - 1)).astype(np.uint16) * (n_ions - 1) + _popcounts(n_ions)
-    words = np.argsort(index, kind="stable")  # a radix sort on 16-bit keys
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=2 * n_ions))))
-    words.flags.writeable = bounds.flags.writeable = False
-    return words, bounds
+    return (np.arange(1 << n_ions) >> (n_ions - 1)) * (n_ions - 1) + _popcounts(n_ions)
 
 
 def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
-    """The whole flat array of the sector coefficients ``levels``, shape (n_levels, 2N).
+    """The whole flat array of the sector coefficients ``levels``, shape (n_levels, 2N), after the memory check.
 
-    A coefficient is written, as :func:`_word_amplitudes`, to every bit
-    word of its Dicke state; only coefficients with a bit set (NaN and
-    -0.0 included) are written, so the cost is the words they cover, not
-    the state, and the rest stays +0.0.
+    Every bit word gathers its Dicke state's coefficient as
+    :func:`_word_amplitudes` scales it.  The index is intp and the mode
+    does not buffer, so ``np.take`` allocates nothing beside the result.
     """
-    amplitudes = _zero_amplitudes(params)
-    whole = levels_view(amplitudes, params)
-    words, bounds = _sector_words(params.n_ions)
+    check_memory(params.dim)
+    amplitudes = np.empty(params.dim, dtype=np.complex128)
     scaled = _word_amplitudes(levels, params.n_ions)
-    for n, f in zip(*np.nonzero(levels.view(np.uint64).reshape(levels.shape + (2,)).any(axis=-1))):
-        whole[n, words[bounds[f] : bounds[f + 1]]] = scaled[n, f]
+    np.take(scaled, _word_index(params.n_ions), axis=1, out=levels_view(amplitudes, params), mode="clip")
     return amplitudes
 
 

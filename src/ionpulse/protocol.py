@@ -148,9 +148,11 @@ def _run_sequence(
 def check_preparation_memory(params: TrapParams) -> None:
     """Raise before a preparation whose final state would not fit in physical memory.
 
-    The run stores 2N(n_max + 1) amplitudes per state and builds one whole
-    array, the final state's.  A reader that builds a step state's whole
-    array checks its own memory (:func:`ionpulse.hilbert._lift`).
+    The run stores 2N(n_max + 1) amplitudes per state and builds no whole
+    array; a reader that builds one checks its own memory
+    (:func:`ionpulse.hilbert._lift`).  The guard keeps the preparation's
+    input range to N whose whole state fits: above it the sector popcounts
+    (uint8) wrap from N = 256, and ``_dicke_scale`` overflows from N = 1031.
     """
     check_memory(params.dim)
 
@@ -174,10 +176,10 @@ class PreparationReport:
 
 
 def best_ghz_fidelity(state: StateVector) -> tuple[float, float]:
-    """Fidelity against (|g..g> + e^{i phi}|e..e>)|0>/sqrt(2), maximized over phi."""
+    """Fidelity against (|g..g> + e^{i phi}|e..e>)|0>/sqrt(2), maximized over phi, from two stored amplitudes."""
     p = state.params
-    c_low = state.amplitudes[flat_index(p, 0, 0)]
-    c_high = state.amplitudes[flat_index(p, p.n_configs - 1, 0)]
+    c_low = state._amplitude_at(flat_index(p, 0, 0))
+    c_high = state._amplitude_at(flat_index(p, p.n_configs - 1, 0))
     fid = 0.5 * (abs(c_low) + abs(c_high)) ** 2
     phase = float(np.angle(c_high) - np.angle(c_low)) if abs(c_low) > 0 and abs(c_high) > 0 else 0.0
     return float(fid), phase
@@ -195,9 +197,10 @@ def prepare_max_entangled(
     and the motion factors out into |0> exactly (to numerical precision).
     An ``omega0`` that makes ``phi_schroedinger`` non-finite raises
     :class:`InputError` before any allocation.  The pulses run in the
-    sector basis (see :mod:`ionpulse.hilbert`), so each step state stores
-    2N(n_max + 1) amplitudes; the final state is lifted to its whole array
-    before it is returned.
+    sector basis (see :mod:`ionpulse.hilbert`), and the report hands back
+    the states they ran: each step state and the final state store
+    2N(n_max + 1) amplitudes until a reader of ``amplitudes`` builds the
+    whole array.
     """
     mode = PulseMode(mode)
     specs = preparation_sequence(params, mode)
@@ -217,7 +220,6 @@ def prepare_max_entangled(
     state = _sector_ground_state(params, frame)
     step_states: list[StateVector] = []
     _run_sequence(state, specs, 0, step_states=step_states)  # the ground state's window is level 0
-    state.amplitudes  # noqa: B018 - the report hands back the whole final array
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     return PreparationReport(

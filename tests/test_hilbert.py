@@ -63,6 +63,15 @@ class TestParams:
         with pytest.raises(ValueError, match="detuning"):
             Frame(FRAME_R_PRIME, detuning=value)
 
+    @pytest.mark.parametrize("tag", [FRAME_R, FRAME_R_PRIME])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_reference_freq(self, value, tag):
+        # a dump would otherwise write NaN or Infinity, which is not JSON
+        with pytest.raises(InputError, match=f"reference_freq must be finite, got {value!r}"):
+            Frame(tag, reference_freq=value)
+        dump = ground_state(make_params(1, nmax=1), Frame(tag, reference_freq=-2.5)).dump_json()
+        assert json.loads(dump, parse_constant=pytest.fail)["frame"]["reference_freq"] == -2.5
+
     def test_frame_r_requires_zero_detuning(self):
         with pytest.raises(ValueError):
             Frame(FRAME_R, detuning=0.5)
@@ -82,8 +91,9 @@ class TestInputError:
             lambda: Frame(FRAME_R, detuning=0.5),
             lambda: Frame("lab"),
             lambda: Frame(FRAME_R_PRIME, detuning=math.inf),
+            lambda: Frame(FRAME_R, reference_freq=math.nan),
         ],
-        ids=["n_ions", "trap_freq", "frame-r-detuning", "frame-tag", "frame-detuning"],
+        ids=["n_ions", "trap_freq", "frame-r-detuning", "frame-tag", "frame-detuning", "frame-reference-freq"],
     )
     def test_input_checks_raise_input_error(self, make):
         with pytest.raises(InputError) as caught:

@@ -1,10 +1,11 @@
-"""The preparation runs in the symmetric sector and lifts only its final state.
+"""The preparation runs in the symmetric sector and returns the sector states it ran.
 
 ``prepare_max_entangled`` stores Sym(ions 1..N-1) x ion N x Fock, 2N
-amplitudes per level, and builds the whole 2**N-wide array once, for the
-final state.  Every step state and the final state must be byte-equal to
-the same pulses run on whole arrays, a pulse the sector cannot represent
-must lift the state first, and the guards must see the sector rows.
+amplitudes per level, for every step state and the final state, and
+builds no whole 2**N-wide array: only a reader of ``amplitudes`` or
+``blocks`` does.  Every state, lifted, must be byte-equal to the same
+pulses run on whole arrays, a pulse the sector cannot represent must
+lift the state first, and the guards must see the sector rows.
 """
 
 import math
@@ -26,6 +27,7 @@ from ionpulse import (
     PulseSpec,
     SimulationError,
     apply_pulse,
+    best_ghz_fidelity,
     dense_matrix,
     ground_state,
     prepare_max_entangled,
@@ -122,31 +124,37 @@ class TestWholeArrays:
 
     @pytest.mark.parametrize("mode", list(PulseMode))
     @pytest.mark.parametrize("n_ions", [3, 7, 12])
-    def test_preparation_builds_only_the_final_state(self, monkeypatch, n_ions, mode):
+    def test_preparation_and_its_checks_build_no_whole_array(self, monkeypatch, n_ions, mode):
         p = make_params(n_ions)
         prepare_max_entangled(p, mode)  # fill the caches first
         lifted = self.count_lifts(monkeypatch)
-        reports = []
         tracemalloc.start()
         try:
-            reports.append(prepare_max_entangled(p, mode))
+            report = prepare_max_entangled(p, mode)
+            check = verify_trajectory(report)
+            best = best_ghz_fidelity(report.final_state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lifted == [(p.n_levels, 2 * n_ions)]  # the final state, every level stored
-        assert peak < p.dim * AMPLITUDE_BYTES + 64 * 1024
-        assert reports[0].final_state._levels is None
-        assert verify_trajectory(reports[0]).passed
-        assert len(lifted) == 1  # the trajectory check built none
-        assert all(in_sector(s) for s in reports[0].step_states)
+        assert lifted == []
+        assert peak < 64 * 1024  # below one whole state from N=12 (320 KiB) up, and not growing with 2**N
+        assert all(in_sector(s) for s in [*report.step_states, report.final_state])
+        assert check.passed
+        assert best == (report.fidelity_vs_target, report.best_phase)
 
-    def test_step_table_lifts_only_the_final_state(self, monkeypatch, capsys):
+    def test_step_table_lifts_nothing_and_the_dump_lifts_the_final_state_once(self, monkeypatch, capsys):
         from ionpulse.cli import main
 
+        p = make_params(12)
+        _, want = whole_run(p, PulseMode.IDEAL, Frame())
         lifted = self.count_lifts(monkeypatch)
         assert main(["prepare", "--ions", "12"]) == 0
-        assert capsys.readouterr().out.count("step ") == 5
-        assert lifted == [(5, 24)]  # the final state alone
+        table = capsys.readouterr().out
+        assert table.count("step ") == 5
+        assert lifted == []
+        assert main(["prepare", "--ions", "12", "--dump-state"]) == 0
+        assert capsys.readouterr().out == table + want.dump_json() + "\n"
+        assert lifted == [(5, 24)]  # the final state alone, every level stored
 
     def test_norm_and_fock_populations_read_the_stored_levels(self, monkeypatch):
         p = make_params(6, nmax=4)
@@ -160,23 +168,49 @@ class TestWholeArrays:
             lifted.clear()
 
 
+def per_word_lift(levels, p):
+    """The whole array one bit word at a time: c / sqrt(C(N-1, k)) for the coefficient c of the word's D_k, each part scaled apart."""
+    n = p.n_ions
+    whole = np.zeros(p.dim, dtype=complex)
+    for level in range(p.n_levels):
+        for bits in range(p.n_configs):
+            s, k = bits >> (n - 1), bin(bits & ((1 << (n - 1)) - 1)).count("1")
+            c, share = levels[level, s * n + k], 1.0 / math.sqrt(math.comb(n - 1, k))
+            whole[flat_index(p, bits, level)] = complex(c.real * share, c.imag * share)
+    return whole
+
+
 class TestLift:
-    def test_sector_amplitudes_spread_over_dicke_words(self):
-        # sector coefficient c of D_k: c / sqrt(C(N-1, k)) on each of its words
-        p = make_params(4, nmax=2)
-        rng = np.random.default_rng(7)
-        levels = np.zeros((p.n_levels, 8), dtype=complex)  # every level stored, the top one zero
-        levels[:2] = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_ions", range(1, 13))
+    def test_sector_amplitudes_spread_over_dicke_words(self, n_ions, nmax):
+        # bit for bit, with signed zeros, NaN and infinities in either part
+        p = make_params(n_ions, nmax=nmax)
+        rng = np.random.default_rng(100 * n_ions + nmax)
+        parts = rng.standard_normal((2, p.n_levels, 2 * n_ions))
+        special = rng.random(parts.shape) < 0.3
+        parts[special] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], special.sum())
+        levels = np.empty((p.n_levels, 2 * n_ions), dtype=complex)
+        levels.real, levels.imag = parts
         state = hilbert.StateVector._sector(levels, p, Frame(), 0.0)
-        want = np.zeros(p.dim, dtype=complex)
-        for n in range(2):
-            for bits in range(p.n_configs):
-                s, k = bits >> 3, bin(bits & 7).count("1")
-                want[flat_index(p, bits, n)] = levels[n, s * 4 + k] / math.sqrt(math.comb(3, k))
-        reads = [state.amplitude(bits, n) for n in range(3) for bits in range(p.n_configs)]
-        assert np.allclose(state.amplitudes, want, rtol=0.0, atol=1e-15)
-        assert np.allclose(reads, want, rtol=0.0, atol=1e-15)
-        assert state.norm() == pytest.approx(math.sqrt(hilbert.populations(levels.reshape(-1))), abs=1e-15)
+        reads = [state.amplitude(bits, n) for n in range(p.n_levels) for bits in range(p.n_configs)]
+        want = per_word_lift(levels, p)
+        assert state.amplitudes.tobytes() == want.tobytes()
+        assert np.array(reads).tobytes() == want.tobytes()
+        norm = math.sqrt(hilbert.populations(levels.reshape(-1)))
+        assert state.norm() == pytest.approx(norm, rel=1e-15, nan_ok=True)
+
+    def test_lift_allocates_one_whole_state(self):
+        p = make_params(16, nmax=4)
+        levels = np.ones((p.n_levels, 32), dtype=complex)
+        hilbert._lift(levels, p)  # caches the word index
+        tracemalloc.start()
+        try:
+            hilbert._lift(levels, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.dim * AMPLITUDE_BYTES + 64 * 1024
 
     def test_signed_zeros_and_nan_are_lifted(self):
         p = make_params(3, nmax=1)
