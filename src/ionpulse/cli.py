@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .hilbert import Frame, InputError, SimulationError, StateVector, TrapParams, populations
+from .hilbert import Frame, InputError, SimulationError, StateVector, TrapParams, fock_populations, populations
 from .pulses import PulseKind, PulseMode, PulseSpec, apply_pulse, dense_matrix
 from .protocol import (
     RamseyConfig,
@@ -143,8 +143,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     print(f"fidelity: {report.fidelity_vs_target:.12f}")
     if report.phi_schroedinger is not None:
         print(f"phi: {report.phi_schroedinger:.15g}")
-    steps = zip(preparation_sequence(params, mode), report.step_states)
-    _print_step_table([seqlang.StepTrace.after(i, spec, state) for i, (spec, state) in enumerate(steps, start=1)])
+    steps = enumerate(zip(preparation_sequence(params, mode), report.step_states), start=1)
+    _print_step_table([seqlang.StepTrace.after(i, spec, state, fock_populations(state)) for i, (spec, state) in steps])
     if args.dump_state:
         _write_data(report.final_state.dump_json() + "\n", args)
     return 0 if report.fidelity_vs_target >= 1.0 - FIDELITY_GATE else 1
@@ -160,7 +160,7 @@ def cmd_ramsey_scan(args: argparse.Namespace) -> int:
     )
     result = ramsey_scan(config)
     if args.format == "json":
-        payload = json.dumps(result_to_json_dict(result)) + "\n"
+        payload = json.dumps(result_to_json_dict(result), check_circular=False) + "\n"
     else:
         payload = result_to_csv(result)
     to_file = _write_data(payload, args)
@@ -190,7 +190,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         data = {"steps": [vars(t) for t in trace], "fidelity": fid}
         if args.dump_state:
             data["final_state"] = final.to_dump()
-        _write_data(json.dumps(data) + "\n", args)
+        _write_data(json.dumps(data, check_circular=False) + "\n", args)
         return 0
     print(f"fidelity: {fid:.12f}")
     _print_step_table(trace)

@@ -23,7 +23,8 @@ The Fock window is the levels up to the highest one holding a nonzero
 amplitude (NaN included), found by :func:`_fock_top` from a known bound
 or the cutoff.  The runners that own their states (:mod:`ionpulse.protocol`,
 :mod:`ionpulse.seqlang`) carry the window from step to step and hand it
-to the kernels, so neither reads the levels above it.
+to the kernels, so neither reads the levels above it; the next window
+comes from the populations the step's guard read.
 
 A :class:`StateVector` stores either its whole flat array or its
 coefficients in the sector basis |n>|s_N>|D_k>: 2N amplitudes per Fock
@@ -237,15 +238,21 @@ def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarra
     return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
-def _fock_top(amplitudes: np.ndarray, params: TrapParams, top: int | None = None) -> int:
+def _fock_top(amplitudes: np.ndarray, params: TrapParams, top: int | None = None, known: np.ndarray | None = None) -> int:
     """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
 
     Lowers ``top`` (the cutoff when None; the levels above must hold exact zeros) while its
     level holds only zeros in every row, one read per level.  NaN counts as nonzero, -0.0 as zero.
+    ``known``, the rows' per-level populations of levels 0 .. top (``top`` is then its last),
+    decides every level whose population is not 0 (NaN included) without a read: only a level
+    of population exactly 0 is read, as its amplitudes may be nonzero (1e-300 squares to 0).
     """
     levels = levels_view(amplitudes, params)
+    if known is not None:
+        top = known.shape[-1] - 1
+        known = known if known.ndim == 1 else known.reshape(-1, top + 1).max(axis=0, initial=0.0)  # NaN propagates
     top = params.fock_cutoff if top is None else top
-    while top > 0 and not levels[..., top, :].any():
+    while top > 0 and (known is None or known[top] == 0) and not levels[..., top, :].any():
         top -= 1
     return top
 
@@ -276,14 +283,15 @@ def _count_text(count: int) -> str:
     return str(count) if count < 2**64 else f"at least 2^{count.bit_length() - 1}"
 
 
-def check_memory(n_amplitudes: int) -> None:
-    """Raise before allocating ``n_amplitudes`` complex amplitudes that would not fit in physical memory."""
-    needed = n_amplitudes * np.dtype(np.complex128).itemsize
+def check_memory(n_amplitudes: int, index_bytes: int = 0) -> None:
+    """Raise before allocating ``n_amplitudes`` complex amplitudes, and ``index_bytes`` beside them, that would not fit in physical memory."""
+    needed = n_amplitudes * np.dtype(np.complex128).itemsize + index_bytes
     available = _physical_memory_bytes()
     if available is not None and needed > available:
         gib = f" ({needed / 2**30:.4g} GiB)" if needed < 2**64 else ""
+        index = f" and a {index_bytes} B index" if index_bytes else ""
         raise SimulationError(
-            f"{_count_text(n_amplitudes)} amplitudes need {_count_text(needed)} B{gib}, more than the "
+            f"{_count_text(n_amplitudes)} amplitudes{index} need {_count_text(needed)} B{gib}, more than the "
             f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
         )
 
@@ -334,8 +342,12 @@ def _word_index(n_ions: int) -> np.ndarray:
 
     Shared by every call, so callers must not write to it.  It is left
     writeable because ``np.take`` copies a read-only index on each call.
+    Built from the popcounts with no temporary, so a cold call holds at
+    most the index (8 B per word) and the cached popcounts (1 B).
     """
-    return (np.arange(1 << n_ions) >> (n_ions - 1)) * (n_ions - 1) + _popcounts(n_ions)
+    index = _popcounts(n_ions).astype(np.intp)
+    index[1 << (n_ions - 1) :] += n_ions - 1  # s = 1 on the upper half of the words
+    return index
 
 
 def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
@@ -344,8 +356,10 @@ def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
     Every bit word gathers its Dicke state's coefficient as
     :func:`_word_amplitudes` scales it.  The index is intp and the mode
     does not buffer, so ``np.take`` allocates nothing beside the result.
+    The check counts what a cold lift builds beside it, cached or not:
+    the word index and its popcounts, 9 B per word.
     """
-    check_memory(params.dim)
+    check_memory(params.dim, 9 * params.n_configs)
     amplitudes = np.empty(params.dim, dtype=np.complex128)
     scaled = _word_amplitudes(levels, params.n_ions)
     np.take(scaled, _word_index(params.n_ions), axis=1, out=levels_view(amplitudes, params), mode="clip")
@@ -425,14 +439,16 @@ class StateVector:
         """The amplitude at a flat index, read from what is stored: the whole array is not built.
 
         In the sector it is the coefficient of the word's Dicke state
-        times 1/sqrt(C(N-1, k)).
+        times 1/sqrt(C(N-1, k)), its two parts scaled apart as
+        :func:`_word_amplitudes` scales them.
         """
         if self._levels is None:
             return self._amplitudes[flat]
         n_ions = self.params.n_ions
         fock_n, bits = divmod(flat, self.params.n_configs)
         index = (bits >> (n_ions - 1)) * (n_ions - 1) + bits.bit_count()
-        return _word_amplitudes(self._levels[fock_n], n_ions)[index]
+        coefficient, scale = self._levels[fock_n, index], float(_dicke_scale(n_ions)[index, 0])
+        return np.complex128(complex(coefficient.real * scale, coefficient.imag * scale))
 
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
         return complex(self._amplitude_at(flat_index(self.params, ion_bits, fock_n)))
@@ -456,7 +472,7 @@ class StateVector:
         }
 
     def dump_json(self) -> str:
-        return json.dumps(self.to_dump())
+        return json.dumps(self.to_dump(), check_circular=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

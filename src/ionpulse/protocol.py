@@ -78,7 +78,6 @@ from .pulses import (
     validate_pulse_spec,
     _check_detuning_phase,
     _check_step_phases,
-    _window_after,
 )
 
 __all__ = [
@@ -134,12 +133,12 @@ def _run_sequence(
 ) -> StateVector:
     """Apply ``specs`` to ``state``, whose Fock window is ``top``, carrying the window from step to step.
 
-    The window is read from the rows the kernels act on, so a state stored
-    in the sector basis stays there.
+    Each window is taken from the step's populations and the rows the
+    kernels acted on, so a state stored in the sector basis stays there.
     """
     for spec in specs:
-        apply_pulse(state, spec, top=top)
-        top = _window_after(state._rows(), state.params, spec, top)
+        _, levels = apply_pulse(state, spec, top=top)
+        top = _fock_top(state._rows(), state.params, known=levels)
         if step_states is not None:
             step_states.append(state.copy())
     return state
@@ -406,9 +405,9 @@ def _run_rows(
     ``detuning_during_pulses`` diagnostic.
     """
     for spec in specs:
-        duration = apply_pulse_rows(rows, params, spec, clock, detunings, top=top)
+        duration, levels = apply_pulse_rows(rows, params, spec, clock, detunings, top=top)
         clock = clock + duration
-        top = _window_after(rows, params, spec, top)  # a phase maps zeros to zeros: the same window after it
+        top = _fock_top(rows, params, known=levels)  # a phase maps zeros to zeros: the same window after it
         if during_pulses and spec.kind is not PulseKind.WAIT:
             apply_detuning_phase(rows, params, detunings, duration, top=top)
     return clock, top

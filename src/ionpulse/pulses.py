@@ -48,14 +48,17 @@ before any other pulse (:func:`_sector_holds`).  Every kernel acts only
 on the Fock window: levels 0 .. top, where top is the highest level
 holding a nonzero amplitude in any row (NaN included; the sideband's
 coupled pairs reach top + 1).  The levels above hold exact zeros,
-which every pulse maps to zeros, so no kernel touches them.  A runner
-that owns its state passes ``top`` to each call and moves it on with
-:func:`_window_after`; a call without ``top`` finds it with
-:func:`ionpulse.hilbert._fock_top`.  Before a step changes
-anything its end time and the phases it forms must be finite; after it,
-one pass of :func:`ionpulse.hilbert.populations` over the window gives
-each row's per-level populations: the norm guard reads their sum, the
-leakage guard their top level once the window reaches the cutoff.
+which every pulse maps to zeros, so no kernel touches them.  Before a
+step changes anything its end time and the phases it forms must be
+finite; after it, one pass of :func:`ionpulse.hilbert.populations` over
+the window gives each row's per-level populations: the norm guard reads
+their sum, the leakage guard their top level once the window reaches
+the cutoff.  Every step returns them, and but for a level whose
+population is exactly 0 that pass is the only read of a step's state: a
+runner that owns its state passes ``top`` to each call and takes the
+next window from the populations (:func:`ionpulse.hilbert._fock_top`),
+and ``ionpulse run`` its step record.  A call without ``top`` finds it
+with ``_fock_top`` alone.
 
 A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
@@ -145,29 +148,39 @@ class LeakageError(SimulationError):
 LEAKAGE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RabiLaw:
-    """n-dependent Rabi frequencies of the three coupling types.
+def _rabi_rate(kind: PulseKind, params: TrapParams, n: int) -> float:
+    """Rabi frequency of a ``kind`` pulse on Fock level n (on the pair |g,n+1> <-> |e,n> for the sideband).
 
     The sideband and dispersive couplings are leading order in the
     Lamb-Dicke parameter; the single overall scale is the carrier
-    frequency Omega_0 from the trap parameters.
+    frequency Omega_0 from the trap parameters.  The dispersive rate is
+    identically zero at n = 0.
     """
+    if kind is PulseKind.CARRIER_PI_HALF:
+        return params.base_rabi
+    if kind is PulseKind.JC_PI:
+        return params.base_rabi * params.lamb_dicke * math.sqrt(n + 1) / math.sqrt(params.n_ions)
+    if kind in (PulseKind.DISPERSIVE_SINGLE_PI, PulseKind.DISPERSIVE_COLLECTIVE_PI):
+        return params.base_rabi * params.lamb_dicke**2 * n / params.n_ions
+    raise PulseError(f"unknown pulse kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class RabiLaw:
+    """n-dependent Rabi frequencies of the three coupling types (see :func:`_rabi_rate`)."""
 
     params: TrapParams
 
     def carrier(self) -> float:
-        return self.params.base_rabi
+        return _rabi_rate(PulseKind.CARRIER_PI_HALF, self.params, 0)
 
     def jc(self, n: int) -> float:
         """Red-sideband rate on the |g,n+1> <-> |e,n> pair."""
-        p = self.params
-        return p.base_rabi * p.lamb_dicke * math.sqrt(n + 1) / math.sqrt(p.n_ions)
+        return _rabi_rate(PulseKind.JC_PI, self.params, n)
 
     def dispersive(self, n: int) -> float:
         """Dispersive flip rate on Fock level n; identically zero at n = 0."""
-        p = self.params
-        return p.base_rabi * p.lamb_dicke**2 * n / p.n_ions
+        return _rabi_rate(PulseKind.DISPERSIVE_SINGLE_PI, self.params, n)
 
 
 @dataclass(frozen=True)
@@ -194,26 +207,17 @@ def _check_ion(params: TrapParams, ion: int) -> None:
         raise PulseError(f"target ion {ion} out of range [1, {params.n_ions}]")
 
 
-def _positive_rabi(value: float, label: str) -> float:
-    if not value > 0:
-        raise PulseError(f"{label} Rabi frequency must be positive, got {value!r}")
-    return value
-
-
 def pulse_duration(spec: PulseSpec, params: TrapParams) -> float:
     """Duration of the pulse: pi/(2 Omega) for the carrier, pi/Omega otherwise."""
     if spec.kind is PulseKind.WAIT:
         if spec.duration is None or not 0 <= spec.duration < math.inf:
             raise PulseError(f"wait requires a finite duration >= 0, got {spec.duration!r}")
         return spec.duration
-    law = RabiLaw(params)
-    if spec.kind is PulseKind.CARRIER_PI_HALF:
-        return math.pi / (2.0 * _positive_rabi(law.carrier(), "carrier"))
-    if spec.kind is PulseKind.JC_PI:
-        return math.pi / _positive_rabi(law.jc(spec.target_n), "sideband")
-    if spec.kind in (PulseKind.DISPERSIVE_SINGLE_PI, PulseKind.DISPERSIVE_COLLECTIVE_PI):
-        return math.pi / _positive_rabi(law.dispersive(spec.target_n), "dispersive")
-    raise PulseError(f"unknown pulse kind {spec.kind!r}")
+    rate = _rabi_rate(spec.kind, params, spec.target_n)
+    if not rate > 0:
+        name = {PulseKind.CARRIER_PI_HALF: "carrier", PulseKind.JC_PI: "sideband"}.get(spec.kind, "dispersive")
+        raise PulseError(f"{name} Rabi frequency must be positive, got {rate!r}")
+    return math.pi / (2.0 * rate) if spec.kind is PulseKind.CARRIER_PI_HALF else math.pi / rate
 
 
 def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
@@ -339,30 +343,35 @@ def _half_angle(theta: float) -> tuple[float, float]:
     return math.cos(theta / 2.0), math.sin(theta / 2.0)
 
 
-def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool, top: int) -> None:
+def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool, top: int) -> np.ndarray:
     """The guards after a step: every row's norm and, unless disabled, its population at the Fock cutoff.
 
     One pass over the window, levels 0 .. ``top``, gives every row's
-    per-level populations (the levels above hold exact zeros): the norm
-    is the root of their sum, the leakage their top level, read only when
-    the window reaches the cutoff.  A NaN norm counts as drifted.
+    per-level populations, which are returned (the levels above hold
+    exact zeros): the norm is the root of their sum, the leakage their
+    top level, read only when the window reaches the cutoff.  The norms
+    within NORM_TOL of 1 are those of sums in one interval around 1 (the
+    root and the rounded difference are monotone), so the smallest and
+    largest sums decide for every row; NaN propagates and fails.
     """
     levels = populations(levels_view(amplitudes, params)[..., : top + 1, :])
-    norms = np.sqrt(levels.sum(axis=-1))
-    within = np.abs(norms - 1.0) <= NORM_TOL
-    if np.count_nonzero(within) != within.size:
-        row = int(np.flatnonzero(~within)[0])
-        where = f" in row {row}" if within.ndim else ""
+    sums = levels.sum(axis=-1)
+    low, high = (sums, sums) if sums.ndim == 0 else (sums.min(initial=1.0), sums.max(initial=1.0))
+    if not (abs(math.sqrt(low) - 1.0) <= NORM_TOL and abs(math.sqrt(high) - 1.0) <= NORM_TOL):
+        norms = np.sqrt(sums)
+        row = int(np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))[0])
+        where = f" in row {row}" if norms.ndim else ""
         norm = float(np.reshape(norms, -1)[row])
         raise SimulationError(f"state norm drifted to {norm!r}{where} (|norm - 1| > {NORM_TOL})")
     if not check_leakage or top < params.fock_cutoff:
-        return
+        return levels
     cutoff = levels[..., -1]
     if np.count_nonzero(cutoff > LEAKAGE_TOL):
         raise LeakageError(
             f"population {np.max(cutoff):.3e} at the Fock cutoff n={params.fock_cutoff}; "
             "raise fock_cutoff for a trustworthy simulation"
         )
+    return levels
 
 
 @lru_cache(maxsize=256)
@@ -403,9 +412,11 @@ def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table,
     broadcast over the levels with the table's (c, s) columns: two
     temporaries the size of ``a``, and no view is copied.  When every
     angle is pi (c = 0, s = 1) the update is the swap (x b, y a) with one
-    temporary.
+    temporary.  An empty table turns nothing and touches nothing.
     """
     levels, cos, sin, all_pi = table
+    if levels.start >= levels.stop:
+        return
     view = _ion_view(amplitudes, params, ion)
     a = view[..., levels.start + shift : levels.stop + shift, :, 0, :]
     b = view[..., levels, :, 1, :]
@@ -442,9 +453,11 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
     """R(theta_m) with u = e^{i phase} on every ion at once, over the table's levels.
 
     Rotations on different ions commute, so turning one ion at a time
-    applies R(theta_m)^{(x)N}.
+    applies R(theta_m)^{(x)N}.  An empty table turns nothing and touches nothing.
     """
     levels, _, _, all_pi = table
+    if levels.start >= levels.stop:
+        return
     if not all_pi:
         u = np.exp(1j * laser_phase)
         for ion in range(1, params.n_ions + 1):
@@ -457,11 +470,6 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
     blocks[...] = flipped[..., ::-1]
 
 
-def _sideband_top(table, top: int) -> int:
-    """The window a sideband leaves from window ``top``: its highest pair's |g> level at most."""
-    return max(top, table[0].stop)
-
-
 def apply_pulse_rows(
     amplitudes: np.ndarray,
     params: TrapParams,
@@ -471,8 +479,8 @@ def apply_pulse_rows(
     *,
     check_leakage: bool = True,
     top: int | None = None,
-) -> float:
-    """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration.
+) -> tuple[float, np.ndarray]:
+    """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration and populations.
 
     Every row is one state, and all rows share the start time ``t0``.
     The rows may instead be one state's 2N(n_max + 1) sector coefficients,
@@ -480,13 +488,16 @@ def apply_pulse_rows(
     ``detuning`` (one per row, or one for all) only enters wait steps.  A
     step whose end time or phases are not finite raises PulseError before
     it changes any amplitude.  ``top`` is the rows' Fock window from a
-    caller that tracks it (see :func:`_window_after`); without it the
-    window is found from the amplitudes.  A pulse rotates the pairs its
-    angle table lists and then gives the window its free phase.  After the
-    step every row's norm is checked, and after a pulse every row's
-    population at the Fock cutoff, unless ``check_leakage=False``; that
-    bypass is meant for unitary-equivalence checks on synthetic
-    full-support states, not for simulations.
+    caller that tracks it; without it the window is found from the
+    amplitudes.  A pulse rotates the pairs its angle table lists and then
+    gives the window its free phase (a sideband's reaches its highest
+    pair's |g> level).  After the step every row's norm is checked, and
+    after a pulse every row's population at the Fock cutoff, unless
+    ``check_leakage=False``; that bypass is meant for unitary-equivalence
+    checks on synthetic full-support states, not for simulations.  The
+    populations are the guards' one pass, each row's per-level
+    populations over that window (:func:`_check_rows`): a runner takes
+    its next window from them (:func:`ionpulse.hilbert._fock_top`).
     """
     duration = validate_pulse_spec(spec, params)
     _check_step_phases(params, spec, t0, duration, detuning)
@@ -505,12 +516,11 @@ def apply_pulse_rows(
         elif spec.kind is PulseKind.JC_PI:
             u = 1j * np.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)
-            top = _sideband_top(table, top)
+            top = max(top, table[0].stop)
         else:
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
         _apply_free_phases(amplitudes, params, duration, top)
-    _check_rows(amplitudes, params, check_leakage, top)
-    return duration
+    return duration, _check_rows(amplitudes, params, check_leakage, top)
 
 
 def _sector_holds(spec: PulseSpec, params: TrapParams, top: int) -> bool:
@@ -527,8 +537,8 @@ def _sector_holds(spec: PulseSpec, params: TrapParams, top: int) -> bool:
 
 def apply_pulse(
     state: StateVector, spec: PulseSpec, *, check_leakage: bool = True, top: int | None = None
-) -> StateVector:
-    """Apply one PulseSpec to the state at its clock; see :func:`apply_pulse_rows`.
+) -> tuple[float, np.ndarray]:
+    """Apply one PulseSpec to the state at its clock; return the duration and populations of :func:`apply_pulse_rows`.
 
     A sector-stored state stays in the sector when it represents ``spec``
     (:func:`_sector_holds`); otherwise its whole array is built first.
@@ -540,20 +550,9 @@ def apply_pulse(
             top = _fock_top(rows, params)
         if not _sector_holds(spec, params, top):
             rows = state.amplitudes
-    duration = apply_pulse_rows(rows, params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top)
-    state.clock = state.clock + duration
-    return state
-
-
-def _window_after(amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, top: int) -> int:
-    """The Fock window of rows that ``spec`` was just applied to with window ``top``.
-
-    A sideband raises it as its free-phase pass did, then :func:`ionpulse.hilbert._fock_top`
-    lowers it: a runner keeps its window exact without reading the levels above it.
-    """
-    if spec.kind is PulseKind.JC_PI:
-        top = _sideband_top(_angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top), top)
-    return _fock_top(amplitudes, params, top)
+    record = apply_pulse_rows(rows, params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top)
+    state.clock = state.clock + record[0]
+    return record
 
 
 def free_evolve(state: StateVector, duration: float) -> StateVector:
@@ -562,7 +561,8 @@ def free_evolve(state: StateVector, duration: float) -> StateVector:
     Fock level m picks up exp(-i nu m T); in a detuned frame each basis
     state additionally picks up exp(-i Delta T) per excited ion.
     """
-    return apply_pulse(state, PulseSpec(PulseKind.WAIT, duration=duration))
+    apply_pulse(state, PulseSpec(PulseKind.WAIT, duration=duration))
+    return state
 
 
 # --------------------------------------------------------------------------

@@ -39,6 +39,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .hilbert import (
     Frame,
     SimulationError,
@@ -46,10 +48,10 @@ from .hilbert import (
     TrapParams,
     _fock_top,
     check_memory,
-    fock_populations,
+    fock_populations,  # noqa: F401 - not called here; profiling tools wrap this module's names
     ground_state,
 )
-from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, _window_after, apply_pulse, validate_pulse_spec
+from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, apply_pulse, validate_pulse_spec
 
 __all__ = [
     "DEFAULT_PARAMS",
@@ -148,10 +150,15 @@ class StepTrace:
     fock_populations: list[float]
 
     @classmethod
-    def after(cls, step: int, spec: PulseSpec, state: StateVector) -> StepTrace:
-        """The record of step ``step`` (``spec``), read from the state it left."""
-        populations = fock_populations(state)
-        return cls(step, spec.kind.value, state.clock, math.sqrt(populations.sum()), populations.tolist())
+    def after(cls, step: int, spec: PulseSpec, state: StateVector, populations: np.ndarray) -> StepTrace:
+        """The record of step ``step`` (``spec``) from the state it left and its populations of levels 0 .. k.
+
+        The levels above k hold exact zeros: they count 0.0, so the record
+        equals one read from :func:`ionpulse.hilbert.fock_populations`.
+        """
+        levels = np.zeros(state.params.n_levels)
+        levels[: populations.shape[-1]] = populations
+        return cls(step, spec.kind.value, state.clock, math.sqrt(levels.sum()), levels.tolist())
 
 
 @dataclass
@@ -321,7 +328,8 @@ def execute(
     is given (it is copied, not mutated, and must match the program's
     parameters).  Failures during a step re-raise as SequenceError with
     the step's source position.  The Fock window is found once, at the
-    start, and carried from step to step.
+    start, and carried from step to step; each step's populations, read
+    once by its guard, give both its record and the next window.
     """
     if initial is None:
         state, top = ground_state(program.params, program.frame), 0
@@ -334,9 +342,9 @@ def execute(
     spans = program.source_spans or [(0, 0)] * len(program.steps)
     for step, (spec, (line, column)) in enumerate(zip(program.steps, spans), start=1):
         try:
-            apply_pulse(state, spec, top=top)
+            _, levels = apply_pulse(state, spec, top=top)
         except (SimulationError, ValueError) as exc:
             raise SequenceError(line, column, str(exc)) from exc
-        top = _window_after(state.amplitudes, state.params, spec, top)
-        trace.append(StepTrace.after(step, spec, state))
+        top = _fock_top(state.amplitudes, state.params, known=levels)
+        trace.append(StepTrace.after(step, spec, state, levels))
     return state, trace

@@ -212,6 +212,27 @@ class TestLift:
             tracemalloc.stop()
         assert peak <= p.dim * AMPLITUDE_BYTES + 64 * 1024
 
+    def test_cold_lift_counts_its_word_index(self, monkeypatch):
+        # a cold lift builds the word index (8 B per word) and the popcounts (1 B) beside the state
+        p = make_params(16, nmax=1)
+        levels = np.ones((p.n_levels, 32), dtype=complex)
+        counted = p.dim * AMPLITUDE_BYTES + 9 * p.n_configs
+        hilbert._word_index.cache_clear()
+        hilbert._popcounts.cache_clear()
+        for memory, fits in ((p.dim * AMPLITUDE_BYTES + 4 * p.n_configs, False), (counted, True)):
+            monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: memory)
+            tracemalloc.start()
+            try:
+                if fits:
+                    hilbert._lift(levels, p)
+                else:
+                    with pytest.raises(SimulationError, match="amplitudes and a 589824 B index need"):
+                        hilbert._lift(levels, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (counted if fits else 0) + 64 * 1024  # nothing is allocated before the check
+
     def test_signed_zeros_and_nan_are_lifted(self):
         p = make_params(3, nmax=1)
         levels = np.zeros((p.n_levels, 6), dtype=complex)

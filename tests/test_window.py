@@ -1,18 +1,34 @@
 """The runners carry the Fock window from step to step instead of finding it again.
 
 ``protocol._run_sequence``, ``protocol._run_rows`` and ``seqlang.execute``
-start from a known window and move it on with ``pulses._window_after``.
-After every step that window must equal what ``hilbert._fock_top`` finds
-from scratch, and every step state, final state and scan row must be
+start from a known window and move it on with ``hilbert._fock_top`` fed
+the step's populations, which the pulse's guard hands back.  After every
+step that window must equal what ``hilbert._fock_top`` finds from
+scratch, and every step state, final state and scan row must be
 byte-equal to a plain loop of window-less pulse calls.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionpulse import PulseKind, PulseMode, PulseSpec, RamseyConfig, SimulationError, apply_pulse, ground_state
-from ionpulse import protocol, pulses, seqlang
+from ionpulse import (
+    Frame,
+    PulseKind,
+    PulseMode,
+    PulseSpec,
+    RamseyConfig,
+    SimulationError,
+    StateVector,
+    apply_pulse,
+    flat_index,
+    fock_populations,
+    ground_state,
+)
+from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import _fock_top, dicke_extreme
 from ionpulse.pulses import apply_detuning_phase, apply_pulse_rows
 from ionpulse.seqlang import parse
@@ -20,17 +36,18 @@ from conftest import make_params
 
 
 def track_windows(monkeypatch):
-    """Record every window the runners compute, each checked against ``_fock_top`` from scratch."""
+    """Record every window the runners take from a step's populations, each checked against ``_fock_top`` from scratch."""
     seen = []
 
-    def checked(amplitudes, params, spec, top):
-        new = pulses._window_after(amplitudes, params, spec, top)
-        assert new == _fock_top(amplitudes, params), spec
-        seen.append(new)
+    def checked(amplitudes, params, top=None, known=None):
+        new = hilbert._fock_top(amplitudes, params, top, known)
+        if known is not None:  # after a step; a call without populations finds a start window
+            assert new == _fock_top(amplitudes, params), known
+            seen.append(new)
         return new
 
     for module in (protocol, seqlang):
-        monkeypatch.setattr(module, "_window_after", checked)
+        monkeypatch.setattr(module, "_fock_top", checked)
     return seen
 
 
@@ -93,9 +110,9 @@ class TestSeqlang:
         def recording(state, spec, **kwargs):
             handed.append(kwargs["top"])
             assert kwargs["top"] == _fock_top(state.amplitudes, p)
-            pulses.apply_pulse(state, spec, **kwargs)
+            record = pulses.apply_pulse(state, spec, **kwargs)
             steps.append(state.amplitudes.copy())
-            return state
+            return record
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             windows = track_windows(monkeypatch)
@@ -140,7 +157,7 @@ def plain_scan_rows(config, deltas):
 
     def run(rows, steps, clock, detunings, kick):
         for spec in steps:
-            duration = apply_pulse_rows(rows, p, spec, clock, detunings)
+            duration, _ = apply_pulse_rows(rows, p, spec, clock, detunings)
             clock = clock + duration
             if kick is not None and spec.kind is not PulseKind.WAIT:
                 apply_detuning_phase(rows, p, kick, duration)
@@ -179,3 +196,69 @@ class TestScan:
         assert np.concatenate([rows for rows, _ in chunks]).tobytes() == want.tobytes()
         assert {c for _, c in chunks} == {clock}
         assert windows and windows[-1] == 0
+
+
+def copying_steps(monkeypatch):
+    """Copy the state each step of ``seqlang.execute`` leaves."""
+    states = []
+
+    def copying(state, spec, **kwargs):
+        record = pulses.apply_pulse(state, spec, **kwargs)
+        states.append(state.copy())
+        return record
+
+    monkeypatch.setattr(seqlang, "apply_pulse", copying)
+    return states
+
+
+def assert_records_read_the_step_states(trace, states, windows):
+    """Each record equals, bit for bit, a ``fock_populations`` read of its step state, and each window ``_fock_top``'s."""
+    assert len(trace) == len(states) == len(windows)
+    for entry, state, window in zip(trace, states, windows):
+        levels = fock_populations(state)
+        assert np.array(entry.fock_populations).tobytes() == levels.tobytes()
+        assert np.float64(entry.norm).tobytes() == np.float64(math.sqrt(levels.sum())).tobytes()
+        assert window == _fock_top(state.amplitudes, state.params)
+
+
+class TestRecord:
+    @settings(max_examples=120)
+    @given(program=programs(), mode=st.sampled_from(list(PulseMode)))
+    def test_step_records_equal_fock_populations_of_each_step_state(self, program, mode):
+        program = dataclasses.replace(program, steps=[dataclasses.replace(s, mode=mode) for s in program.steps])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            windows, states = track_windows(monkeypatch), copying_steps(monkeypatch)
+            try:
+                _, trace = seqlang.execute(program)
+            except seqlang.SequenceError:
+                return  # no trace to check: the step that raised left no record
+        assert len(trace) == len(program.steps)
+        assert_records_read_the_step_states(trace, states, windows)
+
+    def test_a_level_of_1e300_alone_stays_in_the_window(self, windows, monkeypatch):
+        # its population squares to 0.0, so the window must read its amplitudes
+        p = make_params(3, nmax=4)
+        amplitudes = np.zeros(p.dim, dtype=complex)
+        amplitudes[0], amplitudes[flat_index(p, 0b101, 2)] = 1.0, 1e-300
+        initial = StateVector(amplitudes, p, Frame())
+        program, _ = parse("ions N=3\ntrap nmax=4\nwait T=0.7\ncarrier_pi2 ion=1\ndisp_pi ion=2 n=1\n")
+        states = copying_steps(monkeypatch)
+        final, trace = seqlang.execute(program, initial)
+        assert windows == [2, 2, 2]
+        assert [entry.fock_populations[2] for entry in trace] == [0.0, 0.0, 0.0]
+        assert_records_read_the_step_states(trace, states, windows)
+        want = plain_steps(initial.copy(), program.steps)
+        assert final.amplitudes.tobytes() == want[-1].tobytes()
+        assert final.amplitudes[flat_index(p, 0b101, 2)] != 1e-300  # the free phase reached it
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["one-state", "rows"])
+    def test_a_nan_level_counts_as_nonzero(self, shape):
+        p = make_params(2, nmax=4)
+        rows = np.zeros(shape + (p.dim,), dtype=complex)
+        rows[..., 0] = 1.0
+        rows[..., flat_index(p, 0b01, 3)] = math.nan
+        known = hilbert.populations(hilbert.levels_view(rows, p))
+        assert np.isnan(known[..., 3]).all() and (known[..., 4] == 0).all()
+        assert _fock_top(rows, p, known=known) == _fock_top(rows, p) == 3
+        rows[..., 3 * p.n_configs :] = 0.0  # the populations decide level 3 without reading it
+        assert _fock_top(rows, p, known=known) == 3
