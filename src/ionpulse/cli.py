@@ -187,10 +187,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     fid, _ = best_ghz_fidelity(final)
     if args.format == "json":
         # vars(t) is dataclasses.asdict(t) for this flat record, without asdict's deep copy
-        data = {"steps": [vars(t) for t in trace], "fidelity": fid}
-        if args.dump_state:
-            data["final_state"] = final.to_dump()
-        _write_data(json.dumps(data, check_circular=False) + "\n", args)
+        text = json.dumps({"steps": [vars(t) for t in trace], "fidelity": fid}, check_circular=False)
+        if args.dump_state:  # the last key, spliced in as json.dumps would write it
+            text = f'{text[:-1]}, "final_state": {final.dump_json()}}}'
+        _write_data(text + "\n", args)
         return 0
     print(f"fidelity: {fid:.12f}")
     _print_step_table(trace)

@@ -41,7 +41,11 @@ and one gather, on the first read of ``amplitudes`` or ``blocks``, and
 kept from then on, so a write through either one is seen by every later
 reader.  Readers that need only a few numbers
 (:meth:`StateVector._amplitude_at`, the norm, :func:`fock_populations`)
-read the stored coefficients and never build it.
+read the stored coefficients and never build it.  A dump
+(:meth:`StateVector.dump_json`) is ``json.dumps(to_dump())`` written by
+:func:`_pairs_json`: an exactly zero pair takes a constant string by its
+sign bits and only nonzero pairs are formatted, so no Python list is made
+per amplitude; its memory check comes before the lift and the text.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -283,15 +287,15 @@ def _count_text(count: int) -> str:
     return str(count) if count < 2**64 else f"at least 2^{count.bit_length() - 1}"
 
 
-def check_memory(n_amplitudes: int, index_bytes: int = 0) -> None:
-    """Raise before allocating ``n_amplitudes`` complex amplitudes, and ``index_bytes`` beside them, that would not fit in physical memory."""
-    needed = n_amplitudes * np.dtype(np.complex128).itemsize + index_bytes
+def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index") -> None:
+    """Raise before allocating ``n_amplitudes`` complex amplitudes, and ``extra_bytes`` of ``extra`` beside them, that would not fit in physical memory."""
+    needed = n_amplitudes * np.dtype(np.complex128).itemsize + extra_bytes
     available = _physical_memory_bytes()
     if available is not None and needed > available:
         gib = f" ({needed / 2**30:.4g} GiB)" if needed < 2**64 else ""
-        index = f" and a {index_bytes} B index" if index_bytes else ""
+        beside = f" and a {extra_bytes} B {extra}" if extra_bytes else ""
         raise SimulationError(
-            f"{_count_text(n_amplitudes)} amplitudes{index} need {_count_text(needed)} B{gib}, more than the "
+            f"{_count_text(n_amplitudes)} amplitudes{beside} need {_count_text(needed)} B{gib}, more than the "
             f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
         )
 
@@ -364,6 +368,29 @@ def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
     scaled = _word_amplitudes(levels, params.n_ions)
     np.take(scaled, _word_index(params.n_ions), axis=1, out=levels_view(amplitudes, params), mode="clip")
     return amplitudes
+
+
+#: The JSON text of an exactly zero [re, im] pair, brackets left out, by its sign bits: re's 1, im's 2.
+_ZERO_PAIRS = np.array(["0.0, 0.0", "-0.0, 0.0", "0.0, -0.0", "-0.0, -0.0"], dtype=object)
+
+
+def _pairs_json(amplitudes: np.ndarray, prefix: str, suffix: str) -> str:
+    """``prefix + json.dumps(amplitudes[:, None].view(np.float64).tolist()) + suffix``, the same bytes as one str.
+
+    An exactly zero pair (-0.0 included) takes its text from :data:`_ZERO_PAIRS`, so no Python
+    list is made for it; only the nonzero pairs (NaN included) are formatted, by ``json.dumps``.
+    The pieces are joined by "], [", so the result is the one str the join builds.
+    """
+    nonzero = amplitudes != 0
+    parts = amplitudes[:, None].view(np.float64)
+    if nonzero.all():  # no zero pair, or no pair at all
+        return prefix + json.dumps(parts.tolist(), check_circular=False) + suffix
+    pieces = _ZERO_PAIRS[(np.signbit(amplitudes.imag).view(np.uint8) << 1) | np.signbit(amplitudes.real)]
+    if nonzero.any():
+        pieces[nonzero] = json.dumps(parts[nonzero].tolist(), check_circular=False)[2:-2].split("], [")
+    pieces[0] = prefix + "[[" + pieces[0]
+    pieces[-1] += "]]" + suffix
+    return "], [".join(pieces.tolist())
 
 
 class StateVector:
@@ -457,22 +484,35 @@ class StateVector:
         """Root of the summed populations of what is stored (the whole array is not built)."""
         return math.sqrt(populations(self._rows()))
 
+    def _dump_header(self) -> dict:
+        """The dump's fields before its amplitudes, in order, read by :meth:`to_dump` and :meth:`dump_json`."""
+        frame = {"tag": self.frame.tag, "detuning": self.frame.detuning, "reference_freq": self.frame.reference_freq}
+        return {"n_ions": self.params.n_ions, "n_max": self.params.fock_cutoff, "frame": frame, "clock": self.clock}
+
     def to_dump(self) -> dict:
         """JSON-ready dict in the documented flat order (fock-major)."""
-        return {
-            "n_ions": self.params.n_ions,
-            "n_max": self.params.fock_cutoff,
-            "frame": {
-                "tag": self.frame.tag,
-                "detuning": self.frame.detuning,
-                "reference_freq": self.frame.reference_freq,
-            },
-            "clock": self.clock,
-            "amplitudes": self.amplitudes[:, None].view(np.float64).tolist(),  # [re, im] pairs
-        }
+        return {**self._dump_header(), "amplitudes": self.amplitudes[:, None].view(np.float64).tolist()}  # [re, im] pairs
+
+    def _nonzero_pairs(self) -> int:
+        """How many amplitudes of the whole array may be nonzero, from what is stored: a sector coefficient of D_k fills C(N-1, k) words."""
+        if self._levels is None:
+            return np.count_nonzero(self._amplitudes)
+        n = self.params.n_ions
+        return sum(c * math.comb(n - 1, i % n) for i, c in enumerate(np.count_nonzero(self._levels, axis=0).tolist()))
 
     def dump_json(self) -> str:
-        return json.dumps(self.to_dump(), check_circular=False)
+        """``json.dumps(self.to_dump())``, the same bytes, built by :func:`_pairs_json` after one memory check.
+
+        It counts the whole array (and the word index if lifted here), the encoder's 24 B per amplitude and
+        400 B per nonzero one, and the text twice (a caller's splice copies it), bounded by 14 chars per
+        zero pair and 54 per nonzero one (two 24-char floats) with their separators.
+        """
+        head = json.dumps(self._dump_header(), check_circular=False)[:-1] + ', "amplitudes": '
+        nonzero, dim = self._nonzero_pairs(), self.params.dim
+        text = len(head) + 14 * (dim - nonzero) + 54 * nonzero + 5
+        index = 0 if self._levels is None else 9 * self.params.n_configs
+        check_memory(dim, index + 24 * dim + 400 * nonzero + 2 * text, "dump")
+        return _pairs_json(self.amplitudes, head, "}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

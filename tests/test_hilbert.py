@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from ionpulse import (
     Frame,
     InputError,
     PulseKind,
+    PulseMode,
     PulseSpec,
     SimulationError,
     StateVector,
@@ -22,6 +26,7 @@ from ionpulse import (
     flat_index,
     fock_populations,
     ground_state,
+    prepare_max_entangled,
     split_index,
     target_ghz,
 )
@@ -397,7 +402,86 @@ class TestFockTop:
             assert hilbert._fock_top(row, p) == (int(occupied[-1]) if occupied.size else 0)
 
 
+#: Float parts for dump tests: both zeros, NaN, both infinities, subnormals, the extreme exponents and ordinary floats.
+DUMP_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(),
+)
+
+
 class TestDump:
+    @given(pairs=st.lists(st.tuples(DUMP_FLOATS, DUMP_FLOATS), max_size=64))
+    def test_encoder_gives_the_bytes_of_json_dumps(self, pairs):
+        amplitudes = np.array(pairs, dtype=np.float64).reshape(-1, 2).view(np.complex128)[:, 0]
+        want = json.dumps(amplitudes[:, None].view(np.float64).tolist())
+        assert hilbert._pairs_json(amplitudes, "", "") == want
+        assert hilbert._pairs_json(amplitudes, "{", "}") == "{" + want + "}"
+
+    def test_dump_json_is_json_dumps_of_to_dump(self):
+        p = make_params(3, nmax=2)
+        whole = StateVector(np.zeros(2 * p.dim, dtype=complex)[::2], p, Frame(FRAME_R_PRIME, 0.25, -2.5), clock=1.5)
+        whole.amplitudes[[0, 5, 9]] = [complex(-0.0, 0.6), math.nan, 1e-300 - 0.8j]
+        sector = prepare_max_entangled(make_params(5, nmax=3), PulseMode.PHYSICAL).final_state
+        assert sector._levels is not None  # dump_json lifts it; to_dump then reads the lifted array
+        for state in (whole, sector):
+            text = state.dump_json()
+            assert text == json.dumps(state.to_dump(), check_circular=False)
+
+    def test_a_dump_sets_off_no_collection(self):
+        state = prepare_max_entangled(make_params(10, nmax=6)).final_state
+        state.amplitudes  # the whole array is lifted before the count
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(100)
+        gc.callbacks.append(count)
+        try:
+            gc.collect()  # no allocation counted before the dump
+            starts.clear()
+            state.dump_json()
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+        assert starts == []
+
+    @pytest.mark.parametrize("stored", ["prepared", "sector", "whole"])
+    def test_memory_check_counts_the_dump_before_any_allocation(self, monkeypatch, stored):
+        p = make_params(12, nmax=2)
+        rng = np.random.default_rng(19)
+        if stored != "whole":  # the dump lifts these; a dense sector state fills every word
+            levels = rng.standard_normal((p.n_levels, 4 * p.n_ions)).view(complex)
+            state = prepare_max_entangled(p).final_state if stored == "prepared" else StateVector._sector(levels, p, Frame(), 0.0)
+            lift = p.dim * 16 + 9 * p.n_configs  # what the lift alone counts: it fits, the dump does not
+        else:
+            state = random_state(p, rng)
+            state.amplitudes[::3] = 0.0  # one zero pair in three, the rest formatted
+            lift = p.dim * 16
+        hilbert._word_index.cache_clear()
+        hilbert._popcounts.cache_clear()
+
+        def traced_dump(memory):
+            monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: memory)
+            tracemalloc.start()
+            try:
+                return state.dump_json(), tracemalloc.get_traced_memory()[1]
+            except SimulationError as error:
+                return str(error), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        message, peak = traced_dump(lift)
+        assert re.match(rf"{p.dim} amplitudes and a \d+ B dump need \d+ B", message)
+        assert peak <= 64 * 1024  # nothing is allocated or lifted before the check
+        assert (state._levels is None) == (stored == "whole")
+        needed = int(re.search(r"need (\d+) B", message)[1])
+        text, peak = traced_dump(needed)
+        assert text == json.dumps(state.to_dump())
+        assert peak + len(text) <= needed  # what the dump built, and one copy of its text as a caller makes
+
     def test_matches_the_per_amplitude_form_with_signed_zeros(self):
         p = make_params(1, nmax=1)
         amplitudes = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e-300 - 2.5j])
