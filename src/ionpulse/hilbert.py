@@ -282,27 +282,44 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def _count_text(count: int) -> str:
-    """``count`` in decimal below 2**64, else as a power of two (a float of it overflows from 2**1024, a str past 4300 digits)."""
-    return str(count) if count < 2**64 else f"at least 2^{count.bit_length() - 1}"
+def _count_text(count: int, shift: int = 0) -> str:
+    """``count << shift`` in decimal below 2**64, else as a power of two, read from bit lengths.
+
+    A float of the count overflows from 2**1024, a str past 4300 digits, and the int itself takes
+    ``shift`` bits: 125 MB at 2**(10**9).
+    """
+    bits = count.bit_length() + shift
+    return str(count << shift) if bits <= 64 else f"at least 2^{bits - 1}"
 
 
-def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index") -> None:
-    """Raise before allocating ``n_amplitudes`` complex amplitudes, and ``extra_bytes`` of ``extra`` beside them, that would not fit in physical memory."""
-    needed = n_amplitudes * np.dtype(np.complex128).itemsize + extra_bytes
+def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index", n_ions: int = 0) -> None:
+    """Raise before allocating ``n_amplitudes << n_ions`` complex amplitudes, and ``extra_bytes`` of ``extra`` beside them, that would not fit in physical memory.
+
+    A state passes its level count and N, so 2**N is formed only when the state may fit.  From N = 64
+    up, and from the bit length of physical memory (and of ``extra_bytes``) up, 2**N amplitudes alone
+    exceed memory and 2**64 B: the check is decided, and its message worded, from bit lengths.
+    """
     available = _physical_memory_bytes()
-    if available is not None and needed > available:
-        gib = f" ({needed / 2**30:.4g} GiB)" if needed < 2**64 else ""
-        beside = f" and a {extra_bytes} B {extra}" if extra_bytes else ""
-        raise SimulationError(
-            f"{_count_text(n_amplitudes)} amplitudes{beside} need {_count_text(needed)} B{gib}, more than the "
-            f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
-        )
+    if available is None:
+        return
+    n_amplitudes, extra_bytes = int(n_amplitudes), int(extra_bytes)  # a NumPy count has no bit_length
+    size = n_amplitudes * np.dtype(np.complex128).itemsize
+    if n_ions < max(64, available.bit_length(), extra_bytes.bit_length()) or not size:
+        n_amplitudes, size, n_ions = n_amplitudes << n_ions, (size << n_ions) + extra_bytes, 0
+        if size <= available:
+            return
+    # Otherwise extra_bytes < 2**n_ions leaves the bit length of size << n_ions as it is.
+    gib = f" ({size / 2**30:.4g} GiB)" if not n_ions and size < 2**64 else ""
+    beside = f" and a {extra_bytes} B {extra}" if extra_bytes else ""
+    raise SimulationError(
+        f"{_count_text(n_amplitudes, n_ions)} amplitudes{beside} need {_count_text(size, n_ions)} B{gib}, more than the "
+        f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
+    )
 
 
 def _zero_amplitudes(params: TrapParams) -> np.ndarray:
     """A zeroed state-sized array, after the memory check."""
-    check_memory(params.dim)
+    check_memory(params.n_levels, n_ions=params.n_ions)
     return np.zeros(params.dim, dtype=np.complex128)
 
 

@@ -153,7 +153,7 @@ def check_preparation_memory(params: TrapParams) -> None:
     input range to N whose whole state fits: above it the sector popcounts
     (uint8) wrap from N = 256, and ``_dicke_scale`` overflows from N = 1031.
     """
-    check_memory(params.dim)
+    check_memory(params.n_levels, n_ions=params.n_ions)
 
 
 @dataclass
@@ -267,7 +267,7 @@ def trajectory_reference(
         5: (|g..g> + |e..e>)|0> / sqrt(2)
     """
     frame = frame if frame is not None else Frame(FRAME_R)
-    check_memory(len(pulse_times) * params.dim)
+    check_memory(len(pulse_times) * params.n_levels, n_ions=params.n_ions)
     states = []
     for clock, table in zip(pulse_times, _reference_tables(params, pulse_times)):
         amplitudes = np.zeros(params.dim, dtype=np.complex128)
@@ -371,41 +371,48 @@ def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
         )
 
 
-def _check_steps(params: TrapParams, steps: list[PulseSpec], deltas: np.ndarray, during_pulses: bool) -> None:
-    """Raise PulseError if any step of the scheme cannot run, so that such an input gets the error alone.
+def _check_steps(
+    params: TrapParams, steps: list[PulseSpec], deltas: np.ndarray, during_pulses: bool
+) -> list[float]:
+    """Raise PulseError if any step of the scheme cannot run, so that such an input gets the error alone; return the step durations.
 
     Each step is checked at its start clock, summed as :func:`_run_rows`
-    sums it, with the grid's largest |Delta|: the same checks every step
-    repeats when it runs.
+    sums it, with the grid's largest |Delta|: the same phase checks every
+    step repeats when it runs.  Its spec is validated here alone, as
+    :func:`_run_rows` hands the kernels these durations.
     """
     largest = float(np.abs(deltas).max())
     clock = 0.0
+    durations = []
     for spec in steps:
         duration = validate_pulse_spec(spec, params)
         _check_step_phases(params, spec, clock, duration, largest)
         if during_pulses and spec.kind is not PulseKind.WAIT:
             _check_detuning_phase(largest, duration, params.n_ions)
         clock = clock + duration
+        durations.append(duration)
+    return durations
 
 
 def _run_rows(
     rows: np.ndarray,
     params: TrapParams,
     specs: list[PulseSpec],
+    durations: list[float],
     clock: float,
     top: int,
     detunings: float | np.ndarray = 0.0,
     during_pulses: bool = False,
 ) -> tuple[float, int]:
-    """Apply ``specs`` to every row from the shared ``clock`` and Fock window ``top``; return both after them.
+    """Apply ``specs``, validated with their ``durations``, to every row from the shared ``clock`` and Fock window ``top``; return both after them.
 
     ``detunings`` (one per row, or one for all) reach every step; only a
     wait reads them.  With ``during_pulses`` every other step is followed
     by the detuning phase accumulated over its duration: the
     ``detuning_during_pulses`` diagnostic.
     """
-    for spec in specs:
-        duration, levels = apply_pulse_rows(rows, params, spec, clock, detunings, top=top)
+    for spec, duration in zip(specs, durations):
+        _, levels = apply_pulse_rows(rows, params, spec, clock, detunings, top=top, duration=duration)
         clock = clock + duration
         top = _fock_top(rows, params, known=levels)  # a phase maps zeros to zeros: the same window after it
         if during_pulses and spec.kind is not PulseKind.WAIT:
@@ -421,7 +428,8 @@ def _chunk_rows(params: TrapParams) -> int:
 def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     """``read(rows, clock)`` of the Ramsey scheme's final rows, one call per chunk of ``deltas``.
 
-    Every step runs through :func:`_run_rows`.  The steps every row shares
+    Every step is validated once, by :func:`_check_steps`, and runs
+    through :func:`_run_rows` with its duration.  The steps every row shares
     run once, on a start row that every chunk copies: the whole
     preparation, or none with ``detuning_during_pulses``.  Each chunk runs
     the rest and is freed once read, so at most one is alive at a time.
@@ -430,16 +438,18 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     prep = preparation_sequence(params, config.mode)
     steps = [*prep, PulseSpec(PulseKind.WAIT, duration=config.wait_time), *reversed(prep)]
     start = ground_state(params).amplitudes[None, :]
-    _check_steps(params, steps, deltas, config.detuning_during_pulses)  # after the memory check, before the warning
+    durations = _check_steps(params, steps, deltas, config.detuning_during_pulses)  # after the memory check, before the warning
     _check_validity(params, deltas)
     shared = 0 if config.detuning_during_pulses else len(prep)
-    clock, top = _run_rows(start, params, steps[:shared], 0.0, 0)  # the ground state's window is level 0
+    clock, top = _run_rows(start, params, steps[:shared], durations, 0.0, 0)  # the ground state's window is level 0
     chunk = _chunk_rows(params)
     results = []
     for block in np.split(deltas, range(chunk, deltas.size, chunk)):
         check_memory((block.size + 1) * params.dim)  # the chunk's rows and the live one-row start
         rows = np.repeat(start, block.size, axis=0)
-        end, _ = _run_rows(rows, params, steps[shared:], clock, top, block, config.detuning_during_pulses)
+        end, _ = _run_rows(
+            rows, params, steps[shared:], durations[shared:], clock, top, block, config.detuning_during_pulses
+        )
         results.append(read(rows, end))
         del rows  # before the next chunk is allocated
     return results

@@ -48,12 +48,15 @@ before any other pulse (:func:`_sector_holds`).  Every kernel acts only
 on the Fock window: levels 0 .. top, where top is the highest level
 holding a nonzero amplitude in any row (NaN included; the sideband's
 coupled pairs reach top + 1).  The levels above hold exact zeros,
-which every pulse maps to zeros, so no kernel touches them.  Before a
-step changes anything its end time and the phases it forms must be
-finite; after it, one pass of :func:`ionpulse.hilbert.populations` over
-the window gives each row's per-level populations: the norm guard reads
-their sum, the leakage guard their top level once the window reaches
-the cutoff.  Every step returns them, and but for a level whose
+which every pulse maps to zeros, so no kernel touches them.  A step's
+spec is validated once per run: a runner that validated its steps up
+front passes each one's duration, and a call without it validates the
+spec itself.  Before a step changes anything its end time and the
+phases it forms must be finite; after it, one pass of
+:func:`ionpulse.hilbert.populations` over the window gives each row's
+per-level populations: the norm guard reads their sum, the leakage
+guard their top level once the window reaches the cutoff.  Every step
+returns them, and but for a level whose
 population is exactly 0 that pass is the only read of a step's state: a
 runner that owns its state passes ``top`` to each call and takes the
 next window from the populations (:func:`ionpulse.hilbert._fock_top`),
@@ -479,33 +482,40 @@ def apply_pulse_rows(
     *,
     check_leakage: bool = True,
     top: int | None = None,
+    duration: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration and populations.
 
     Every row is one state, and all rows share the start time ``t0``.
     The rows may instead be one state's 2N(n_max + 1) sector coefficients,
     for a pulse the sector represents (see :func:`apply_pulse`).
-    ``detuning`` (one per row, or one for all) only enters wait steps.  A
-    step whose end time or phases are not finite raises PulseError before
-    it changes any amplitude.  ``top`` is the rows' Fock window from a
-    caller that tracks it; without it the window is found from the
-    amplitudes.  A pulse rotates the pairs its angle table lists and then
-    gives the window its free phase (a sideband's reaches its highest
-    pair's |g> level).  After the step every row's norm is checked, and
-    after a pulse every row's population at the Fock cutoff, unless
+    ``detuning`` (one per row, or one for all) only enters wait steps.
+    ``duration`` is what :func:`validate_pulse_spec` returned for this
+    spec and ``params``, from a runner that validated its steps up front;
+    without it the spec is validated here.  A step whose end time or
+    phases are not finite raises PulseError before it changes any
+    amplitude.  ``top`` is the rows' Fock window from a caller that tracks
+    it; without it the window is found from the amplitudes.  A pulse
+    rotates the pairs its angle table lists and then gives the window
+    its free phase (a sideband's reaches its highest pair's |g> level);
+    level 0 takes none, so a window of level 0 alone is not touched.
+    After the step every row's norm is checked, and after a pulse every
+    row's population at the Fock cutoff, unless
     ``check_leakage=False``; that bypass is meant for unitary-equivalence
     checks on synthetic full-support states, not for simulations.  The
     populations are the guards' one pass, each row's per-level
     populations over that window (:func:`_check_rows`): a runner takes
     its next window from them (:func:`ionpulse.hilbert._fock_top`).
     """
-    duration = validate_pulse_spec(spec, params)
+    if duration is None:
+        duration = validate_pulse_spec(spec, params)
     _check_step_phases(params, spec, t0, duration, detuning)
     if top is None:
         top = _fock_top(amplitudes, params)
     if spec.kind is PulseKind.WAIT:
         if duration > 0:
-            _apply_free_phases(amplitudes, params, duration, top)
+            if top:
+                _apply_free_phases(amplitudes, params, duration, top)
             if np.count_nonzero(detuning):  # its bound was checked above
                 _detuning_phase(amplitudes, params, detuning, duration, top)
         check_leakage = False  # phases move no population
@@ -519,7 +529,8 @@ def apply_pulse_rows(
             top = max(top, table[0].stop)
         else:
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
-        _apply_free_phases(amplitudes, params, duration, top)
+        if top:
+            _apply_free_phases(amplitudes, params, duration, top)
     return duration, _check_rows(amplitudes, params, check_leakage, top)
 
 
@@ -536,12 +547,19 @@ def _sector_holds(spec: PulseSpec, params: TrapParams, top: int) -> bool:
 
 
 def apply_pulse(
-    state: StateVector, spec: PulseSpec, *, check_leakage: bool = True, top: int | None = None
+    state: StateVector,
+    spec: PulseSpec,
+    *,
+    check_leakage: bool = True,
+    top: int | None = None,
+    duration: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Apply one PulseSpec to the state at its clock; return the duration and populations of :func:`apply_pulse_rows`.
 
     A sector-stored state stays in the sector when it represents ``spec``
     (:func:`_sector_holds`); otherwise its whole array is built first.
+    ``top`` and ``duration`` are passed on as :func:`apply_pulse_rows`
+    reads them.
     """
     params = state.params
     rows = state._rows()
@@ -550,7 +568,9 @@ def apply_pulse(
             top = _fock_top(rows, params)
         if not _sector_holds(spec, params, top):
             rows = state.amplitudes
-    record = apply_pulse_rows(rows, params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top)
+    record = apply_pulse_rows(
+        rows, params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top, duration=duration
+    )
     state.clock = state.clock + record[0]
     return record
 

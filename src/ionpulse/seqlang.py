@@ -122,12 +122,27 @@ class ParseDiagnostic:
 
 @dataclass
 class SequenceProgram:
-    """A validated program: resolved parameters, frame, and ordered steps."""
+    """A validated program: resolved parameters, frame, and ordered steps.
+
+    ``_checked`` holds what :func:`parse` validated: the params and step
+    objects it checked and each step's duration.  :func:`execute` reuses a
+    duration only for the same step object under the same params object,
+    so a hand-built program, or one whose params or steps changed after
+    parsing, has those steps validated as they run.
+    """
 
     params: TrapParams
     frame: Frame
     steps: list[PulseSpec]
     source_spans: list[tuple[int, int]] = field(default_factory=list, compare=False)
+    _checked: tuple[TrapParams, list[PulseSpec], list[float]] | None = field(default=None, compare=False, repr=False)
+
+    def _durations(self) -> list[float | None]:
+        """Each step's duration from :func:`parse`, or None where the step or the params are not the ones it checked."""
+        params, specs, durations = self._checked or (None, [], [])
+        if params is not self.params or len(specs) != len(self.steps):
+            return [None] * len(self.steps)
+        return [d if checked is spec else None for checked, d, spec in zip(specs, durations, self.steps)]
 
 
 class SequenceError(SimulationError):
@@ -155,21 +170,19 @@ class StepTrace:
 
         The levels above k hold exact zeros: they count 0.0, so the record
         equals one read from :func:`ionpulse.hilbert.fock_populations`.
+        :func:`execute` builds the same records from one table.
         """
         levels = np.zeros(state.params.n_levels)
         levels[: populations.shape[-1]] = populations
         return cls(step, spec.kind.value, state.clock, math.sqrt(levels.sum()), levels.tolist())
 
 
-@dataclass
-class _Token:
-    text: str
-    column: int  # 1-based
+_WORD = re.compile(r"\S+")
 
 
-def _tokenize(line: str) -> list[_Token]:
-    code = line.split("#", 1)[0]
-    return [_Token(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
+def _tokenize(line: str) -> list[re.Match[str]]:
+    """The words before any ``#``, as matches: ``tok[0]`` is the text, ``tok.start() + 1`` the 1-based column."""
+    return list(_WORD.finditer(line.partition("#")[0]))
 
 
 class _Parser:
@@ -184,15 +197,15 @@ class _Parser:
     def error(self, line: int, column: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic("error", line, column, message))
 
-    def _arguments(self, keyword: str, head: _Token, tokens: list[_Token], line: int) -> dict | None:
+    def _arguments(self, keyword: str, head: re.Match[str], tokens: list[re.Match[str]], line: int) -> dict | None:
         """The key=value tokens as {key: (token, value)}, or None after reporting an error."""
         allowed, required = _STEPS[keyword][1:] if keyword in _STEPS else _HEADERS[keyword]
-        args: dict[str, tuple[_Token, object]] = {}
+        args: dict[str, tuple[re.Match[str], object]] = {}
         ok = True
         for tok in tokens:
-            key, equals, raw = tok.text.partition("=")
+            key, equals, raw = tok[0].partition("=")
             if not equals:
-                message = f"expected key=value, got {tok.text!r}"
+                message = f"expected key=value, got {tok[0]!r}"
             elif key not in allowed:
                 message = f"unknown argument {key!r}"
             elif key in args:
@@ -204,11 +217,11 @@ class _Parser:
                     continue
                 except ValueError:
                     message = _MALFORMED[value_type].format(raw)
-            self.error(line, tok.column, message)
+            self.error(line, tok.start() + 1, message)
             ok = False
         missing = [key + "=" for key in required if key not in args]
         if ok and missing:
-            self.error(line, head.column, f"{keyword} requires {', '.join(missing)}")
+            self.error(line, head.start() + 1, f"{keyword} requires {', '.join(missing)}")
         return args if ok and not missing else None
 
     def _apply(self, record, args: dict, line: int):
@@ -217,50 +230,51 @@ class _Parser:
             try:
                 record = replace(record, **{_ARGS[key][0]: value})
             except ValueError as exc:
-                self.error(line, tok.column, str(exc))
+                self.error(line, tok.start() + 1, str(exc))
         return record
 
-    def statement(self, tokens: list[_Token], line: int) -> None:
+    def statement(self, tokens: list[re.Match[str]], line: int) -> None:
         head, rest = tokens[0], tokens[1:]
-        keyword = head.text
-        compound = f"{keyword} {rest[0].text}" if rest else ""
+        keyword = head[0]
+        compound = f"{keyword} {rest[0][0]}" if rest else ""
         if compound in _STEPS or compound in _HEADERS:  # "disp_pi all", "frame R", "frame Rprime"
             keyword, rest = compound, rest[1:]
         if keyword in _STEPS:
             args = self._arguments(keyword, head, rest, line)
             if args is not None:
                 fields = {_ARGS[key][0]: value for key, (_, value) in args.items()}
-                self.steps.append((PulseSpec(_STEPS[keyword][0], **fields), (line, head.column)))
+                self.steps.append((PulseSpec(_STEPS[keyword][0], **fields), (line, head.start() + 1)))
         elif keyword in _HEADERS:
-            if head.text in self.header_seen:
-                first = self.header_seen[head.text]
-                self.error(line, head.column, f"duplicate {head.text!r} header (first on line {first})")
+            if head[0] in self.header_seen:
+                first = self.header_seen[head[0]]
+                self.error(line, head.start() + 1, f"duplicate {head[0]!r} header (first on line {first})")
                 return
-            self.header_seen[head.text] = line
+            self.header_seen[head[0]] = line
             args = self._arguments(keyword, head, rest, line)
             if args is None:
                 return
-            if head.text == "frame":
-                self.frame = self._apply(Frame(tokens[1].text), args, line)
+            if head[0] == "frame":
+                self.frame = self._apply(Frame(tokens[1][0]), args, line)
             else:
                 self.params = self._apply(self.params, args, line)
                 if "N" in args:
-                    self.n_ions_at = (line, args["N"][0].column)
+                    self.n_ions_at = (line, args["N"][0].start() + 1)
         elif keyword == "frame":
-            self.error(line, (rest[0] if rest else head).column, "frame requires R or Rprime")
+            self.error(line, (rest[0] if rest else head).start() + 1, "frame requires R or Rprime")
         else:
-            self.error(line, head.column, f"unknown keyword {keyword!r}")
+            self.error(line, head.start() + 1, f"unknown keyword {keyword!r}")
 
     def build(self, source_empty_line: int) -> tuple[SequenceProgram | None, list[ParseDiagnostic]]:
         try:
-            check_memory(self.params.dim)
+            check_memory(self.params.n_levels, n_ions=self.params.n_ions)
         except SimulationError as exc:
             self.error(*self.n_ions_at, str(exc))
         steps: list[PulseSpec] = []
         spans: list[tuple[int, int]] = []
+        durations: list[float] = []
         for spec, span in self.steps:
             try:
-                validate_pulse_spec(spec, self.params)
+                durations.append(validate_pulse_spec(spec, self.params))
             except PulseError as exc:
                 self.error(*span, str(exc))
                 continue
@@ -272,7 +286,8 @@ class _Parser:
             return None, self.diagnostics
         if not steps:
             self.diagnostics.append(ParseDiagnostic("warning", source_empty_line, 1, "no steps"))
-        return SequenceProgram(self.params, self.frame, steps, spans), self.diagnostics
+        checked = (self.params, list(steps), durations)  # a copy: editing program.steps leaves it as checked
+        return SequenceProgram(self.params, self.frame, steps, spans, checked), self.diagnostics
 
 
 def parse(source: str) -> tuple[SequenceProgram | None, list[ParseDiagnostic]]:
@@ -327,9 +342,12 @@ def execute(
     Starts from the ground state in the program's frame unless ``initial``
     is given (it is copied, not mutated, and must match the program's
     parameters).  Failures during a step re-raise as SequenceError with
-    the step's source position.  The Fock window is found once, at the
-    start, and carried from step to step; each step's populations, read
-    once by its guard, give both its record and the next window.
+    the step's source position.  A step :func:`parse` validated is not
+    validated again: its duration goes to the kernels with it.  The Fock
+    window is found once, at the start, and carried from step to step;
+    each step's populations, read once by its guard, give both the next
+    window and its row of one zero-padded table, from which the records
+    are built at the end (the same records as :meth:`StepTrace.after`).
     """
     if initial is None:
         state, top = ground_state(program.params, program.frame), 0
@@ -338,13 +356,21 @@ def execute(
             raise ValueError("initial state parameters do not match the program header")
         state = initial.copy()
         top = _fock_top(state.amplitudes, state.params)
-    trace: list[StepTrace] = []
-    spans = program.source_spans or [(0, 0)] * len(program.steps)
-    for step, (spec, (line, column)) in enumerate(zip(program.steps, spans), start=1):
+    steps = program.steps
+    spans = program.source_spans or [(0, 0)] * len(steps)
+    table = np.zeros((len(steps), state.params.n_levels))
+    clocks = []
+    for row, spec, (line, column), duration in zip(table, steps, spans, program._durations()):
         try:
-            _, levels = apply_pulse(state, spec, top=top)
+            _, levels = apply_pulse(state, spec, top=top, duration=duration)
         except (SimulationError, ValueError) as exc:
             raise SequenceError(line, column, str(exc)) from exc
         top = _fock_top(state.amplitudes, state.params, known=levels)
-        trace.append(StepTrace.after(step, spec, state, levels))
+        row[: levels.size] = levels
+        clocks.append(state.clock)
+    norms = np.sqrt(table.sum(axis=1)).tolist()
+    trace = [
+        StepTrace(step, spec.kind.value, clock, norm, populations)
+        for step, spec, clock, norm, populations in zip(range(1, len(steps) + 1), steps, clocks, norms, table.tolist())
+    ]
     return state, trace

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -33,3 +35,19 @@ def assert_exact_copy(state):
     assert not np.shares_memory(copied.amplitudes, state.amplitudes)
     assert (copied.params, copied.frame, copied.clock) == (state.params, state.frame, state.clock)
     return copied
+
+
+def count_calls(fn, run):
+    """How many times ``run()`` calls the function ``fn``, by whatever name a module imported it."""
+    calls = 0
+
+    def profile(frame, event, _):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is fn.__code__
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,11 @@ import pytest
 
 import ionpulse
 from ionpulse import cli as cli_module
-from ionpulse import hilbert
+from ionpulse import hilbert, seqlang
 from ionpulse.cli import build_parser, main
+from ionpulse.protocol import best_ghz_fidelity
+from ionpulse.pulses import apply_pulse, validate_pulse_spec
+from conftest import count_calls
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -251,6 +255,50 @@ class TestRun:
         assert "warning: no steps" in err
 
 
+def wide_program(seed, nmax):
+    """A physical-mode program whose Fock window grows one level per sideband pulse, to levels 0 .. nmax - 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    lines = [f"ions N={n}", f"trap nu=1 eta=0.1 rabi=1 nmax={nmax}"]
+    lines += [f"carrier_pi2 ion={ion}" for ion in range(1, n + 1)]
+    for _ in range(nmax - 1):
+        ion = int(rng.integers(1, n + 1))
+        lines.append(f"jc_pi ion={ion} n={int(rng.integers(0, nmax))} mode=physical")
+        lines.append(f"carrier_pi2 ion={int(rng.integers(1, n + 1))} phase={float(rng.uniform(0, 6))!r}")
+        lines.append(f"disp_pi ion={ion} n={int(rng.integers(1, nmax + 1))} mode=physical")
+        lines.append(f"wait T={float(rng.uniform(0.1, 10))!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRunRecords:
+    @pytest.mark.parametrize("nmax", range(8, 13))
+    def test_json_steps_equal_records_of_each_step_state(self, capsys, tmp_path, nmax):
+        # windows of 8 or more levels, where numpy's pairwise sum of a row regroups its terms
+        source = wide_program(nmax, nmax)
+        path = tmp_path / "wide.pseq"
+        path.write_text(source)
+        code, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
+        program, _ = seqlang.parse(source)
+        state = hilbert.ground_state(program.params, program.frame)
+        expected = []
+        for step, spec in enumerate(program.steps, start=1):
+            apply_pulse(state, spec)
+            expected.append(seqlang.StepTrace.after(step, spec, state, hilbert.fock_populations(state)))
+        assert max(sum(p != 0 for p in t.fock_populations) for t in expected) >= 8
+        fid, _ = best_ghz_fidelity(state)
+        assert code == 0
+        assert out == json.dumps({"steps": [vars(t) for t in expected], "fidelity": fid}) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_step_is_validated_once(self, capsys, tmp_path, fmt):
+        path = tmp_path / "prog.pseq"
+        path.write_text(wide_program(1, 8))
+        n_steps = len(seqlang.parse(path.read_text())[0].steps)
+        calls = count_calls(validate_pulse_spec, lambda: main(["run", str(path), "--format", fmt]))
+        assert capsys.readouterr().out
+        assert calls == n_steps
+
+
 class TestNonFiniteClockOrPhase:
     """A step whose end time or a phase it forms overflows: exit 1, one named error, no output, no warning."""
 
@@ -422,6 +470,31 @@ class TestMemoryBudget:
         assert code == 1
         assert err.startswith("error: ") and "physical memory" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("prepare", "--ions", str(10**9)), 1),
+            (("ramsey-scan", "--ions", str(10**9), "--delta-min", "0", "--delta-max", "0", "--points", "3", "--wait", "1"), 1),
+            (("run", "PROGRAM"), 2),
+        ],
+        ids=["prepare", "ramsey-scan", "run"],
+    )
+    def test_billion_ions_rejected_without_forming_the_state_size(self, capsys, tmp_path, argv, code):
+        # 2**N alone is an int of N bits, 125 MB here: the check must not form it
+        program = tmp_path / "huge.pseq"
+        program.write_text(f"ions N={10**9}\ncarrier_pi2 ion=1\n")
+        argv = [str(program) if arg == "PROGRAM" else arg for arg in argv]
+        tracemalloc.start()
+        try:
+            got = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert got == code
+        assert peak < 2**20
+        assert f"at least 2^{10**9 + 2} amplitudes need at least 2^{10**9 + 6} B, more than the " in err
 
     def test_scan_memory_check_comes_before_the_validity_warning(self, capsys):
         # --delta-max 1e-6 is outside the validity window at N=20000, where the state does not fit either

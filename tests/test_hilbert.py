@@ -227,6 +227,36 @@ class TestMemoryBudget:
             ground_state(make_params(n_ions))
 
 
+    @pytest.mark.parametrize("memory_bits", [34, 63, 64, 65, 90])
+    @pytest.mark.parametrize("levels, extra", [(1, 0), (5, 0), (13, 0), (5, 7), (5, 2**70)])
+    def test_state_check_decides_and_words_as_the_formed_count(self, monkeypatch, memory_bits, levels, extra):
+        # levels << N is formed only where it may fit; elsewhere bit lengths give the same verdict and text
+        for memory in (2 ** (memory_bits - 1), 2**memory_bits - 1):
+            monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: memory)
+            for n_ions in sorted({1, 30, 62, 63, 64, 65, 66, 71, 72, 80, memory_bits - 1, memory_bits, memory_bits + 1}):
+                outcomes = []
+                for call in (
+                    lambda: hilbert.check_memory(levels << n_ions, extra),
+                    lambda: hilbert.check_memory(levels, extra, n_ions=n_ions),
+                ):
+                    try:
+                        call()
+                        outcomes.append(None)
+                    except SimulationError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (memory, n_ions)
+
+    def test_state_check_forms_no_state_size(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match=rf"at least 2\^{10**9 + 2} amplitudes need at least 2\^{10**9 + 6} B, "):
+                ground_state(make_params(10**9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
 class TestPopcounts:
     @pytest.mark.parametrize("n_ions", range(1, 13))
     def test_table_counts_excited_ions(self, n_ions):

@@ -40,7 +40,8 @@ from ionpulse import (
 from ionpulse import hilbert, protocol
 from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
-from conftest import assert_exact_copy, make_params
+from ionpulse.pulses import validate_pulse_spec
+from conftest import assert_exact_copy, count_calls, make_params
 
 # Long enough that the detuning grids used below stay inside the validity
 # window |delta| << all Rabi frequencies.
@@ -481,6 +482,16 @@ class TestBatchedScan:
         config = RamseyConfig(make_params(3), WAIT, (0.0,) * 5, detuning_during_pulses=detuning_during_pulses)
         out = protocol._ramsey_rows(config, np.zeros(5), lambda rows, clock: read_chunks.append(weakref.ref(rows)))
         assert out == [None] * 3 and len(read_chunks) == 3
+
+    @pytest.mark.parametrize("chunk", [1, 2, 40])
+    @pytest.mark.parametrize("detuning_during_pulses", [False, True], ids=["frame", "kick"])
+    def test_each_scheme_step_is_validated_once(self, monkeypatch, chunk, detuning_during_pulses):
+        # 11 steps (preparation, wait, reversal) whatever the chunk count: 40, 20 or 1 chunks of 40 points
+        params = make_params(3)
+        monkeypatch.setattr(protocol, "SCAN_CHUNK_BYTES", chunk * params.dim * 16)
+        grid = tuple(np.linspace(-1e-8, 1e-8, 40))
+        config = RamseyConfig(params, WAIT, grid, PulseMode.PHYSICAL, detuning_during_pulses)
+        assert count_calls(validate_pulse_spec, lambda: ramsey_scan(config)) == 11
 
     def test_large_states_run_one_row_per_chunk(self):
         assert protocol._chunk_rows(make_params(10)) == 1

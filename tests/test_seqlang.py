@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,3 +367,63 @@ carrier_pi2 ion=2
             execute(program, seeded)
         assert info.value.line == 3
         assert "3:1: error:" in str(info.value)
+
+
+EDITABLE = """\
+ions N=3
+trap nmax=4
+carrier_pi2 ion=3
+wait T=2.5
+jc_pi ion=3 n=3
+disp_pi all n=1
+"""
+
+
+def swap_step(index, spec):
+    def edit(program):
+        program.steps[index] = spec
+        return program
+
+    return edit
+
+
+class TestEditedProgram:
+    """A parsed program changed afterwards has its changed steps validated as they run."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: replace(p, params=replace(p.params, fock_cutoff=3)),
+             "5:1: error: sideband pulse on n=3 reaches Fock level 4 beyond the cutoff 3"),
+            (lambda p: replace(p, params=replace(p.params, n_ions=2)),
+             "3:1: error: target ion 3 out of range [1, 2]"),
+            (swap_step(3, PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=0)),
+             "6:1: error: dispersive pulse requires target_n >= 1 (its Rabi frequency is zero at n = 0)"),
+            (swap_step(1, PulseSpec(PulseKind.WAIT, duration=-1.0)),
+             "4:1: error: wait requires a finite duration >= 0, got -1.0"),
+        ],
+        ids=["smaller-nmax", "fewer-ions", "swapped-step", "swapped-wait"],
+    )
+    def test_now_invalid_step_gets_its_positioned_error(self, edit, message):
+        program, diags = parse(EDITABLE)
+        assert errors_of(diags) == []
+        edited = edit(program)
+        with pytest.raises(SequenceError) as info:
+            execute(edited)
+        assert str(info.value) == message
+
+    def test_hand_built_program_is_validated(self):
+        program = SequenceProgram(make_params(2), Frame(), [PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=4)])
+        with pytest.raises(SequenceError, match="^0:0: error: sideband pulse on n=4"):
+            execute(program)
+
+    def test_still_valid_edits_run_as_a_fresh_parse(self):
+        program, _ = parse(EDITABLE)
+        edited = replace(program, params=replace(program.params, fock_cutoff=6))
+        edited.steps[0] = PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2, laser_phase=0.5)
+        fresh, _ = parse(EDITABLE.replace("nmax=4", "nmax=6").replace("carrier_pi2 ion=3", "carrier_pi2 ion=2 phase=0.5"))
+        final, trace = execute(edited)
+        expected, expected_trace = execute(fresh)
+        assert final.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert trace == expected_trace
+
