@@ -254,7 +254,7 @@ def _fock_top(amplitudes: np.ndarray, params: TrapParams, top: int | None = None
     levels = levels_view(amplitudes, params)
     if known is not None:
         top = known.shape[-1] - 1
-        known = known if known.ndim == 1 else known.reshape(-1, top + 1).max(axis=0, initial=0.0)  # NaN propagates
+        known = known if known.ndim == 1 else np.maximum.reduce(known.reshape(-1, top + 1), 0, initial=0.0)  # NaN propagates
     top = params.fock_cutoff if top is None else top
     while top > 0 and (known is None or known[top] == 0) and not levels[..., top, :].any():
         top -= 1
@@ -325,16 +325,16 @@ def _zero_amplitudes(params: TrapParams) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _popcounts(n_ions: int, sector: bool = False) -> np.ndarray:
-    """Number of excited ions per configuration index, as uint8 (1 B each).
+    """Number of excited ions per configuration index, unsigned: uint8 (1 B each) per word, uint16 in the sector.
 
     For every bit word 0 .. 2**N - 1, or with ``sector`` k + s for every
-    sector index s * N + k.  Unsigned: a caller that forms
-    N - 2 popcount(b) must do it in a signed type, or it wraps (N=3,
-    popcount 3 gives 253 in uint8).
+    sector index s * N + k (up to N, past uint8 from N = 256).  A caller
+    that forms N - 2 popcount(b) must do it in a signed type, or it wraps
+    (N=3, popcount 3 gives 253 in uint8).
     """
     if sector:
         s, k = np.divmod(np.arange(2 * n_ions), n_ions)
-        return (s + k).astype(np.uint8)
+        return (s + k).astype(np.uint16)
     return np.bitwise_count(np.arange(1 << n_ions))
 
 

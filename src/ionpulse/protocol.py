@@ -34,7 +34,8 @@ preparation), and each step is applied to all rows in one call with each
 row's own Delta.  The preparation runs once and is copied into every row
 (per row only with ``detuning_during_pulses``).  Rows run in chunks
 whose array stays within ``SCAN_CHUNK_BYTES``, so memory does not grow
-with the grid.  :func:`ramsey_run` is the one-point case.
+with the grid; every step's spec and phases are checked once per scan,
+before any row runs.  :func:`ramsey_run` is the one-point case.
 """
 
 from __future__ import annotations
@@ -70,14 +71,14 @@ from .pulses import (
     PulseMode,
     PulseSpec,
     RabiLaw,
-    apply_detuning_phase,
     apply_pulse,
-    apply_pulse_rows,
     free_evolve,  # noqa: F401
     pulse_duration,
     validate_pulse_spec,
     _check_detuning_phase,
     _check_step_phases,
+    _detuning_phase,
+    _step_rows,
 )
 
 __all__ = [
@@ -105,11 +106,11 @@ __all__ = [
 VALIDITY_RATIO = 0.01
 
 #: Byte budget of the amplitude array one chunk of scan rows occupies;
-#: fixes how many grid points share each pulse application (6 at N=8,
-#: one from N=10 up).  A constant, not an option: batching a whole grid
-#: would raise peak memory with the grid size, and the kernels' temporaries
-#: scale with the chunk.
-SCAN_CHUNK_BYTES = 128 * 1024
+#: fixes how many grid points share each pulse application (12 at N=8, 3
+#: at N=10, one from N=11 up).  A constant, not an option: batching a whole
+#: grid would raise peak memory with the grid size, and the kernels'
+#: temporaries scale with the chunk.
+SCAN_CHUNK_BYTES = 256 * 1024
 
 
 def preparation_sequence(params: TrapParams, mode: PulseMode | str = PulseMode.IDEAL) -> list[PulseSpec]:
@@ -150,8 +151,8 @@ def check_preparation_memory(params: TrapParams) -> None:
     The run stores 2N(n_max + 1) amplitudes per state and builds no whole
     array; a reader that builds one checks its own memory
     (:func:`ionpulse.hilbert._lift`).  The guard keeps the preparation's
-    input range to N whose whole state fits: above it the sector popcounts
-    (uint8) wrap from N = 256, and ``_dicke_scale`` overflows from N = 1031.
+    input range to N whose whole state fits: above it ``_dicke_scale``
+    overflows from N = 1031.
     """
     check_memory(params.n_levels, n_ions=params.n_ions)
 
@@ -377,9 +378,9 @@ def _check_steps(
     """Raise PulseError if any step of the scheme cannot run, so that such an input gets the error alone; return the step durations.
 
     Each step is checked at its start clock, summed as :func:`_run_rows`
-    sums it, with the grid's largest |Delta|: the same phase checks every
-    step repeats when it runs.  Its spec is validated here alone, as
-    :func:`_run_rows` hands the kernels these durations.
+    sums it, with the grid's largest |Delta|, which bounds every chunk's:
+    its spec and phases are checked here alone, once per scan, and
+    :func:`_run_rows` hands the kernels these durations unchecked.
     """
     largest = float(np.abs(deltas).max())
     clock = 0.0
@@ -404,19 +405,20 @@ def _run_rows(
     detunings: float | np.ndarray = 0.0,
     during_pulses: bool = False,
 ) -> tuple[float, int]:
-    """Apply ``specs``, validated with their ``durations``, to every row from the shared ``clock`` and Fock window ``top``; return both after them.
+    """Apply ``specs``, checked by :func:`_check_steps` with their ``durations``, to every row from the shared ``clock`` and Fock window ``top``; return both after them.
 
     ``detunings`` (one per row, or one for all) reach every step; only a
     wait reads them.  With ``during_pulses`` every other step is followed
     by the detuning phase accumulated over its duration: the
     ``detuning_during_pulses`` diagnostic.
     """
+    kick = during_pulses and np.count_nonzero(detunings)
     for spec, duration in zip(specs, durations):
-        _, levels = apply_pulse_rows(rows, params, spec, clock, detunings, top=top, duration=duration)
+        levels = _step_rows(rows, params, spec, clock, detunings, duration, top)
         clock = clock + duration
         top = _fock_top(rows, params, known=levels)  # a phase maps zeros to zeros: the same window after it
-        if during_pulses and spec.kind is not PulseKind.WAIT:
-            apply_detuning_phase(rows, params, detunings, duration, top=top)
+        if kick and duration and spec.kind is not PulseKind.WAIT:  # where apply_detuning_phase would not skip
+            _detuning_phase(rows, params, detunings, duration, top)
     return clock, top
 
 

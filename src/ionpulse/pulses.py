@@ -359,7 +359,7 @@ def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool,
     """
     levels = populations(levels_view(amplitudes, params)[..., : top + 1, :])
     sums = levels.sum(axis=-1)
-    low, high = (sums, sums) if sums.ndim == 0 else (sums.min(initial=1.0), sums.max(initial=1.0))
+    low, high = (sums, sums) if sums.ndim == 0 else (np.minimum.reduce(sums, None, initial=1.0), np.maximum.reduce(sums, None, initial=1.0))
     if not (abs(math.sqrt(low) - 1.0) <= NORM_TOL and abs(math.sqrt(high) - 1.0) <= NORM_TOL):
         norms = np.sqrt(sums)
         row = int(np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))[0])
@@ -512,11 +512,19 @@ def apply_pulse_rows(
     _check_step_phases(params, spec, t0, duration, detuning)
     if top is None:
         top = _fock_top(amplitudes, params)
+    return duration, _step_rows(amplitudes, params, spec, t0, detuning, duration, top, check_leakage)
+
+
+def _step_rows(
+    amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, detuning: float | np.ndarray, duration: float, top: int,
+    check_leakage: bool = True,
+) -> np.ndarray:
+    """The kernel of :func:`apply_pulse_rows`, for a step whose spec and phases were checked; return its populations."""
     if spec.kind is PulseKind.WAIT:
         if duration > 0:
             if top:
                 _apply_free_phases(amplitudes, params, duration, top)
-            if np.count_nonzero(detuning):  # its bound was checked above
+            if np.count_nonzero(detuning):  # its bound was checked with the step's phases
                 _detuning_phase(amplitudes, params, detuning, duration, top)
         check_leakage = False  # phases move no population
     else:
@@ -531,7 +539,7 @@ def apply_pulse_rows(
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
         if top:
             _apply_free_phases(amplitudes, params, duration, top)
-    return duration, _check_rows(amplitudes, params, check_leakage, top)
+    return _check_rows(amplitudes, params, check_leakage, top)
 
 
 def _sector_holds(spec: PulseSpec, params: TrapParams, top: int) -> bool:

@@ -1,7 +1,9 @@
 import math
+import re
 import warnings
 import weakref
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +39,13 @@ from ionpulse import (
     trajectory_reference,
     verify_trajectory,
 )
-from ionpulse import hilbert, protocol
+from ionpulse import hilbert, protocol, pulses
 from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
 from ionpulse.pulses import validate_pulse_spec
 from conftest import assert_exact_copy, count_calls, make_params
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Long enough that the detuning grids used below stay inside the validity
 # window |delta| << all Rabi frequencies.
@@ -465,7 +469,7 @@ class TestBatchedScan:
     @pytest.mark.parametrize("mode", list(PulseMode), ids=lambda m: m.value)
     def test_default_budget_at_eight_ions(self, mode, detuning_during_pulses):
         chunk = protocol._chunk_rows(make_params(8))
-        assert chunk == protocol.SCAN_CHUNK_BYTES // (make_params(8).dim * 16) == 6
+        assert chunk == protocol.SCAN_CHUNK_BYTES // (make_params(8).dim * 16) == 12
         for length in (1, chunk - 1, chunk, chunk + 1, SCAN_POINTS):
             assert_scan_matches_reconstruction(8, mode, detuning_during_pulses, WAIT, length)
 
@@ -493,8 +497,29 @@ class TestBatchedScan:
         config = RamseyConfig(params, WAIT, grid, PulseMode.PHYSICAL, detuning_during_pulses)
         assert count_calls(validate_pulse_spec, lambda: ramsey_scan(config)) == 11
 
+    @pytest.mark.parametrize("chunk", [1, 2, 40])
+    @pytest.mark.parametrize("detuning_during_pulses", [False, True], ids=["frame", "kick"])
+    def test_each_scheme_step_checks_its_phases_once(self, monkeypatch, chunk, detuning_during_pulses):
+        # every step's phases once, whatever the chunk count; the detuning phase of the wait, and of the
+        # 10 pulses with detuning_during_pulses
+        params = make_params(3)
+        monkeypatch.setattr(protocol, "SCAN_CHUNK_BYTES", chunk * params.dim * 16)
+        grid = tuple(np.linspace(-1e-8, 1e-8, 40))
+        config = RamseyConfig(params, WAIT, grid, PulseMode.PHYSICAL, detuning_during_pulses)
+        assert count_calls(pulses._check_step_phases, lambda: ramsey_scan(config)) == 11
+        assert count_calls(pulses._check_detuning_phase, lambda: ramsey_scan(config)) == (11 if detuning_during_pulses else 1)
+
     def test_large_states_run_one_row_per_chunk(self):
-        assert protocol._chunk_rows(make_params(10)) == 1
+        assert protocol._chunk_rows(make_params(10)) == 3
+        assert protocol._chunk_rows(make_params(11)) == 1
+
+    def test_readme_states_the_chunk_budget(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        found = re.search(r"`protocol\.SCAN_CHUNK_BYTES` \((\d+) KiB: (\d+) rows at N=8, (\d+) at N=10, one row from N=(\d+) up\)", text)
+        kib, at_8, at_10, one_from = map(int, found.groups())
+        assert kib * 1024 == protocol.SCAN_CHUNK_BYTES
+        assert (protocol._chunk_rows(make_params(8)), protocol._chunk_rows(make_params(10))) == (at_8, at_10)
+        assert protocol._chunk_rows(make_params(one_from - 1)) > 1 == protocol._chunk_rows(make_params(one_from))
 
     def test_run_is_the_one_point_scan(self):
         params = make_params(3)

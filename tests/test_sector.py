@@ -349,3 +349,35 @@ class TestGuardsAndReads:
             report = protocol.prepare_max_entangled(p, mode)
         assert tracer.counts["pulses"] == 5
         assert outputs(report) == want
+
+
+class TestManyIons:
+    """From N = 256 the sector's popcount k + s no longer fits in a byte: each reader must still see it whole."""
+
+    N = 300
+
+    def sector_popcounts(self):
+        return [s + k for s in (0, 1) for k in range(self.N)]
+
+    def test_sector_popcounts_count_past_a_byte(self):
+        table = hilbert._popcounts(self.N, sector=True)
+        assert table.dtype == np.uint16
+        assert table.tolist() == self.sector_popcounts()
+
+    def test_collective_flip_at_a_laser_phase(self):
+        phase = 0.3
+        coef = pulses._collective_flip(self.N, phase, sector=True)
+        want = [(-1) ** pc * np.exp(1j * phase * (self.N - 2 * pc)) for pc in self.sector_popcounts()]
+        assert np.allclose(coef, want, rtol=0.0, atol=1e-12)
+
+    def test_wait_detuning_phase_on_sector_rows(self):
+        p = make_params(self.N, nmax=2, nu=1.3)
+        delta, wait = 0.017, 2.5
+        levels = np.random.default_rng(3).standard_normal((p.n_levels, 2 * self.N)).astype(complex)
+        levels /= math.sqrt(hilbert.populations(levels.reshape(-1)))
+        state = hilbert.StateVector._sector(levels.copy(), p, Frame(FRAME_R_PRIME, detuning=delta), 0.0)
+        apply_pulse(state, PulseSpec(PulseKind.WAIT, duration=wait))
+        assert in_sector(state)
+        free = np.exp(-1j * p.trap_freq * wait * np.arange(p.n_levels))[:, None]
+        detuned = np.exp(-1j * delta * wait * np.array(self.sector_popcounts()))
+        assert np.allclose(state._levels, levels * free * detuned, rtol=0.0, atol=1e-14)
