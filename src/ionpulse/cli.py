@@ -143,8 +143,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     print(f"fidelity: {report.fidelity_vs_target:.12f}")
     if report.phi_schroedinger is not None:
         print(f"phi: {report.phi_schroedinger:.15g}")
-    steps = enumerate(zip(preparation_sequence(params, mode), report.step_states), start=1)
-    _print_step_table([seqlang.StepTrace.after(i, spec, state, fock_populations(state)) for i, (spec, state) in steps])
+    table = np.array([fock_populations(state) for state in report.step_states])
+    _print_step_table(seqlang.step_traces(preparation_sequence(params, mode), report.pulse_times, table))
     if args.dump_state:
         _write_data(report.final_state.dump_json() + "\n", args)
     return 0 if report.fidelity_vs_target >= 1.0 - FIDELITY_GATE else 1

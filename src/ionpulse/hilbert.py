@@ -242,20 +242,20 @@ def _ion_view(amplitudes: np.ndarray, params: TrapParams, ion: int) -> np.ndarra
     return amplitudes.reshape(amplitudes.shape[:-1] + shape)
 
 
-def _fock_top(amplitudes: np.ndarray, params: TrapParams, top: int | None = None, known: np.ndarray | None = None) -> int:
+def _fock_top(amplitudes: np.ndarray, params: TrapParams, known: np.ndarray | None = None) -> int:
     """Highest Fock level holding a nonzero amplitude in any row (0 if none above 0 does).
 
-    Lowers ``top`` (the cutoff when None; the levels above must hold exact zeros) while its
-    level holds only zeros in every row, one read per level.  NaN counts as nonzero, -0.0 as zero.
-    ``known``, the rows' per-level populations of levels 0 .. top (``top`` is then its last),
+    Lowers a bound while its level holds only zeros in every row, one read per level: the
+    cutoff, or with ``known``, the rows' per-level populations of levels 0 .. k, the level k
+    (the levels above must hold exact zeros).  NaN counts as nonzero, -0.0 as zero.  ``known``
     decides every level whose population is not 0 (NaN included) without a read: only a level
     of population exactly 0 is read, as its amplitudes may be nonzero (1e-300 squares to 0).
     """
     levels = levels_view(amplitudes, params)
+    top = params.fock_cutoff
     if known is not None:
         top = known.shape[-1] - 1
         known = known if known.ndim == 1 else np.maximum.reduce(known.reshape(-1, top + 1), 0, initial=0.0)  # NaN propagates
-    top = params.fock_cutoff if top is None else top
     while top > 0 and (known is None or known[top] == 0) and not levels[..., top, :].any():
         top -= 1
     return top

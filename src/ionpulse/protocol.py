@@ -126,23 +126,18 @@ def preparation_sequence(params: TrapParams, mode: PulseMode | str = PulseMode.I
     ]
 
 
-def _run_sequence(
-    state: StateVector,
-    specs: list[PulseSpec],
-    top: int,
-    step_states: list[StateVector] | None = None,
-) -> StateVector:
-    """Apply ``specs`` to ``state``, whose Fock window is ``top``, carrying the window from step to step.
+def _run_steps(state: StateVector, specs: list[PulseSpec], top: int, durations: list[float | None] | None = None):
+    """The one loop of a step list on a state: apply ``specs`` from Fock window ``top``, yielding each step's populations.
 
-    Each window is taken from the step's populations and the rows the
-    kernels acted on, so a state stored in the sector basis stays there.
+    ``durations`` are what :func:`validate_pulse_spec` returned, None for a
+    step still to validate.  Each next window comes from the populations
+    and the rows the kernels acted on, so a sector-stored state stays in
+    the sector until a step needs its whole array.
     """
-    for spec in specs:
-        _, levels = apply_pulse(state, spec, top=top)
+    for spec, duration in zip(specs, durations or [None] * len(specs)):
+        _, levels = apply_pulse(state, spec, top=top, duration=duration)
         top = _fock_top(state._rows(), state.params, known=levels)
-        if step_states is not None:
-            step_states.append(state.copy())
-    return state
+        yield levels
 
 
 def check_preparation_memory(params: TrapParams) -> None:
@@ -218,8 +213,7 @@ def prepare_max_entangled(
             )
     check_preparation_memory(params)
     state = _sector_ground_state(params, frame)
-    step_states: list[StateVector] = []
-    _run_sequence(state, specs, 0, step_states=step_states)  # the ground state's window is level 0
+    step_states = [state.copy() for _ in _run_steps(state, specs, 0)]  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     return PreparationReport(
@@ -312,7 +306,9 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
 def reversed_sequence(state: StateVector, mode: PulseMode | str = PulseMode.IDEAL) -> StateVector:
     """Apply the five preparation pulses in reverse order at the current clock."""
     specs = list(reversed(preparation_sequence(state.params, mode)))
-    return _run_sequence(state, specs, _fock_top(state._rows(), state.params))
+    for _ in _run_steps(state, specs, _fock_top(state._rows(), state.params)):
+        pass
+    return state
 
 
 @dataclass(frozen=True)

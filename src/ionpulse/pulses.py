@@ -305,15 +305,15 @@ def apply_detuning_phase(
     *,
     top: int | None = None,
 ) -> None:
-    """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row.
+    """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row: the checked entry for direct callers.
 
     ``detuning`` is a float or an array with the leading shape of
-    ``amplitudes``.  The single home of the detuning phase: free evolution
-    and the ``detuning_during_pulses`` diagnostic both go through it.
-    Nothing is touched when every detuning or the duration is zero.  A
-    phase that is not finite raises PulseError before anything changes
-    (a wait step checks it with its other phases, in
-    :func:`_check_step_phases`, and calls :func:`_detuning_phase`).
+    ``amplitudes``.  Nothing is touched when every detuning or the duration
+    is zero.  A phase that is not finite raises PulseError before anything
+    changes.  The runners call the kernel, :func:`_detuning_phase`, with
+    the phase checked already: a wait with its other phases
+    (:func:`_check_step_phases`), a scan's ``detuning_during_pulses`` phases
+    once per scan (:func:`ionpulse.protocol._check_steps`).
     """
     if duration == 0.0 or not np.count_nonzero(detuning):
         return

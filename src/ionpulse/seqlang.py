@@ -35,7 +35,6 @@ execute.  The canonical five-pulse preparation program for three ions is
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -51,7 +50,9 @@ from .hilbert import (
     fock_populations,  # noqa: F401 - not called here; profiling tools wrap this module's names
     ground_state,
 )
-from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, apply_pulse, validate_pulse_spec
+from .protocol import _run_steps
+from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, validate_pulse_spec
+from .pulses import apply_pulse  # noqa: F401 - not called here; profiling tools wrap this module's names
 
 __all__ = [
     "DEFAULT_PARAMS",
@@ -59,6 +60,7 @@ __all__ = [
     "SequenceProgram",
     "SequenceError",
     "StepTrace",
+    "step_traces",
     "parse",
     "format_program",
     "execute",
@@ -164,17 +166,19 @@ class StepTrace:
     norm: float
     fock_populations: list[float]
 
-    @classmethod
-    def after(cls, step: int, spec: PulseSpec, state: StateVector, populations: np.ndarray) -> StepTrace:
-        """The record of step ``step`` (``spec``) from the state it left and its populations of levels 0 .. k.
 
-        The levels above k hold exact zeros: they count 0.0, so the record
-        equals one read from :func:`ionpulse.hilbert.fock_populations`.
-        :func:`execute` builds the same records from one table.
-        """
-        levels = np.zeros(state.params.n_levels)
-        levels[: populations.shape[-1]] = populations
-        return cls(step, spec.kind.value, state.clock, math.sqrt(levels.sum()), levels.tolist())
+def step_traces(steps: list[PulseSpec], clocks: list[float], table: np.ndarray) -> list[StepTrace]:
+    """The records of ``steps`` from their end clocks and populations, one row of levels 0 .. n_max per step.
+
+    A row holds zeros above the levels its step read, so each record's
+    populations and norm are bit for bit those read from its step state by
+    :func:`ionpulse.hilbert.fock_populations`.
+    """
+    norms = np.sqrt(table.sum(axis=1)).tolist()
+    return [
+        StepTrace(step, spec.kind.value, clock, norm, populations)
+        for step, (spec, clock, norm, populations) in enumerate(zip(steps, clocks, norms, table.tolist()), start=1)
+    ]
 
 
 _WORD = re.compile(r"\S+")
@@ -341,13 +345,13 @@ def execute(
 
     Starts from the ground state in the program's frame unless ``initial``
     is given (it is copied, not mutated, and must match the program's
-    parameters).  Failures during a step re-raise as SequenceError with
-    the step's source position.  A step :func:`parse` validated is not
-    validated again: its duration goes to the kernels with it.  The Fock
-    window is found once, at the start, and carried from step to step;
-    each step's populations, read once by its guard, give both the next
-    window and its row of one zero-padded table, from which the records
-    are built at the end (the same records as :meth:`StepTrace.after`).
+    parameters; one stored in the sector basis stays there until a step
+    needs its whole array).  The steps run through
+    :func:`ionpulse.protocol._run_steps` with the durations :func:`parse`
+    validated, from the window of the start state; each step's populations
+    fill its row of one zero-padded table, from which :func:`step_traces`
+    builds the records.  A failing step re-raises as SequenceError with
+    its source position.
     """
     if initial is None:
         state, top = ground_state(program.params, program.frame), 0
@@ -355,22 +359,15 @@ def execute(
         if initial.params != program.params:
             raise ValueError("initial state parameters do not match the program header")
         state = initial.copy()
-        top = _fock_top(state.amplitudes, state.params)
+        top = _fock_top(state._rows(), state.params)
     steps = program.steps
     spans = program.source_spans or [(0, 0)] * len(steps)
     table = np.zeros((len(steps), state.params.n_levels))
     clocks = []
-    for row, spec, (line, column), duration in zip(table, steps, spans, program._durations()):
-        try:
-            _, levels = apply_pulse(state, spec, top=top, duration=duration)
-        except (SimulationError, ValueError) as exc:
-            raise SequenceError(line, column, str(exc)) from exc
-        top = _fock_top(state.amplitudes, state.params, known=levels)
-        row[: levels.size] = levels
-        clocks.append(state.clock)
-    norms = np.sqrt(table.sum(axis=1)).tolist()
-    trace = [
-        StepTrace(step, spec.kind.value, clock, norm, populations)
-        for step, spec, clock, norm, populations in zip(range(1, len(steps) + 1), steps, clocks, norms, table.tolist())
-    ]
-    return state, trace
+    try:
+        for row, _, levels in zip(table, spans, _run_steps(state, steps, top, program._durations())):
+            row[: levels.size] = levels
+            clocks.append(state.clock)
+    except (SimulationError, ValueError) as exc:
+        raise SequenceError(*spans[len(clocks)], str(exc)) from exc
+    return state, step_traces(steps, clocks, table)

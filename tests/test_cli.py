@@ -247,6 +247,15 @@ class TestRun:
         assert "invalid choice: 'csv'" in err
         assert out == ""
 
+    def test_text_dump_state_follows_the_table(self, capsys, tmp_path):
+        path = tmp_path / "prog.pseq"
+        path.write_text(CANONICAL_2)
+        _, table, _ = run_cli(capsys, "run", str(path))
+        code, out, err = run_cli(capsys, "run", str(path), "--dump-state")
+        final, _ = seqlang.execute(seqlang.parse(CANONICAL_2)[0])
+        assert (code, err) == (0, "")
+        assert out == table + final.dump_json() + "\n"
+
     def test_warning_only_program_still_runs(self, capsys, tmp_path):
         path = tmp_path / "empty.pseq"
         path.write_text("# nothing\n")
@@ -283,7 +292,8 @@ class TestRunRecords:
         expected = []
         for step, spec in enumerate(program.steps, start=1):
             apply_pulse(state, spec)
-            expected.append(seqlang.StepTrace.after(step, spec, state, hilbert.fock_populations(state)))
+            levels = hilbert.fock_populations(state)
+            expected.append(seqlang.StepTrace(step, spec.kind.value, state.clock, math.sqrt(levels.sum()), levels.tolist()))
         assert max(sum(p != 0 for p in t.fock_populations) for t in expected) >= 8
         fid, _ = best_ghz_fidelity(state)
         assert code == 0

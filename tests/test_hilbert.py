@@ -425,8 +425,9 @@ class TestFockTop:
         occupied = np.flatnonzero((rows.reshape(-1, p.n_levels, p.n_configs) != 0).any(axis=(0, 2)))
         window = int(occupied[-1]) if occupied.size else 0
         assert hilbert._fock_top(rows, p) == window
-        for top in range(window, p.fock_cutoff + 1):
-            assert hilbert._fock_top(rows, p, top) == window
+        for top in range(window, p.fock_cutoff + 1):  # from every bound: the populations of levels 0 .. top
+            known = hilbert.populations(hilbert.levels_view(rows, p)[..., : top + 1, :])
+            assert hilbert._fock_top(rows, p, known=known) == window
         for row in rows:  # a single (dim,) state: its own window
             occupied = np.flatnonzero((row.reshape(p.n_levels, p.n_configs) != 0).any(axis=1))
             assert hilbert._fock_top(row, p) == (int(occupied[-1]) if occupied.size else 0)

@@ -579,6 +579,20 @@ class TestNonFiniteClockOrPhase:
         apply_detuning_phase(rows, p, np.array([0.1, -0.2]), 3.0)  # the diagnostic's direct call checks its own
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "detunings, duration",
+        [(np.array([1e308, -1e308]), 0.0), (np.zeros(2), 2.5), (0.0, 1e308)],
+        ids=["zero-duration", "zero-detunings", "zero-detuning"],
+    )
+    def test_detuning_phase_skips_a_zero_phase(self, detunings, duration):
+        # an infinite amplitude times the unit phase would gain a NaN part: the skip leaves every byte
+        p = make_params(3)
+        rows = windowed_rows(p, np.random.default_rng(9), (0, 2))
+        rows[0, 1], rows[1, 2] = complex(math.inf, 0.0), complex(0.0, -0.0)
+        before = rows.tobytes()
+        apply_detuning_phase(rows, p, detunings, duration)
+        assert rows.tobytes() == before
+
 
 def windowed_rows(params, rng, tops):
     """Normalized random rows, row i supported on Fock levels 0 .. tops[i] and exactly zero above."""

@@ -35,7 +35,7 @@ from ionpulse import (
     pulse_duration,
     verify_trajectory,
 )
-from ionpulse import hilbert, protocol, pulses
+from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import _sector_ground_state, flat_index
 from conftest import make_params
 
@@ -52,8 +52,8 @@ def random_params(rng, n_ions, nmax):
 
 def whole_run(params, mode, frame):
     """The five pulses on a whole ground state through the same runner: (step states, final state)."""
-    state, steps = ground_state(params, frame), []
-    protocol._run_sequence(state, preparation_sequence(params, mode), 0, steps)
+    state = ground_state(params, frame)
+    steps = [state.copy() for _ in protocol._run_steps(state, preparation_sequence(params, mode), 0)]
     return steps, state
 
 
@@ -255,7 +255,8 @@ class TestUnrepresentablePulses:
             PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=n, laser_phase=0.4),
             PulseSpec(PulseKind.JC_PI, target_ion=n, target_n=1, mode=PulseMode.PHYSICAL),
         ]
-        protocol._run_sequence(state, specs, 0)
+        for _ in protocol._run_steps(state, specs, 0):
+            pass
         assert in_sector(state) and hilbert._fock_top(state._rows(), p) == 2
         return state
 
@@ -308,6 +309,38 @@ class TestUnrepresentablePulses:
         assert np.allclose(sector.amplitudes, whole.amplitudes, rtol=0.0, atol=1e-15)
 
 
+class TestProgramFromASectorState:
+    """``seqlang.execute`` from a sector-stored ``initial`` keeps it in the sector while its steps allow."""
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    @pytest.mark.parametrize("n_ions", [3, 6])
+    def test_program_runs_in_the_sector_and_equals_the_lifted_run(self, n_ions, mode):
+        p = make_params(n_ions, nmax=4, nu=1.3, eta=0.11, rabi=0.9)
+        suffix = " mode=physical" if mode is PulseMode.PHYSICAL else ""
+        steps = [
+            "wait T=0.7",
+            f"carrier_pi2 ion={n_ions} phase=0.4",
+            f"jc_pi ion={n_ions} n=0{suffix}",
+            f"disp_pi all n=1{suffix}",
+            "wait T=2.5",
+            f"disp_pi ion={n_ions} n=1{suffix}",
+            f"jc_pi ion={n_ions} n=0{suffix}",
+        ]
+        header = f"ions N={n_ions}\ntrap nu=1.3 eta=0.11 rabi=0.9 nmax=4\n"
+        program, diagnostics = seqlang.parse(header + "\n".join(steps) + "\n")
+        assert program is not None, diagnostics
+        initial = prepare_max_entangled(p, mode).final_state
+        lifted = initial.copy()
+        lifted.amplitudes  # noqa: B018 - build the whole array
+        assert in_sector(initial) and not in_sector(lifted)
+        final, trace = seqlang.execute(program, initial)
+        want, want_trace = seqlang.execute(program, lifted)
+        assert in_sector(final) and in_sector(initial)
+        assert final.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert final.clock == want.clock
+        assert trace == want_trace
+
+
 class TestGuardsAndReads:
     def test_nan_written_into_the_sector_trips_the_norm_guard(self, monkeypatch):
         p = make_params(5)
@@ -339,6 +372,13 @@ class TestGuardsAndReads:
 
         monkeypatch.setattr(protocol, "apply_pulse", reading)
         assert outputs(prepare_max_entangled(p, mode)) == want
+
+    @pytest.mark.parametrize("ion", [1, 4])
+    def test_sector_rows_address_ion_n_alone(self, ion):
+        p = make_params(5)
+        with pytest.raises(ValueError) as info:
+            hilbert._ion_view(_sector_ground_state(p)._rows(), p, ion)
+        assert str(info.value) == f"the sector basis addresses ion 5 alone, not ion {ion}"
 
     @pytest.mark.parametrize("mode", list(PulseMode))
     def test_tracer_counting_changes_no_output(self, mode):

@@ -164,6 +164,21 @@ class TestParse:
         assert program is None
         assert "key=value" in errors_of(diags)[0].message
 
+    @pytest.mark.parametrize(
+        "source, position, message",
+        [
+            ("ions N=2\njc_pi ion=1 n=0 ion=2\n", (2, 17), "duplicate argument 'ion'"),
+            ("frame X\nwait T=1.0\n", (1, 7), "frame requires R or Rprime"),
+            ("wait T=1.0\nframe\n", (2, 1), "frame requires R or Rprime"),
+        ],
+        ids=["duplicate-argument", "frame-tag", "frame-alone"],
+    )
+    def test_statement_diagnostic_at_its_token(self, source, position, message):
+        program, diags = parse(source)
+        assert program is None
+        [err] = errors_of(diags)
+        assert ((err.line, err.column), err.message) == (position, message)
+
     def test_frame_r_takes_no_arguments(self):
         program, diags = parse("frame R delta=0.1\nwait T=1.0\n")
         assert program is None
@@ -401,8 +416,14 @@ class TestEditedProgram:
              "6:1: error: dispersive pulse requires target_n >= 1 (its Rabi frequency is zero at n = 0)"),
             (swap_step(1, PulseSpec(PulseKind.WAIT, duration=-1.0)),
              "4:1: error: wait requires a finite duration >= 0, got -1.0"),
+            (swap_step(0, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3, duration=1.0)),
+             "3:1: error: pulse durations are derived from Rabi frequencies; leave duration unset"),
+            (swap_step(2, PulseSpec(PulseKind.JC_PI, target_ion=3, target_n=-1)),
+             "5:1: error: sideband target_n must be >= 0, got -1"),
+            (swap_step(3, PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=3, target_n=5)),
+             "6:1: error: dispersive target_n 5 beyond the cutoff 4"),
         ],
-        ids=["smaller-nmax", "fewer-ions", "swapped-step", "swapped-wait"],
+        ids=["smaller-nmax", "fewer-ions", "swapped-step", "swapped-wait", "pulse-duration", "sideband-n-1", "dispersive-n-5"],
     )
     def test_now_invalid_step_gets_its_positioned_error(self, edit, message):
         program, diags = parse(EDITABLE)

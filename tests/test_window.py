@@ -1,11 +1,12 @@
 """The runners carry the Fock window from step to step instead of finding it again.
 
-``protocol._run_sequence``, ``protocol._run_rows`` and ``seqlang.execute``
-start from a known window and move it on with ``hilbert._fock_top`` fed
-the step's populations, which the pulse's guard hands back.  After every
-step that window must equal what ``hilbert._fock_top`` finds from
-scratch, and every step state, final state and scan row must be
-byte-equal to a plain loop of window-less pulse calls.
+``protocol._run_steps`` (the preparation's loop, and ``seqlang.execute``'s)
+and ``protocol._run_rows`` (the scan's) start from a known window and move
+it on with ``hilbert._fock_top`` fed the step's populations, which the
+pulse's guard hands back.  After every step that window must equal what
+``hilbert._fock_top`` finds from scratch, and every step state, final
+state and scan row must be byte-equal to a plain loop of window-less
+pulse calls.
 """
 
 import dataclasses
@@ -39,8 +40,8 @@ def track_windows(monkeypatch):
     """Record every window the runners take from a step's populations, each checked against ``_fock_top`` from scratch."""
     seen = []
 
-    def checked(amplitudes, params, top=None, known=None):
-        new = hilbert._fock_top(amplitudes, params, top, known)
+    def checked(amplitudes, params, known=None):
+        new = hilbert._fock_top(amplitudes, params, known)
         if known is not None:  # after a step; a call without populations finds a start window
             assert new == _fock_top(amplitudes, params), known
             seen.append(new)
@@ -116,7 +117,7 @@ class TestSeqlang:
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             windows = track_windows(monkeypatch)
-            monkeypatch.setattr(seqlang, "apply_pulse", recording)
+            monkeypatch.setattr(protocol, "apply_pulse", recording)
             try:
                 final, trace = seqlang.execute(program, initial)
             except seqlang.SequenceError:
@@ -207,7 +208,7 @@ def copying_steps(monkeypatch):
         states.append(state.copy())
         return record
 
-    monkeypatch.setattr(seqlang, "apply_pulse", copying)
+    monkeypatch.setattr(protocol, "apply_pulse", copying)
     return states
 
 
