@@ -20,10 +20,12 @@ Times and frequencies are in units of 1/nu and nu when the header sets
 ``nu=1`` (the default), SI otherwise; only the products nu*t matter for
 the phases.  Header values follow the rules of ``TrapParams`` and
 ``Frame``, and steps those of ``validate_pulse_spec``; the parser itself
-checks only the grammar.  Parsing never raises: every problem becomes a
-diagnostic with a 1-based line and column (a bad header value at its own
-token, a bad step at its keyword), and errors simply leave no program to
-execute.  The canonical five-pulse preparation program for three ions is
+checks only the grammar.  A line's words are split on whitespace, and a
+header line gives its record in one step.  Parsing never raises: every
+problem becomes a diagnostic with a 1-based line and column, looked up
+only then (a bad header value at its own word, a bad step at its
+keyword), and errors leave no program to execute.  The canonical
+five-pulse preparation program for three ions is
 
     ions N=3
     carrier_pi2 ion=3
@@ -183,10 +185,11 @@ def step_traces(steps: list[PulseSpec], clocks: list[float], table: np.ndarray) 
 
 _WORD = re.compile(r"\S+")
 
-
-def _tokenize(line: str) -> list[re.Match[str]]:
-    """The words before any ``#``, as matches: ``tok[0]`` is the text, ``tok.start() + 1`` the 1-based column."""
-    return list(_WORD.finditer(line.partition("#")[0]))
+# Derived for the parser: keyword -> (step kind or None, {argument: (field, type)}, required arguments, their fields)
+_STATEMENTS = {
+    keyword: (kind, {key: _ARGS[key] for key in keys}, required, {_ARGS[key][0] for key in required})
+    for keyword, (kind, keys, required) in [*_STEPS.items(), *((k, (None, *v)) for k, v in _HEADERS.items())]
+}
 
 
 class _Parser:
@@ -194,93 +197,91 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.header_seen: dict[str, int] = {}
         self.params = DEFAULT_PARAMS
-        self.n_ions_at = (1, 1)  # line and column of the ion count, for the memory diagnostic
+        self.n_ions_at = (1, "N", 0)  # line, code and word of the ion count, for the memory diagnostic (1:1 unset)
         self.frame = Frame()
         self.steps: list[tuple[PulseSpec, tuple[int, int]]] = []
 
-    def error(self, line: int, column: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", line, column, message))
+    def errors(self, line: int, code: str, bad: list[tuple[int, str]]) -> None:
+        """Report each (word index, message) of a line's code at its word's 1-based column."""
+        columns = [word.start() + 1 for word in _WORD.finditer(code)]
+        self.diagnostics += [ParseDiagnostic("error", line, columns[index], message) for index, message in bad]
 
-    def _arguments(self, keyword: str, head: re.Match[str], tokens: list[re.Match[str]], line: int) -> dict | None:
-        """The key=value tokens as {key: (token, value)}, or None after reporting an error."""
-        allowed, required = _STEPS[keyword][1:] if keyword in _STEPS else _HEADERS[keyword]
-        args: dict[str, tuple[re.Match[str], object]] = {}
-        ok = True
-        for tok in tokens:
-            key, equals, raw = tok[0].partition("=")
+    def _arguments(self, keyword: str, words: list[str], start: int, code: str, line: int) -> dict | None:
+        """The key=value words from ``start`` on as {field: value}, or None after reporting an error."""
+        _, allowed, required, required_fields = _STATEMENTS[keyword]
+        fields, bad = {}, []
+        for index in range(start, len(words)):
+            key, equals, raw = words[index].partition("=")
+            arg = allowed.get(key)
             if not equals:
-                message = f"expected key=value, got {tok[0]!r}"
-            elif key not in allowed:
-                message = f"unknown argument {key!r}"
-            elif key in args:
-                message = f"duplicate argument {key!r}"
+                bad.append((index, f"expected key=value, got {words[index]!r}"))
+            elif arg is None:
+                bad.append((index, f"unknown argument {key!r}"))
+            elif arg[0] in fields:
+                bad.append((index, f"duplicate argument {key!r}"))
             else:
-                value_type = _ARGS[key][1]
                 try:
-                    args[key] = (tok, value_type(raw))
-                    continue
+                    fields[arg[0]] = arg[1](raw)
                 except ValueError:
-                    message = _MALFORMED[value_type].format(raw)
-            self.error(line, tok.start() + 1, message)
-            ok = False
-        missing = [key + "=" for key in required if key not in args]
-        if ok and missing:
-            self.error(line, head.start() + 1, f"{keyword} requires {', '.join(missing)}")
-        return args if ok and not missing else None
+                    bad.append((index, _MALFORMED[arg[1]].format(raw)))
+        if not bad and not required_fields <= fields.keys():
+            bad = [(0, f"{keyword} requires {', '.join(k + '=' for k in required if _ARGS[k][0] not in fields)}")]
+        if bad:
+            self.errors(line, code, bad)
+        return None if bad else fields
 
-    def _apply(self, record, args: dict, line: int):
-        """``record`` with each argument's field replaced; the record's own rules check each value."""
-        for key, (tok, value) in args.items():
-            try:
-                record = replace(record, **{_ARGS[key][0]: value})
-            except ValueError as exc:
-                self.error(line, tok.start() + 1, str(exc))
-        return record
+    def _apply(self, record, fields: dict, start: int, code: str, line: int):
+        """``record`` with ``fields`` (words ``start`` on) replaced; its own rules check them."""
+        try:
+            return replace(record, **fields)
+        except ValueError:  # one field at a time, to report each bad value at its own word
+            bad = []
+            for index, (name, value) in enumerate(fields.items(), start):
+                try:
+                    record = replace(record, **{name: value})
+                except ValueError as exc:
+                    bad.append((index, str(exc)))
+            self.errors(line, code, bad)
+            return record
 
-    def statement(self, tokens: list[re.Match[str]], line: int) -> None:
-        head, rest = tokens[0], tokens[1:]
-        keyword = head[0]
-        compound = f"{keyword} {rest[0][0]}" if rest else ""
-        if compound in _STEPS or compound in _HEADERS:  # "disp_pi all", "frame R", "frame Rprime"
-            keyword, rest = compound, rest[1:]
-        if keyword in _STEPS:
-            args = self._arguments(keyword, head, rest, line)
-            if args is not None:
-                fields = {_ARGS[key][0]: value for key, (_, value) in args.items()}
-                self.steps.append((PulseSpec(_STEPS[keyword][0], **fields), (line, head.start() + 1)))
-        elif keyword in _HEADERS:
-            if head[0] in self.header_seen:
-                first = self.header_seen[head[0]]
-                self.error(line, head.start() + 1, f"duplicate {head[0]!r} header (first on line {first})")
-                return
-            self.header_seen[head[0]] = line
-            args = self._arguments(keyword, head, rest, line)
-            if args is None:
-                return
-            if head[0] == "frame":
-                self.frame = self._apply(Frame(tokens[1][0]), args, line)
-            else:
-                self.params = self._apply(self.params, args, line)
-                if "N" in args:
-                    self.n_ions_at = (line, args["N"][0].start() + 1)
-        elif keyword == "frame":
-            self.error(line, (rest[0] if rest else head).start() + 1, "frame requires R or Rprime")
+    def statement(self, words: list[str], code: str, line: int) -> None:
+        head = keyword = words[0]
+        start = 1
+        if len(words) > 1 and f"{head} {words[1]}" in _STATEMENTS:
+            keyword, start = f"{head} {words[1]}", 2  # "disp_pi all", "frame R", "frame Rprime"
+        grammar = _STATEMENTS.get(keyword)
+        if keyword == "frame":  # neither "frame R" nor "frame Rprime"
+            self.errors(line, code, [(min(len(words) - 1, 1), "frame requires R or Rprime")])
+        elif grammar is None:
+            self.errors(line, code, [(0, f"unknown keyword {keyword!r}")])
+        elif grammar[0] is not None:
+            fields = self._arguments(keyword, words, start, code, line)
+            if fields is not None:
+                self.steps.append((PulseSpec(grammar[0], **fields), (line, len(code) - len(code.lstrip()) + 1)))
+        elif head in self.header_seen:
+            self.errors(line, code, [(0, f"duplicate {head!r} header (first on line {self.header_seen[head]})")])
         else:
-            self.error(line, head.start() + 1, f"unknown keyword {keyword!r}")
+            self.header_seen[head] = line
+            fields = self._arguments(keyword, words, start, code, line)
+            if fields is not None and head == "frame":
+                self.frame = self._apply(Frame(words[1]), fields, start, code, line)
+            elif fields is not None:
+                self.params = self._apply(self.params, fields, start, code, line)
+                if "n_ions" in fields:
+                    self.n_ions_at = (line, code, start + list(fields).index("n_ions"))
 
     def build(self, source_empty_line: int) -> tuple[SequenceProgram | None, list[ParseDiagnostic]]:
         try:
             check_memory(self.params.n_levels, n_ions=self.params.n_ions)
         except SimulationError as exc:
-            self.error(*self.n_ions_at, str(exc))
-        steps: list[PulseSpec] = []
-        spans: list[tuple[int, int]] = []
-        durations: list[float] = []
+            line, code, index = self.n_ions_at
+            self.errors(line, code, [(index, str(exc))])
+        steps, spans, durations = [], [], []
         for spec, span in self.steps:
             try:
                 durations.append(validate_pulse_spec(spec, self.params))
             except PulseError as exc:
-                self.error(*span, str(exc))
+                self.diagnostics.append(ParseDiagnostic("error", *span, str(exc)))
                 continue
             steps.append(spec)
             spans.append(span)
@@ -303,9 +304,10 @@ def parse(source: str) -> tuple[SequenceProgram | None, list[ParseDiagnostic]]:
     parser = _Parser()
     lines = source.splitlines()
     for number, text in enumerate(lines, start=1):
-        tokens = _tokenize(text)
-        if tokens:
-            parser.statement(tokens, number)
+        code = text.partition("#")[0]
+        words = code.split()
+        if words:
+            parser.statement(words, code, number)
     return parser.build(len(lines) + 1)
 
 
@@ -322,15 +324,19 @@ def _statement_text(keyword: str, record, keys) -> str:
 def format_program(program: SequenceProgram) -> str:
     """Canonical source text: full header, one step per line, fixed key order.
 
-    Comments are dropped, defaults (mode=ideal, phase=0) are omitted, and
-    floats use their shortest round-trip form, so parse(format(p))
-    reproduces p structurally and format is idempotent.
+    Comments and defaults (mode=ideal, phase=0) are dropped and floats take
+    their shortest round-trip form, so parse(format(p)) reproduces every
+    program parse returns, and format is idempotent.  Fields the run ignores
+    (a carrier's or a wait's mode, a collective pulse's target_ion) are
+    dropped; a laser phase no statement can write raises ValueError.
     """
     header = [("ions", program.params), ("trap", program.params), (f"frame {program.frame.tag}", program.frame)]
     lines = [_statement_text(keyword, record, _HEADERS[keyword][0]) for keyword, record in header]
-    for spec in program.steps:
+    for number, spec in enumerate(program.steps, start=1):
         keyword = _STEP_KEYWORDS[spec.kind]
         _, keys, required = _STEPS[keyword]
+        if spec.laser_phase != 0 and "phase" not in keys and spec.kind is not PulseKind.WAIT:
+            raise ValueError(f"step {number} ({keyword}): laser_phase={spec.laser_phase!r} has no argument to write it")
         default = PulseSpec(spec.kind)
         shown = [k for k in keys if k in required or getattr(spec, _ARGS[k][0]) != getattr(default, _ARGS[k][0])]
         lines.append(_statement_text(keyword, spec, shown))
@@ -361,11 +367,11 @@ def execute(
         state = initial.copy()
         top = _fock_top(state._rows(), state.params)
     steps = program.steps
-    spans = program.source_spans or [(0, 0)] * len(steps)
+    spans = program.source_spans + [(0, 0)] * len(steps)  # a step without a source line fails at 0:0
     table = np.zeros((len(steps), state.params.n_levels))
     clocks = []
     try:
-        for row, _, levels in zip(table, spans, _run_steps(state, steps, top, program._durations())):
+        for row, levels in zip(table, _run_steps(state, steps, top, program._durations())):
             row[: levels.size] = levels
             clocks.append(state.clock)
     except (SimulationError, ValueError) as exc:

@@ -1,4 +1,5 @@
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from ionpulse import (
     dicke_extreme,
     excited_population,
     fidelity,
+    preparation_sequence,
     prepare_max_entangled,
     target_ghz,
 )
@@ -170,8 +172,13 @@ class TestParse:
             ("ions N=2\njc_pi ion=1 n=0 ion=2\n", (2, 17), "duplicate argument 'ion'"),
             ("frame X\nwait T=1.0\n", (1, 7), "frame requires R or Rprime"),
             ("wait T=1.0\nframe\n", (2, 1), "frame requires R or Rprime"),
+            # a missing required argument next to an optional one
+            ("jc_pi ion=1 mode=ideal\n", (1, 1), "jc_pi requires n="),
+            ("carrier_pi2 phase=0.1\n", (1, 1), "carrier_pi2 requires ion="),
+            ("disp_pi all mode=physical\n", (1, 1), "disp_pi all requires n="),
+            ("ions N=2\n\t  jc_pi mode=ideal ion=2\n", (2, 4), "jc_pi requires n="),
         ],
-        ids=["duplicate-argument", "frame-tag", "frame-alone"],
+        ids=["duplicate-argument", "frame-tag", "frame-alone", "jc-n", "carrier-ion", "collective-n", "indented-jc-n"],
     )
     def test_statement_diagnostic_at_its_token(self, source, position, message):
         program, diags = parse(source)
@@ -258,6 +265,33 @@ class TestFormat:
         assert "mode=physical" in text
         assert parse(text)[0] == program
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PulseSpec(PulseKind.JC_PI, target_ion=3, target_n=0, laser_phase=0.5),
+            PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=3, target_n=1, laser_phase=0.5),
+            PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1, laser_phase=0.5),
+        ],
+        ids=["jc_pi", "disp_pi", "disp_pi-all"],
+    )
+    def test_phase_no_statement_can_write_is_an_error(self, spec):
+        program = SequenceProgram(make_params(3), Frame(), [PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3), spec])
+        with pytest.raises(ValueError, match=r"^step 2 \(\w+( all)?\): laser_phase=0\.5 "):
+            format_program(program)
+
+    def test_fields_the_run_ignores_are_dropped(self):
+        # preparation_sequence sets a carrier's mode; a wait's mode and a collective target_ion do nothing either
+        steps = [
+            *preparation_sequence(make_params(3), "physical"),
+            PulseSpec(PulseKind.WAIT, duration=1.5, mode=PulseMode.PHYSICAL),
+            PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_ion=2, target_n=1),
+        ]
+        program = SequenceProgram(make_params(3), Frame(), steps)
+        reparsed, diags = parse(format_program(program))
+        assert errors_of(diags) == []
+        assert format_program(reparsed) == format_program(program)
+        assert execute(reparsed)[1] == execute(program)[1]
+
 
 def program_strategy():
     def build(draw):
@@ -297,6 +331,35 @@ def program_strategy():
     return st.composite(build)()
 
 
+GRAMMAR_WORDS = [
+    "ions", "trap", "frame", "R", "Rprime", "carrier_pi2", "jc_pi", "disp_pi", "all", "wait",
+    "N=0", "N=2", "N=40", "nu=1", "nu=0", "eta=-1", "rabi=2", "nmax=0", "nmax=3", "delta=0.1", "delta=inf",
+    "ion=1", "ion=2", "ion=", "n=0", "n=1", "n=9", "mode=x", "mode=physical", "phase=0.5", "T=1", "T=nan",
+    "=", "#c", "bogus",
+]
+
+
+def grammar_text():
+    """Lines of grammar words, indented and separated by space, tab, no-break space or \\x1c."""
+    gap = st.lists(st.sampled_from([" ", "\t", "\xa0", "\x1c"]), max_size=2).map("".join)
+    line = st.tuples(gap, st.lists(st.tuples(st.sampled_from(GRAMMAR_WORDS), gap), max_size=6)).map(
+        lambda parts: parts[0] + "".join(word + (after or " ") for word, after in parts[1])
+    )
+    return st.lists(line, max_size=6).map("\n".join)
+
+
+def assert_errors_point_at_words(source):
+    """Parsing never raises, and each error's column is that of a word before any ``#`` on its line."""
+    program, diags = parse(source)
+    if program is None:
+        assert any(d.severity == "error" for d in diags)
+    lines = source.splitlines()
+    for d in errors_of(diags):
+        assert 1 <= d.line <= len(lines)
+        code = lines[d.line - 1].partition("#")[0]
+        assert d.column - 1 in [word.start() for word in re.finditer(r"\S+", code)]
+
+
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None)
     @given(program_strategy())
@@ -310,12 +373,12 @@ class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
     def test_parse_total_on_arbitrary_text(self, source):
-        # every failure is a positioned diagnostic, never an exception
-        program, diags = parse(source)
-        if program is None:
-            assert any(d.severity == "error" for d in diags)
-        for d in diags:
-            assert d.line >= 1 and d.column >= 1
+        assert_errors_point_at_words(source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_text())
+    def test_parse_total_on_grammar_words(self, source):
+        assert_errors_point_at_words(source)
 
 
 class TestExecute:
@@ -432,6 +495,20 @@ class TestEditedProgram:
         with pytest.raises(SequenceError) as info:
             execute(edited)
         assert str(info.value) == message
+
+    def test_appended_steps_run_and_an_invalid_one_fails_at_0_0(self):
+        program, _ = parse("carrier_pi2 ion=1\n")
+        program.steps += [PulseSpec(PulseKind.WAIT, duration=1.0), PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=9)]
+        with pytest.raises(SequenceError) as info:
+            execute(program)
+        assert str(info.value) == "0:0: error: sideband pulse on n=9 reaches Fock level 10 beyond the cutoff 4"
+
+    def test_an_appended_wait_runs(self):
+        program, _ = parse("carrier_pi2 ion=1\n")
+        program.steps.append(PulseSpec(PulseKind.WAIT, duration=1.0))
+        _, trace = execute(program)
+        assert len(trace) == len(program.steps)
+        assert trace[-1].clock == pytest.approx(np.pi / 2 + 1.0)
 
     def test_hand_built_program_is_validated(self):
         program = SequenceProgram(make_params(2), Frame(), [PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=4)])
