@@ -132,11 +132,15 @@ def _run_steps(state: StateVector, specs: list[PulseSpec], top: int, durations: 
     ``durations`` are what :func:`validate_pulse_spec` returned, None for a
     step still to validate.  Each next window comes from the populations
     and the rows the kernels acted on, so a sector-stored state stays in
-    the sector until a step needs its whole array.
+    the sector until a step needs its whole array.  A step that writes no
+    amplitude hands back the last populations unread, and the window stays.
     """
+    levels = None
     for spec, duration in zip(specs, durations or [None] * len(specs)):
-        _, levels = apply_pulse(state, spec, top=top, duration=duration)
-        top = _fock_top(state._rows(), state.params, known=levels)
+        _, new = apply_pulse(state, spec, top=top, duration=duration, known=levels)
+        if new is not levels:
+            top = _fock_top(state._rows(), state.params, known=new)
+        levels = new
         yield levels
 
 

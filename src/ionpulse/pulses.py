@@ -61,7 +61,10 @@ population is exactly 0 that pass is the only read of a step's state: a
 runner that owns its state passes ``top`` to each call and takes the
 next window from the populations (:func:`ionpulse.hilbert._fock_top`),
 and ``ionpulse run`` its step record.  A call without ``top`` finds it
-with ``_fock_top`` alone.
+with ``_fock_top`` alone.  A runner that passes the last step's
+populations as ``known`` gets them back unread from a step that writes
+no amplitude (a zero wait, a wait at window 0 with zero detuning, a
+pulse whose angle table is empty at window 0), and keeps its window.
 
 A single-ion pulse is one broadcast update over the table's levels, with
 per-level (cos, sin) columns and two temporaries; when every angle in the
@@ -483,6 +486,7 @@ def apply_pulse_rows(
     check_leakage: bool = True,
     top: int | None = None,
     duration: float | None = None,
+    known: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration and populations.
 
@@ -506,35 +510,43 @@ def apply_pulse_rows(
     populations are the guards' one pass, each row's per-level
     populations over that window (:func:`_check_rows`): a runner takes
     its next window from them (:func:`ionpulse.hilbert._fock_top`).
+    ``known``, the populations the last guard read from these rows, is
+    returned unread by a step that writes no amplitude.
     """
     if duration is None:
         duration = validate_pulse_spec(spec, params)
     _check_step_phases(params, spec, t0, duration, detuning)
     if top is None:
         top = _fock_top(amplitudes, params)
-    return duration, _step_rows(amplitudes, params, spec, t0, detuning, duration, top, check_leakage)
+    return duration, _step_rows(amplitudes, params, spec, t0, detuning, duration, top, check_leakage, known)
 
 
 def _step_rows(
     amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, detuning: float | np.ndarray, duration: float, top: int,
-    check_leakage: bool = True,
+    check_leakage: bool = True, known: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The kernel of :func:`apply_pulse_rows`, for a step whose spec and phases were checked; return its populations."""
+    """The kernel of :func:`apply_pulse_rows`, for a step whose spec and phases were checked; return its populations, or ``known`` if it writes nothing."""
     if spec.kind is PulseKind.WAIT:
-        if duration > 0:
-            if top:
-                _apply_free_phases(amplitudes, params, duration, top)
-            if np.count_nonzero(detuning):  # its bound was checked with the step's phases
-                _detuning_phase(amplitudes, params, detuning, duration, top)
+        kick = duration > 0 and np.count_nonzero(detuning)  # its bound was checked with the step's phases
+        if known is not None and not (kick or duration > 0 and top):
+            return known  # no free phase above level 0 and no detuning phase: nothing to write
+        if duration > 0 and top:
+            _apply_free_phases(amplitudes, params, duration, top)
+        if kick:
+            _detuning_phase(amplitudes, params, detuning, duration, top)
         check_leakage = False  # phases move no population
     else:
         table = _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)
+        coupled = table[0]
+        if known is not None and not top and coupled.start >= coupled.stop:
+            return known  # no pair to turn and no level above 0 to phase: nothing to write
         if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
             _rotate_every_ion(amplitudes, params, spec.laser_phase, table)
         elif spec.kind is PulseKind.JC_PI:
             u = 1j * np.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)
-            top = max(top, table[0].stop)
+            if coupled.start < coupled.stop:  # an empty table couples no pair, so the window stays
+                top = max(top, coupled.stop)
         else:
             _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
         if top:
@@ -561,13 +573,14 @@ def apply_pulse(
     check_leakage: bool = True,
     top: int | None = None,
     duration: float | None = None,
+    known: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Apply one PulseSpec to the state at its clock; return the duration and populations of :func:`apply_pulse_rows`.
 
     A sector-stored state stays in the sector when it represents ``spec``
-    (:func:`_sector_holds`); otherwise its whole array is built first.
-    ``top`` and ``duration`` are passed on as :func:`apply_pulse_rows`
-    reads them.
+    (:func:`_sector_holds`); otherwise its whole array is built first, and
+    ``known``, read from the sector, is dropped.  ``top``, ``duration``
+    and ``known`` are passed on as :func:`apply_pulse_rows` reads them.
     """
     params = state.params
     rows = state._rows()
@@ -575,9 +588,10 @@ def apply_pulse(
         if top is None:
             top = _fock_top(rows, params)
         if not _sector_holds(spec, params, top):
-            rows = state.amplitudes
+            rows, known = state.amplitudes, None
     record = apply_pulse_rows(
-        rows, params, spec, state.clock, state.frame.detuning, check_leakage=check_leakage, top=top, duration=duration
+        rows, params, spec, state.clock, state.frame.detuning,
+        check_leakage=check_leakage, top=top, duration=duration, known=known,
     )
     state.clock = state.clock + record[0]
     return record

@@ -37,6 +37,7 @@ five-pulse preparation program for three ions is
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -197,7 +198,7 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.header_seen: dict[str, int] = {}
         self.params = DEFAULT_PARAMS
-        self.n_ions_at = (1, "N", 0)  # line, code and word of the ion count, for the memory diagnostic (1:1 unset)
+        self.sized_at: dict[str, tuple[int, str, int]] = {}  # the ion and level counts' line, code and word, for the memory diagnostic
         self.frame = Frame()
         self.steps: list[tuple[PulseSpec, tuple[int, int]]] = []
 
@@ -267,14 +268,15 @@ class _Parser:
                 self.frame = self._apply(Frame(words[1]), fields, start, code, line)
             elif fields is not None:
                 self.params = self._apply(self.params, fields, start, code, line)
-                if "n_ions" in fields:
-                    self.n_ions_at = (line, code, start + list(fields).index("n_ions"))
+                for index, name in enumerate(fields, start):
+                    if name in ("n_ions", "fock_cutoff"):
+                        self.sized_at[name] = (line, code, index)
 
     def build(self, source_empty_line: int) -> tuple[SequenceProgram | None, list[ParseDiagnostic]]:
         try:
             check_memory(self.params.n_levels, n_ions=self.params.n_ions)
-        except SimulationError as exc:
-            line, code, index = self.n_ions_at
+        except SimulationError as exc:  # at the ion count, or at the level count when no header set N
+            line, code, index = self.sized_at.get("n_ions") or self.sized_at.get("fock_cutoff", (1, "N", 0))  # 1:1 unset
             self.errors(line, code, [(index, str(exc))])
         steps, spans, durations = [], [], []
         for spec, span in self.steps:
@@ -327,14 +329,17 @@ def format_program(program: SequenceProgram) -> str:
     Comments and defaults (mode=ideal, phase=0) are dropped and floats take
     their shortest round-trip form, so parse(format(p)) reproduces every
     program parse returns, and format is idempotent.  Fields the run ignores
-    (a carrier's or a wait's mode, a collective pulse's target_ion) are
-    dropped; a laser phase no statement can write raises ValueError.
+    (a carrier's or a wait's mode, a collective pulse's target_ion, a finite
+    wait's laser_phase) are dropped; a laser phase no statement can write,
+    or a non-finite one on any step, raises ValueError naming the step.
     """
     header = [("ions", program.params), ("trap", program.params), (f"frame {program.frame.tag}", program.frame)]
     lines = [_statement_text(keyword, record, _HEADERS[keyword][0]) for keyword, record in header]
     for number, spec in enumerate(program.steps, start=1):
         keyword = _STEP_KEYWORDS[spec.kind]
         _, keys, required = _STEPS[keyword]
+        if not math.isfinite(spec.laser_phase):
+            raise ValueError(f"step {number} ({keyword}): laser_phase must be finite, got {spec.laser_phase!r}")
         if spec.laser_phase != 0 and "phase" not in keys and spec.kind is not PulseKind.WAIT:
             raise ValueError(f"step {number} ({keyword}): laser_phase={spec.laser_phase!r} has no argument to write it")
         default = PulseSpec(spec.kind)

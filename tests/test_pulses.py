@@ -244,20 +244,23 @@ class TestDispersiveCollective:
     def test_protocol_collective_pulses_take_the_reversal(self, monkeypatch, mode):
         # The preparation's collective pulse (window top 1) and those of a
         # .pseq prefix on |g..g>|0> (top 0) are all pi: never the per-ion loop.
-        rotate_every, rotate_one = pulses._rotate_every_ion, pulses._rotate_one_ion
+        # Every collective step is recorded, those that write nothing and reach no kernel included.
+        step_rows, rotate_one = pulses._step_rows, pulses._rotate_one_ion
         turns, collective = [], []
 
         def one_ion(amplitudes, params, ion, *rest):
             turns.append(ion)
             rotate_one(amplitudes, params, ion, *rest)
 
-        def every_ion(amplitudes, params, laser_phase, table):
+        def step(amplitudes, params, spec, *rest):
             top, before = pulses._fock_top(amplitudes, params), len(turns)
-            rotate_every(amplitudes, params, laser_phase, table)
-            collective.append((top, len(turns) - before))
+            levels = step_rows(amplitudes, params, spec, *rest)
+            if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
+                collective.append((top, len(turns) - before))
+            return levels
 
         monkeypatch.setattr(pulses, "_rotate_one_ion", one_ion)
-        monkeypatch.setattr(pulses, "_rotate_every_ion", every_ion)
+        monkeypatch.setattr(pulses, "_step_rows", step)
         prepare_max_entangled(make_params(4), mode)
         suffix = " mode=physical" if mode is PulseMode.PHYSICAL else ""
         prefix = ["wait T=2.5", "jc_pi ion=2 n=1", "disp_pi ion=1 n=2", "disp_pi all n=1", "disp_pi all n=3"]

@@ -146,6 +146,21 @@ class TestParse:
         assert (err.line, err.column) == (2, 8)
         assert "physical memory" in err.message
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("# c\ntrap nmax=99999999999\nwait T=1\n", (2, 6)),
+            ("trap eta=0.2 nmax=99999999999\nions  N=3\nwait T=1\n", (2, 7)),  # an ions header sets N: its word
+        ],
+        ids=["no-ions-header", "ions-header"],
+    )
+    def test_level_count_beyond_physical_memory_at_its_token(self, source, position):
+        program, diags = parse(source)
+        assert program is None
+        [err] = errors_of(diags)
+        assert (err.line, err.column) == position
+        assert "amplitudes need" in err.message and "physical memory" in err.message
+
     def test_sideband_beyond_cutoff(self):
         program, diags = parse("trap nmax=2\njc_pi ion=1 n=2\n")
         assert program is None
@@ -277,6 +292,23 @@ class TestFormat:
     def test_phase_no_statement_can_write_is_an_error(self, spec):
         program = SequenceProgram(make_params(3), Frame(), [PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3), spec])
         with pytest.raises(ValueError, match=r"^step 2 \(\w+( all)?\): laser_phase=0\.5 "):
+            format_program(program)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PulseSpec(PulseKind.WAIT, duration=1.0, laser_phase=float("nan")),
+            PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1, laser_phase=float("inf")),
+            PulseSpec(PulseKind.JC_PI, target_ion=3, target_n=0, laser_phase=float("-inf")),
+        ],
+        ids=["wait-nan", "carrier-inf", "jc_pi-minus-inf"],
+    )
+    def test_non_finite_phase_is_an_error(self, spec):
+        # execute rejects each of these steps, so no formatted program may run it
+        program = SequenceProgram(make_params(3), Frame(), [PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3), spec])
+        with pytest.raises(SequenceError, match="^0:0: error: laser_phase must be finite"):
+            execute(program)
+        with pytest.raises(ValueError, match=r"^step 2 \(\w+\): laser_phase must be finite, got "):
             format_program(program)
 
     def test_fields_the_run_ignores_are_dropped(self):

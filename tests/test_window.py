@@ -3,10 +3,11 @@
 ``protocol._run_steps`` (the preparation's loop, and ``seqlang.execute``'s)
 and ``protocol._run_rows`` (the scan's) start from a known window and move
 it on with ``hilbert._fock_top`` fed the step's populations, which the
-pulse's guard hands back.  After every step that window must equal what
-``hilbert._fock_top`` finds from scratch, and every step state, final
-state and scan row must be byte-equal to a plain loop of window-less
-pulse calls.
+pulse's guard hands back; a ``_run_steps`` step that writes no amplitude
+hands back the last populations and keeps the window.  After every step
+that window must equal what ``hilbert._fock_top`` finds from scratch, and
+every step state, final state and scan row must be byte-equal to a plain
+loop of window-less pulse calls.
 """
 
 import dataclasses
@@ -33,11 +34,16 @@ from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import _fock_top, dicke_extreme
 from ionpulse.pulses import apply_detuning_phase, apply_pulse_rows
 from ionpulse.seqlang import parse
-from conftest import make_params
+from conftest import count_calls, make_params
 
 
 def track_windows(monkeypatch):
-    """Record every window the runners take from a step's populations, each checked against ``_fock_top`` from scratch."""
+    """Record the window every step of the runners leaves, each checked against ``_fock_top`` from scratch.
+
+    That is the window a runner takes from the step's populations, or the
+    one a step that wrote no amplitude kept: its kernel handed back the
+    populations it was given.
+    """
     seen = []
 
     def checked(amplitudes, params, known=None):
@@ -47,8 +53,17 @@ def track_windows(monkeypatch):
             seen.append(new)
         return new
 
+    def stepping(amplitudes, params, spec, t0, detuning, duration, top, check_leakage=True, known=None):
+        levels = step_rows(amplitudes, params, spec, t0, detuning, duration, top, check_leakage, known)
+        if known is not None and levels is known:
+            assert top == _fock_top(amplitudes, params), known
+            seen.append(top)
+        return levels
+
+    step_rows = pulses._step_rows
     for module in (protocol, seqlang):
         monkeypatch.setattr(module, "_fock_top", checked)
+    monkeypatch.setattr(pulses, "_step_rows", stepping)
     return seen
 
 
@@ -263,3 +278,74 @@ class TestRecord:
         assert _fock_top(rows, p, known=known) == _fock_top(rows, p) == 3
         rows[..., 3 * p.n_configs :] = 0.0  # the populations decide level 3 without reading it
         assert _fock_top(rows, p, known=known) == 3
+
+
+#: A program's steps, each with whether its kernel runs the guard pass in frame R: a step that writes no
+#: amplitude hands back the populations it was given, and only the first step is given none.
+GUARDS = [
+    ("wait T=1.5", True),  # the first step always guards
+    ("jc_pi ion=2 n=2", False),  # an empty angle table at window 0
+    ("wait T=2.5", False),  # window 0: level 0 takes no free phase, and frame R no detuning phase
+    ("disp_pi all n=1", False),
+    ("disp_pi ion=3 n=1 mode=physical", False),
+    ("wait T=0.0", False),
+    ("carrier_pi2 ion=3", True),
+    ("jc_pi ion=3 n=0", True),  # window 1 from here on
+    ("wait T=0.0", False),  # a zero wait writes nothing at any window
+    ("wait T=2.0", True),
+    ("jc_pi ion=1 n=3", True),  # an empty table, but window 1 takes its free phase
+    ("disp_pi all n=1", True),
+]
+
+
+class TestStepsThatWriteNothing:
+    @pytest.mark.parametrize("frame, detuned", [("frame R", 0), ("frame Rprime delta=0.001", 1)], ids=["R", "Rprime"])
+    def test_one_guard_pass_per_step_that_writes(self, frame, detuned):
+        # in frame R' the wait at window 0 takes its detuning phase, so it writes
+        source = "\n".join(["ions N=3", "trap nmax=4", frame, *(line for line, _ in GUARDS)]) + "\n"
+        program, diagnostics = parse(source)
+        assert not diagnostics
+        runs = []
+        assert count_calls(pulses._check_rows, lambda: runs.append(seqlang.execute(program))) == sum(g for _, g in GUARDS) + detuned
+        [(final, trace)] = runs
+        want = plain_steps(ground_state(program.params, program.frame), program.steps)
+        assert final.amplitudes.tobytes() == want[-1].tobytes()
+        assert [t.fock_populations for t in trace[1:6]] == [trace[0].fock_populations] * 5
+
+    def test_ideal_sideband_above_the_window_touches_nothing(self, monkeypatch):
+        # nu * t_p puts the free phase of level 1 in the left half-plane, where it would turn +0.0 into -0.0
+        p = make_params(2, nu=1.3)
+        spec = PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=2)
+        state = ground_state(p)
+        before = state.amplitudes.tobytes()
+        duration, levels = apply_pulse(state, spec, top=0)
+        assert math.cos(p.trap_freq * duration) < 0
+        assert levels.tolist() == [1.0]  # the guard read window 0 alone
+        assert state.amplitudes.tobytes() == before
+        records = []
+
+        def recording(state, spec, **kwargs):
+            record = pulses.apply_pulse(state, spec, **kwargs)
+            records.append(record[1])
+            return record
+
+        program, _ = parse("ions N=2\ntrap nu=1.3\njc_pi ion=1 n=2\nwait T=0.5\n")
+        windows = track_windows(monkeypatch)
+        monkeypatch.setattr(protocol, "apply_pulse", recording)
+        final, _ = seqlang.execute(program)
+        assert [r.tolist() for r in records] == [[1.0], [1.0]] and windows == [0, 0]
+        assert final.amplitudes.tobytes() == before
+
+    def test_a_step_that_lifts_the_sector_reads_the_whole_array(self, monkeypatch):
+        # a sector state's populations and those of its whole array may differ in their last bits
+        p = make_params(5)
+        levels = np.zeros((p.n_levels, 2 * p.n_ions), dtype=complex)
+        real, imag = np.random.default_rng(1).standard_normal((2, 2 * p.n_ions))
+        levels[0] = real + 1j * imag
+        levels /= math.sqrt(hilbert.populations(levels.reshape(-1)))
+        initial = StateVector._sector(levels, p, Frame(), 0.0)
+        program, _ = parse("ions N=5\nwait T=1.0\ndisp_pi ion=1 n=2\n")  # a wait stays in the sector, ion 1 lifts it
+        windows, states = track_windows(monkeypatch), copying_steps(monkeypatch)
+        _, trace = seqlang.execute(program, initial)
+        assert fock_populations(states[0]).tobytes() != fock_populations(states[1]).tobytes()
+        assert_records_read_the_step_states(trace, states, windows)
