@@ -251,12 +251,11 @@ def _fock_top(amplitudes: np.ndarray, params: TrapParams, known: np.ndarray | No
     decides every level whose population is not 0 (NaN included) without a read: only a level
     of population exactly 0 is read, as its amplitudes may be nonzero (1e-300 squares to 0).
     """
-    levels = levels_view(amplitudes, params)
     top = params.fock_cutoff
     if known is not None:
         top = known.shape[-1] - 1
         known = known if known.ndim == 1 else np.maximum.reduce(known.reshape(-1, top + 1), 0, initial=0.0)  # NaN propagates
-    while top > 0 and (known is None or known[top] == 0) and not levels[..., top, :].any():
+    while top > 0 and (known is None or known[top] == 0) and not np.logical_or.reduce(levels_view(amplitudes, params)[..., top, :], None):
         top -= 1
     return top
 
@@ -339,10 +338,15 @@ def _popcounts(n_ions: int, sector: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _dicke_shares(n_ions: int) -> tuple[float, ...]:
+    """1/sqrt(C(N-1, k)) for k = 0 .. N-1 as Python floats: a word's share of its Dicke coefficient."""
+    return tuple(1.0 / math.sqrt(math.comb(n_ions - 1, k)) for k in range(n_ions))
+
+
+@lru_cache(maxsize=32)
 def _dicke_scale(n_ions: int) -> np.ndarray:
-    """1/sqrt(C(N-1, k)) per sector index s * N + k, as a (2N, 1) read-only column: a word's share of its Dicke coefficient."""
-    shares = [1.0 / math.sqrt(math.comb(n_ions - 1, k)) for k in range(n_ions)]
-    column = np.array(shares * 2)[:, None]
+    """:func:`_dicke_shares` per sector index s * N + k, as a (2N, 1) read-only column."""
+    column = np.array(_dicke_shares(n_ions) * 2)[:, None]
     column.flags.writeable = False
     return column
 
@@ -479,23 +483,23 @@ class StateVector:
         """Writable (n_levels, 2**N) view: one row per Fock level."""
         return levels_view(self.amplitudes, self.params)
 
-    def _amplitude_at(self, flat: int) -> np.complex128:
-        """The amplitude at a flat index, read from what is stored: the whole array is not built.
+    def _amplitude_at(self, flat: int) -> complex:
+        """The amplitude at a flat index as a Python complex, read from what is stored: the whole array is not built.
 
         In the sector it is the coefficient of the word's Dicke state
         times 1/sqrt(C(N-1, k)), its two parts scaled apart as
-        :func:`_word_amplitudes` scales them.
+        :func:`_word_amplitudes` scales them, in Python floats.
         """
         if self._levels is None:
-            return self._amplitudes[flat]
+            return self._amplitudes.item(flat)
         n_ions = self.params.n_ions
         fock_n, bits = divmod(flat, self.params.n_configs)
         index = (bits >> (n_ions - 1)) * (n_ions - 1) + bits.bit_count()
-        coefficient, scale = self._levels[fock_n, index], float(_dicke_scale(n_ions)[index, 0])
-        return np.complex128(complex(coefficient.real * scale, coefficient.imag * scale))
+        coefficient, scale = self._levels.item(fock_n, index), _dicke_shares(n_ions)[index % n_ions]
+        return complex(coefficient.real * scale, coefficient.imag * scale)
 
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
-        return complex(self._amplitude_at(flat_index(self.params, ion_bits, fock_n)))
+        return self._amplitude_at(flat_index(self.params, ion_bits, fock_n))
 
     def norm(self) -> float:
         """Root of the summed populations of what is stored (the whole array is not built)."""
@@ -538,8 +542,11 @@ class StateVector:
         )
 
 
+_FRAME_R = Frame(FRAME_R)  # frozen, so every default-frame state can share it
+
+
 def _default_frame(frame: Frame | None) -> Frame:
-    return frame if frame is not None else Frame(FRAME_R)
+    return frame if frame is not None else _FRAME_R
 
 
 def ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:

@@ -40,6 +40,7 @@ before any row runs.  :func:`ramsey_run` is the one-point case.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -115,15 +116,19 @@ SCAN_CHUNK_BYTES = 256 * 1024
 
 def preparation_sequence(params: TrapParams, mode: PulseMode | str = PulseMode.IDEAL) -> list[PulseSpec]:
     """The five-pulse program that builds the entangled state."""
-    mode = PulseMode(mode)
-    last = params.n_ions
-    return [
+    return list(_preparation_specs(params.n_ions, PulseMode(mode)))
+
+
+@functools.lru_cache(maxsize=64)
+def _preparation_specs(last: int, mode: PulseMode) -> tuple[PulseSpec, ...]:
+    """The five frozen specs of :func:`preparation_sequence` for N = ``last``, built once per (N, mode)."""
+    return (
         PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=last, mode=mode),
         PulseSpec(PulseKind.JC_PI, target_ion=last, target_n=0, mode=mode),
         PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1, mode=mode),
         PulseSpec(PulseKind.DISPERSIVE_SINGLE_PI, target_ion=last, target_n=1, mode=mode),
         PulseSpec(PulseKind.JC_PI, target_ion=last, target_n=0, mode=mode),
-    ]
+    )
 
 
 def _run_steps(state: StateVector, specs: list[PulseSpec], top: int, durations: list[float | None] | None = None):
@@ -180,8 +185,11 @@ def best_ghz_fidelity(state: StateVector) -> tuple[float, float]:
     c_low = state._amplitude_at(flat_index(p, 0, 0))
     c_high = state._amplitude_at(flat_index(p, p.n_configs - 1, 0))
     fid = 0.5 * (abs(c_low) + abs(c_high)) ** 2
-    phase = float(np.angle(c_high) - np.angle(c_low)) if abs(c_low) > 0 and abs(c_high) > 0 else 0.0
-    return float(fid), phase
+    phase = 0.0
+    if abs(c_low) > 0 and abs(c_high) > 0:
+        high, low = np.arctan2((c_high.imag, c_low.imag), (c_high.real, c_low.real))  # np.angle of each, in one call
+        phase = float(high - low)
+    return fid, phase
 
 
 def prepare_max_entangled(
@@ -201,8 +209,7 @@ def prepare_max_entangled(
     2N(n_max + 1) amplitudes until a reader of ``amplitudes`` builds the
     whole array.
     """
-    mode = PulseMode(mode)
-    specs = preparation_sequence(params, mode)
+    specs = _preparation_specs(params.n_ions, PulseMode(mode))
     phi = None
     if omega0 is not None:
         _require_finite("omega0", omega0)
@@ -231,7 +238,7 @@ def prepare_max_entangled(
 
 
 def _reference_tables(params: TrapParams, pulse_times: list[float]) -> list[dict[int, complex]]:
-    """The two nonzero amplitudes of each closed-form step state, as {flat index: value}.
+    """The two nonzero amplitudes of each closed-form step state, as {flat index: Python float or complex}.
 
     See :func:`trajectory_reference` for the five states.
     """
@@ -240,12 +247,15 @@ def _reference_tables(params: TrapParams, pulse_times: list[float]) -> list[dict
     last_bit = 1 << (params.n_ions - 1)
     t1, t2, t3, t4, t5 = pulse_times
     amp = 1.0 / math.sqrt(2.0)
-    at = functools.partial(flat_index, params)
+
+    def at(ion_bits: int, fock_n: int) -> int:  # flat_index of words and levels in range
+        return fock_n * nc + ion_bits
+
     return [
         {at(0, 0): amp, at(last_bit, 0): amp},
-        {at(0, 0): amp, at(0, 1): amp * 1j * np.exp(-1j * nu * t2)},
-        {at(0, 0): amp, at(nc - 1, 1): amp * 1j * np.exp(-1j * nu * t3)},
-        {at(0, 0): amp, at(nc - 1 - last_bit, 1): amp * -1j * np.exp(-1j * nu * t4)},
+        {at(0, 0): amp, at(0, 1): amp * 1j * cmath.exp(-1j * nu * t2)},
+        {at(0, 0): amp, at(nc - 1, 1): amp * 1j * cmath.exp(-1j * nu * t3)},
+        {at(0, 0): amp, at(nc - 1 - last_bit, 1): amp * -1j * cmath.exp(-1j * nu * t4)},
         {at(0, 0): amp, at(nc - 1, 0): amp},
     ]
 
@@ -297,13 +307,19 @@ def verify_trajectory(report: PreparationReport, tolerance: float = 1e-12) -> Tr
     stored coefficients, without building the dense references or the
     snapshots' whole arrays.  For any finite step state that is the same
     quantity as the full inner product with :func:`trajectory_reference`'s states;
-    amplitude moved off the support shows as the norm missing on it.
+    amplitude moved off the support shows as the norm missing on it.  The
+    overlap is summed in Python floats, term by term as a complex product
+    conj(a) * value forms it.
     """
     params = report.final_state.params
     residuals = []
     for sim, table in zip(report.step_states, _reference_tables(params, report.pulse_times)):
-        overlap = sum(sim._amplitude_at(index).conjugate() * value for index, value in table.items())
-        residuals.append(float(1.0 - abs(overlap) ** 2))
+        real = imag = 0.0
+        for index, value in table.items():
+            a = sim._amplitude_at(index)
+            real += a.real * value.real + a.imag * value.imag
+            imag += a.real * value.imag - a.imag * value.real
+        residuals.append(1.0 - abs(complex(real, imag)) ** 2)
     return TrajectoryCheck(residuals=residuals, tolerance=tolerance)
 
 

@@ -64,11 +64,18 @@ and ``ionpulse run`` its step record.  A call without ``top`` finds it
 with ``_fock_top`` alone.  A runner that passes the last step's
 populations as ``known`` gets them back unread from a step that writes
 no amplitude (a zero wait, a wait at window 0 with zero detuning, a
-pulse whose angle table is empty at window 0), and keeps its window.
+pulse whose angle table is empty at window 0), and keeps its window.  At
+window 0 a sideband's one pair is (|g,1>, |e,0>); when the target ion's
+|e> half of level 0 holds only zeros, the pair holds only zeros and the
+pulse acts as an empty table for every caller: it turns nothing, raises
+no window and takes no free phase.
 
 A single-ion pulse is one broadcast update over the table's levels, with
-per-level (cos, sin) columns and two temporaries; when every angle in the
-table is pi it is a swap with one temporary.  A collective pulse whose
+scalar (cos, sin) when the table holds one angle on every level (the
+carrier, and every table of one level) and per-level columns otherwise,
+and two temporaries; when every angle in the table is pi it is a swap
+with one temporary.  A free phase on a window of one level multiplies
+that level by one scalar.  A collective pulse whose
 angles are all pi is one signed reversal of the configuration axis (a
 cached popcount sign), in both modes: bit word b goes to its complement,
 sector index f to 2N - 1 - f.  Any other collective pulse is the
@@ -89,6 +96,7 @@ part of the coupling by exp(i*phase).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -282,8 +290,11 @@ def _check_step_phases(
 def _free_phases(trap_freq: float, duration: float, top: int) -> np.ndarray:
     """Read-only column exp(-i nu m duration) for the Fock levels m = 1 .. top.
 
-    Cached because a scan repeats the same few durations in every chunk,
-    and on small states building the column costs as much as applying it.
+    Cached for waits: a scan repeats its wait in every chunk and a program
+    its wait lines, and on small states building the column costs as much
+    as applying it.  A pulse's duration follows from the trap parameters,
+    which a preparation draws afresh, so its column is built uncached
+    (``__wrapped__``) and evicts nothing.
     """
     levels = np.arange(1, top + 1)
     column = np.exp(-1j * trap_freq * levels * duration)[:, None]
@@ -291,13 +302,20 @@ def _free_phases(trap_freq: float, duration: float, top: int) -> np.ndarray:
     return column
 
 
-def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float, top: int) -> None:
-    """Multiply Fock level m by exp(-i nu m duration) for m = 1 .. top.
+def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float, top: int, cached: bool = False) -> None:
+    """Multiply Fock level m by exp(-i nu m duration) for m = 1 .. top; a wait passes ``cached=True``.
 
-    Level 0 carries no phase, and the levels above ``top`` hold exact
-    zeros; neither is touched, so their amplitudes stay bit-identical.
+    A window of one level is multiplied by one scalar, formed by the same
+    ``np.exp`` as the column's entry for m = 1; a wider one by the column
+    of :func:`_free_phases`.  Level 0 carries no phase, and the levels
+    above ``top`` hold exact zeros; neither is touched, so their
+    amplitudes stay bit-identical.
     """
-    levels_view(amplitudes, params)[..., 1 : top + 1, :] *= _free_phases(params.trap_freq, duration, top)
+    levels = levels_view(amplitudes, params)
+    if top == 1:
+        levels[..., 1, :] *= np.exp(-1j * params.trap_freq * duration)
+    else:
+        levels[..., 1 : top + 1, :] *= (_free_phases if cached else _free_phases.__wrapped__)(params.trap_freq, duration, top)
 
 
 def apply_detuning_phase(
@@ -361,7 +379,7 @@ def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool,
     largest sums decide for every row; NaN propagates and fails.
     """
     levels = populations(levels_view(amplitudes, params)[..., : top + 1, :])
-    sums = levels.sum(axis=-1)
+    sums = np.add.reduce(levels, -1)
     low, high = (sums, sums) if sums.ndim == 0 else (np.minimum.reduce(sums, None, initial=1.0), np.maximum.reduce(sums, None, initial=1.0))
     if not (abs(math.sqrt(low) - 1.0) <= NORM_TOL and abs(math.sqrt(high) - 1.0) <= NORM_TOL):
         norms = np.sqrt(sums)
@@ -388,9 +406,11 @@ def _angle_table(
 
     The one place a pulse's mode is read.  Level m stands for the pair
     (|g,m+1>, |e,m>) of the sideband and for the level itself otherwise.
-    The columns are read-only, shaped (levels, 1, 1), and complex, so a
-    product with a state's amplitudes casts nothing (a cast makes NumPy
-    copy through buffers); the values are those of the real columns.  An
+    (cos, sin) are complex, so a product with a state's amplitudes casts
+    nothing (a cast makes NumPy copy through buffers); the values are
+    those of the real angles.  A table that holds one angle on every
+    level (the carrier, and any table of one level) gives them as two
+    scalars; any other as read-only columns shaped (levels, 1, 1).  An
     empty window counts as all pi (there is nothing to rotate).
     """
     if kind is PulseKind.CARRIER_PI_HALF:
@@ -405,24 +425,24 @@ def _angle_table(
     else:
         levels = range(1, top + 1)
         thetas = [math.pi * m / target_n for m in levels]
-    halves = np.array([_half_angle(theta) for theta in thetas], dtype=np.complex128)
-    cos, sin = halves.reshape(-1, 2).T.reshape(2, -1, 1, 1)
-    cos.flags.writeable = sin.flags.writeable = False
+    halves = [_half_angle(theta) for theta in thetas]
+    if len(set(thetas)) == 1:
+        cos, sin = complex(halves[0][0]), complex(halves[0][1])
+    else:
+        cos, sin = np.array(halves, dtype=np.complex128).reshape(-1, 2).T.reshape(2, -1, 1, 1)
+        cos.flags.writeable = sin.flags.writeable = False
     return slice(levels.start, levels.stop), cos, sin, all(theta == math.pi for theta in thetas)
 
 
 def _rotate_one_ion(amplitudes: np.ndarray, params: TrapParams, ion: int, table, shift: int, u: complex) -> None:
-    """R(theta_m) on the ion's pairs (a, b) = (|g, m+shift>, |e, m>) over the table's levels.
+    """R(theta_m) on the ion's pairs (a, b) = (|g, m+shift>, |e, m>) over the table's levels, which must not be empty.
 
     In place (a, b) <- (c a + x b, c b + y a) with x = -s conj(u), y = s u,
-    broadcast over the levels with the table's (c, s) columns: two
-    temporaries the size of ``a``, and no view is copied.  When every
-    angle is pi (c = 0, s = 1) the update is the swap (x b, y a) with one
-    temporary.  An empty table turns nothing and touches nothing.
+    broadcast over the levels with the table's (c, s): two temporaries the
+    size of ``a``, and no view is copied.  When every angle is pi (c = 0,
+    s = 1) the update is the swap (x b, y a) with one temporary.
     """
     levels, cos, sin, all_pi = table
-    if levels.start >= levels.stop:
-        return
     view = _ion_view(amplitudes, params, ion)
     a = view[..., levels.start + shift : levels.stop + shift, :, 0, :]
     b = view[..., levels, :, 1, :]
@@ -456,16 +476,14 @@ def _collective_flip(n_ions: int, laser_phase: float, sector: bool = False) -> n
 
 
 def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: float, table) -> None:
-    """R(theta_m) with u = e^{i phase} on every ion at once, over the table's levels.
+    """R(theta_m) with u = e^{i phase} on every ion at once, over the table's levels, which must not be empty.
 
     Rotations on different ions commute, so turning one ion at a time
-    applies R(theta_m)^{(x)N}.  An empty table turns nothing and touches nothing.
+    applies R(theta_m)^{(x)N}.
     """
     levels, _, _, all_pi = table
-    if levels.start >= levels.stop:
-        return
     if not all_pi:
-        u = np.exp(1j * laser_phase)
+        u = cmath.exp(1j * laser_phase)
         for ion in range(1, params.n_ions + 1):
             _rotate_one_ion(amplitudes, params, ion, table, 0, u)
         return
@@ -531,24 +549,29 @@ def _step_rows(
         if known is not None and not (kick or duration > 0 and top):
             return known  # no free phase above level 0 and no detuning phase: nothing to write
         if duration > 0 and top:
-            _apply_free_phases(amplitudes, params, duration, top)
+            _apply_free_phases(amplitudes, params, duration, top, cached=True)
         if kick:
             _detuning_phase(amplitudes, params, detuning, duration, top)
         check_leakage = False  # phases move no population
     else:
         table = _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)
         coupled = table[0]
-        if known is not None and not top and coupled.start >= coupled.stop:
-            return known  # no pair to turn and no level above 0 to phase: nothing to write
-        if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
-            _rotate_every_ion(amplitudes, params, spec.laser_phase, table)
-        elif spec.kind is PulseKind.JC_PI:
-            u = 1j * np.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
-            _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)
-            if coupled.start < coupled.stop:  # an empty table couples no pair, so the window stays
+        turns = coupled.start < coupled.stop
+        if turns and not top and spec.kind is PulseKind.JC_PI:
+            # At window 0 the one pair is (|g,1>, |e,0>), and |g,1> holds zeros: a pair of zeros acts as an empty table.
+            turns = _ion_view(amplitudes, params, spec.target_ion)[..., 0, :, 1, :].any()  # NaN counts as nonzero
+        if turns:
+            if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
+                _rotate_every_ion(amplitudes, params, spec.laser_phase, table)
+            elif spec.kind is PulseKind.JC_PI:
+                # a Python complex from cmath.exp (np.exp's values), so the kernel's scalar products are Python arithmetic
+                u = 1j * cmath.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
+                _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)
                 top = max(top, coupled.stop)
-        else:
-            _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, np.exp(1j * spec.laser_phase))
+            else:
+                _rotate_one_ion(amplitudes, params, spec.target_ion, table, 0, cmath.exp(1j * spec.laser_phase))
+        elif known is not None and not top:
+            return known  # no pair to turn and no level above 0 to phase: nothing to write
         if top:
             _apply_free_phases(amplitudes, params, duration, top)
     return _check_rows(amplitudes, params, check_leakage, top)

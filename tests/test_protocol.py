@@ -21,6 +21,7 @@ from ionpulse import (
     StateVector,
     best_ghz_fidelity,
     dense_matrix,
+    dicke_extreme,
     excited_population,
     fidelity,
     flat_index,
@@ -39,7 +40,7 @@ from ionpulse import (
     trajectory_reference,
     verify_trajectory,
 )
-from ionpulse import hilbert, protocol, pulses
+from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
 from ionpulse.pulses import validate_pulse_spec
@@ -704,3 +705,29 @@ class TestNonFiniteInputs:
         report = prepare_max_entangled(p, omega0=omega0)
         assert math.isfinite(report.phi_schroedinger)
         assert report.phi_schroedinger == p.n_ions * omega0 * t5
+
+
+def free_phase_calls(run):
+    """(hits, misses) of the cached free-phase column while ``run()`` runs: every call to ``pulses._free_phases`` is one of the two."""
+    before = pulses._free_phases.cache_info()
+    run()
+    after = pulses._free_phases.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+class TestFreePhaseCache:
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_preparation_calls_no_cached_column(self, mode):
+        # its one-level windows take a scalar, and the physical last sideband's window 2 an uncached column
+        rng = np.random.default_rng(25)
+        for n_ions in (1, 3, 18):
+            nu, eta, rabi = rng.uniform((0.5, 0.05, 0.5), (2.0, 0.2, 2.0))
+            p = make_params(n_ions, nu=float(nu), eta=float(eta), rabi=float(rabi))
+            assert free_phase_calls(lambda: prepare_max_entangled(p, mode)) == (0, 0)
+
+    def test_a_wait_at_window_two_hits_the_cache(self):
+        program, diagnostics = seqlang.parse("ions N=2\ntrap nu=1.7 nmax=4\nwait T=0.375\nwait T=0.375\n")
+        assert not diagnostics
+        initial = dicke_extreme(program.params, "lowest", fock_n=2)
+        hits, misses = free_phase_calls(lambda: seqlang.execute(program, initial))
+        assert hits >= 1 and hits + misses == 2

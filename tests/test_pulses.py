@@ -654,3 +654,49 @@ class TestFockWindow:
         out = rows.copy()
         apply_pulse_rows(out, p, spec, t0, check_leakage=False)
         assert np.max(np.abs(out - rows @ dense_matrix(spec, p, t0=t0).T)) <= 1e-12, spec
+
+
+class TestScalarForms:
+    """A one-level free phase and a one-angle rotation take scalars; their bytes must be those of the per-level columns."""
+
+    @staticmethod
+    def cases(params, rng):
+        """Whole rows, a batch of rows with zeros in them, and one state's sector coefficients."""
+        whole = windowed_rows(params, rng, (params.fock_cutoff,))[0]
+        batch = windowed_rows(params, rng, (0, 2, params.fock_cutoff))
+        batch[1, ::3] = -0.0
+        sector = rng.standard_normal(2 * params.n_ions * params.n_levels) + 1j * rng.standard_normal(2 * params.n_ions * params.n_levels)
+        return [whole, batch, sector / np.linalg.norm(sector)]
+
+    @pytest.mark.parametrize("n_ions", [1, 3, 5])
+    def test_one_level_free_phase_equals_the_column_entry(self, n_ions):
+        rng = np.random.default_rng(250 + n_ions)
+        p = make_params(n_ions, nmax=3, nu=1.37)
+        for rows in self.cases(p, rng):
+            for duration in (0.3, 2.5, 41.7, 1e5):
+                want = rows.copy()
+                levels_view(want, p)[..., 1:2, :] *= pulses._free_phases.__wrapped__(p.trap_freq, duration, 1)
+                got = rows.copy()
+                pulses._apply_free_phases(got, p, duration, 1)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    @pytest.mark.parametrize("n_ions", [1, 3, 5])
+    def test_one_angle_table_equals_per_level_columns(self, n_ions, mode):
+        rng = np.random.default_rng(260 + n_ions)
+        p = make_params(n_ions, nmax=3)
+        tables = [(PulseKind.CARRIER_PI_HALF, 0, top, 0) for top in range(4)]
+        tables += [(PulseKind.JC_PI, 0, 0, 1), (PulseKind.DISPERSIVE_SINGLE_PI, 2, 1, 0)]
+        for kind, target_n, top, shift in tables:
+            levels, cos, sin, all_pi = table = pulses._angle_table(kind, mode, target_n, p.n_levels, top)
+            if all_pi:
+                continue
+            assert isinstance(cos, complex) and isinstance(sin, complex)
+            count = levels.stop - levels.start
+            columns = (levels, np.full((count, 1, 1), cos), np.full((count, 1, 1), sin), all_pi)
+            for rows in self.cases(p, rng):
+                for u in (np.exp(0.4j), 1j * np.exp(-2.1j)):
+                    want, got = rows.copy(), rows.copy()
+                    pulses._rotate_one_ion(want, p, n_ions, columns, shift, u)
+                    pulses._rotate_one_ion(got, p, n_ions, table, shift, u)
+                    assert got.tobytes() == want.tobytes(), (kind, top)

@@ -8,6 +8,7 @@ pulses run on whole arrays, a pulse the sector cannot represent must
 lift the state first, and the guards must see the sector rows.
 """
 
+import dataclasses
 import math
 import re
 import sys
@@ -372,6 +373,28 @@ class TestGuardsAndReads:
 
         monkeypatch.setattr(protocol, "apply_pulse", reading)
         assert outputs(prepare_max_entangled(p, mode)) == want
+
+    @pytest.mark.parametrize("n_ions", [*range(1, 13), 18])
+    def test_sector_reads_equal_whole_array_reads(self, n_ions):
+        # Residuals and fidelity read from the stored coefficients, bit for bit those read from the lifted arrays.
+        # One state is lifted at a time, so N = 18 holds one whole array.
+        rng = np.random.default_rng(2500 + n_ions)
+        for nmax in (2, 3, 4):
+            for mode in PulseMode:
+                frame = Frame(FRAME_R_PRIME, detuning=float(rng.uniform(-0.01, 0.01))) if nmax != 3 else Frame()
+                report = prepare_max_entangled(random_params(rng, n_ions, nmax), mode, frame)
+                residuals = [r.hex() for r in verify_trajectory(report).residuals]
+                fidelity = [x.hex() for x in best_ghz_fidelity(report.final_state)]
+                for step in range(5):
+                    states = list(report.step_states)
+                    states[step] = states[step].copy()
+                    states[step].amplitudes  # noqa: B018 - lifts this step state alone
+                    lifted = verify_trajectory(dataclasses.replace(report, step_states=states)).residuals
+                    assert lifted[step].hex() == residuals[step], (nmax, mode, step)
+                final = report.final_state.copy()
+                final.amplitudes  # noqa: B018
+                assert [x.hex() for x in best_ghz_fidelity(final)] == fidelity
+                assert all(in_sector(s) for s in [*report.step_states, report.final_state]) or n_ions <= 2
 
     @pytest.mark.parametrize("ion", [1, 4])
     def test_sector_rows_address_ion_n_alone(self, ion):

@@ -12,6 +12,7 @@ loop of window-less pulse calls.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from ionpulse import (
     SimulationError,
     StateVector,
     apply_pulse,
+    dense_matrix,
     flat_index,
     fock_populations,
     ground_state,
+    pulse_duration,
 )
 from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import _fock_top, dicke_extreme
@@ -349,3 +352,31 @@ class TestStepsThatWriteNothing:
         _, trace = seqlang.execute(program, initial)
         assert fock_populations(states[0]).tobytes() != fock_populations(states[1]).tobytes()
         assert_records_read_the_step_states(trace, states, windows)
+
+    @pytest.mark.parametrize("n_ions", range(1, 6))
+    def test_a_sideband_whose_pair_holds_zeros_writes_nothing(self, n_ions):
+        # Ion 1 stays in |g>, so at window 0 the one pair (|g,1>, |e,0>) of a sideband on it holds only zeros:
+        # it takes no guard pass, its dump keeps +0.0 where turning that pair wrote -0.0, and it is still the unitary.
+        head = [f"ions N={n_ions}", "trap nu=1.3 eta=0.11 rabi=0.9 nmax=3", "wait T=0.5", *[f"carrier_pi2 ion={n_ions}"][: n_ions > 1]]
+        before, _ = seqlang.execute(parse("\n".join(head) + "\n")[0])
+        program, diagnostics = parse("\n".join([*head, "jc_pi ion=1 n=0 mode=physical"]) + "\n")
+        assert not diagnostics
+        runs = []
+        assert count_calls(pulses._check_rows, lambda: runs.append(seqlang.execute(program))) == len(program.steps) - 1
+        [(final, _)] = runs
+        p, spec = program.params, program.steps[-1]
+        assert _fock_top(final.amplitudes, p) == 0 and final.amplitudes.tobytes() == before.amplitudes.tobytes()
+        turned = before.amplitudes.copy()
+        table = pulses._angle_table(spec.kind, spec.mode, spec.target_n, p.n_levels, 0)
+        pulses._rotate_one_ion(turned, p, 1, table, 1, 1j * np.exp(1j * p.trap_freq * before.clock))
+        pulses._apply_free_phases(turned, p, pulse_duration(spec, p), 1)
+        parts, kept = turned[:, None].view(np.float64), final.amplitudes[:, None].view(np.float64)
+        negative_zeros = (parts == 0) & np.signbit(parts)
+        assert negative_zeros.any() and np.array_equal(turned, final.amplitudes)
+        assert not np.signbit(kept[negative_zeros]).any()
+        assert not re.search(r"-0\.0(?![0-9e])", final.dump_json())
+        vector, t0 = ground_state(p).amplitudes, 0.0
+        for step in program.steps:
+            vector = dense_matrix(step, p, t0) @ vector
+            t0 = t0 + pulse_duration(step, p)
+        assert final.clock == t0 and np.max(np.abs(final.amplitudes - vector)) <= 1e-12
