@@ -251,11 +251,12 @@ def _fock_top(amplitudes: np.ndarray, params: TrapParams, known: np.ndarray | No
     decides every level whose population is not 0 (NaN included) without a read: only a level
     of population exactly 0 is read, as its amplitudes may be nonzero (1e-300 squares to 0).
     """
+    levels = levels_view(amplitudes, params)
     top = params.fock_cutoff
     if known is not None:
         top = known.shape[-1] - 1
         known = known if known.ndim == 1 else np.maximum.reduce(known.reshape(-1, top + 1), 0, initial=0.0)  # NaN propagates
-    while top > 0 and (known is None or known[top] == 0) and not np.logical_or.reduce(levels_view(amplitudes, params)[..., top, :], None):
+    while top > 0 and (known is None or known[top] == 0) and not levels[..., top, :].any():
         top -= 1
     return top
 

@@ -213,9 +213,12 @@ def prepare_max_entangled(
     phi = None
     if omega0 is not None:
         _require_finite("omega0", omega0)
+    # every TrapParams passes validate_pulse_spec on these specs but for a Rabi rate of 0, which pulse_duration raises
+    durations = [pulse_duration(spec, params) for spec in specs]
+    if omega0 is not None:
         t5 = 0.0
-        for spec in specs:  # the clock after the last pulse, summed as the run sums it
-            t5 = t5 + pulse_duration(spec, params)
+        for duration in durations:  # the clock after the last pulse, summed as the run sums it
+            t5 = t5 + duration
         phi = params.n_ions * omega0 * t5
         if not math.isfinite(phi):
             raise InputError(
@@ -224,7 +227,7 @@ def prepare_max_entangled(
             )
     check_preparation_memory(params)
     state = _sector_ground_state(params, frame)
-    step_states = [state.copy() for _ in _run_steps(state, specs, 0)]  # the ground state's window is level 0
+    step_states = [state.copy() for _ in _run_steps(state, specs, 0, durations)]  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     return PreparationReport(
@@ -247,10 +250,7 @@ def _reference_tables(params: TrapParams, pulse_times: list[float]) -> list[dict
     last_bit = 1 << (params.n_ions - 1)
     t1, t2, t3, t4, t5 = pulse_times
     amp = 1.0 / math.sqrt(2.0)
-
-    def at(ion_bits: int, fock_n: int) -> int:  # flat_index of words and levels in range
-        return fock_n * nc + ion_bits
-
+    at = functools.partial(flat_index, params)
     return [
         {at(0, 0): amp, at(last_bit, 0): amp},
         {at(0, 0): amp, at(0, 1): amp * 1j * cmath.exp(-1j * nu * t2)},

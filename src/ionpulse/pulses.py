@@ -290,11 +290,8 @@ def _check_step_phases(
 def _free_phases(trap_freq: float, duration: float, top: int) -> np.ndarray:
     """Read-only column exp(-i nu m duration) for the Fock levels m = 1 .. top.
 
-    Cached for waits: a scan repeats its wait in every chunk and a program
-    its wait lines, and on small states building the column costs as much
-    as applying it.  A pulse's duration follows from the trap parameters,
-    which a preparation draws afresh, so its column is built uncached
-    (``__wrapped__``) and evicts nothing.
+    Cached because a scan repeats the same few durations in every chunk,
+    and on small states building the column costs as much as applying it.
     """
     levels = np.arange(1, top + 1)
     column = np.exp(-1j * trap_freq * levels * duration)[:, None]
@@ -302,8 +299,8 @@ def _free_phases(trap_freq: float, duration: float, top: int) -> np.ndarray:
     return column
 
 
-def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float, top: int, cached: bool = False) -> None:
-    """Multiply Fock level m by exp(-i nu m duration) for m = 1 .. top; a wait passes ``cached=True``.
+def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: float, top: int) -> None:
+    """Multiply Fock level m by exp(-i nu m duration) for m = 1 .. top.
 
     A window of one level is multiplied by one scalar, formed by the same
     ``np.exp`` as the column's entry for m = 1; a wider one by the column
@@ -315,7 +312,7 @@ def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: flo
     if top == 1:
         levels[..., 1, :] *= np.exp(-1j * params.trap_freq * duration)
     else:
-        levels[..., 1 : top + 1, :] *= (_free_phases if cached else _free_phases.__wrapped__)(params.trap_freq, duration, top)
+        levels[..., 1 : top + 1, :] *= _free_phases(params.trap_freq, duration, top)
 
 
 def apply_detuning_phase(
@@ -379,7 +376,7 @@ def _check_rows(amplitudes: np.ndarray, params: TrapParams, check_leakage: bool,
     largest sums decide for every row; NaN propagates and fails.
     """
     levels = populations(levels_view(amplitudes, params)[..., : top + 1, :])
-    sums = np.add.reduce(levels, -1)
+    sums = levels.sum(axis=-1)
     low, high = (sums, sums) if sums.ndim == 0 else (np.minimum.reduce(sums, None, initial=1.0), np.maximum.reduce(sums, None, initial=1.0))
     if not (abs(math.sqrt(low) - 1.0) <= NORM_TOL and abs(math.sqrt(high) - 1.0) <= NORM_TOL):
         norms = np.sqrt(sums)
@@ -549,7 +546,7 @@ def _step_rows(
         if known is not None and not (kick or duration > 0 and top):
             return known  # no free phase above level 0 and no detuning phase: nothing to write
         if duration > 0 and top:
-            _apply_free_phases(amplitudes, params, duration, top, cached=True)
+            _apply_free_phases(amplitudes, params, duration, top)
         if kick:
             _detuning_phase(amplitudes, params, detuning, duration, top)
         check_leakage = False  # phases move no population
