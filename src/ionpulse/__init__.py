@@ -33,7 +33,6 @@ from .pulses import (
     PulseKind,
     PulseMode,
     PulseSpec,
-    RabiLaw,
     apply_pulse,
     dense_matrix,
     free_evolve,
@@ -87,7 +86,6 @@ __all__ = [
     "PulseKind",
     "PulseMode",
     "PulseSpec",
-    "RabiLaw",
     "apply_pulse",
     "dense_matrix",
     "free_evolve",

@@ -30,9 +30,10 @@ A :class:`StateVector` stores either its whole flat array or its
 coefficients in the sector basis |n>|s_N>|D_k>: 2N amplitudes per Fock
 level, every level stored, at flat index ``s * N + k``, where s is ion
 N's state and D_k the normalised Dicke state of k excitations among ions
-1 .. N-1.  Pulses on ion N and collective pi pulses never leave it, so
-the five-pulse preparation runs on 2N(n_max + 1) amplitudes
-(:func:`_sector_ground_state`).  The sector coefficient of D_k is
+1 .. N-1.  :func:`ground_state` is stored there, after a memory check of
+its 2N(n_max + 1) amplitudes alone, and waits, pulses on ion N and
+collective pi pulses never leave it, so the five-pulse preparation runs
+on 2N(n_max + 1) amplitudes.  The sector coefficient of D_k is
 sqrt(C(N-1, k)) times the amplitude of each of its bit words.  At
 N <= 2 the two bases coincide index for index.
 
@@ -45,7 +46,9 @@ read the stored coefficients and never build it.  A dump
 (:meth:`StateVector.dump_json`) is ``json.dumps(to_dump())`` written by
 :func:`_pairs_json`: an exactly zero pair takes a constant string by its
 sign bits and only nonzero pairs are formatted, so no Python list is made
-per amplitude; its memory check comes before the lift and the text.
+per amplitude.  A sector state's text is gathered from its coefficients'
+texts as :func:`_lift` gathers the values, so the dump builds no whole
+array either; its memory check comes before the text.
 
 Global phases are physical here: intermediate states are checked against
 closed-form expressions that include their free-evolution phase factors,
@@ -310,7 +313,7 @@ def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index", 
             return
     # Otherwise extra_bytes < 2**n_ions leaves the bit length of size << n_ions as it is.
     gib = f" ({size / 2**30:.4g} GiB)" if not n_ions and size < 2**64 else ""
-    beside = f" and a {extra_bytes} B {extra}" if extra_bytes else ""
+    beside = f" and a {_count_text(extra_bytes)} B {extra}" if extra_bytes else ""
     raise SimulationError(
         f"{_count_text(n_amplitudes, n_ions)} amplitudes{beside} need {_count_text(size, n_ions)} B{gib}, more than the "
         f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
@@ -338,16 +341,16 @@ def _popcounts(n_ions: int, sector: bool = False) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n_ions))
 
 
-@lru_cache(maxsize=32)
-def _dicke_shares(n_ions: int) -> tuple[float, ...]:
-    """1/sqrt(C(N-1, k)) for k = 0 .. N-1 as Python floats: a word's share of its Dicke coefficient."""
-    return tuple(1.0 / math.sqrt(math.comb(n_ions - 1, k)) for k in range(n_ions))
+@lru_cache(maxsize=256)
+def _dicke_share(n_ions: int, k: int) -> float:
+    """1/sqrt(C(N-1, k)) as a Python float: a word's share of its Dicke coefficient, formed for one k at a time."""
+    return 1.0 / math.sqrt(math.comb(n_ions - 1, k))
 
 
 @lru_cache(maxsize=32)
 def _dicke_scale(n_ions: int) -> np.ndarray:
-    """:func:`_dicke_shares` per sector index s * N + k, as a (2N, 1) read-only column."""
-    column = np.array(_dicke_shares(n_ions) * 2)[:, None]
+    """:func:`_dicke_share` per sector index s * N + k, as a (2N, 1) read-only column."""
+    column = np.array([_dicke_share(n_ions, k) for k in range(n_ions)] * 2)[:, None]
     column.flags.writeable = False
     return column
 
@@ -396,20 +399,25 @@ def _lift(levels: np.ndarray, params: TrapParams) -> np.ndarray:
 _ZERO_PAIRS = np.array(["0.0, 0.0", "-0.0, 0.0", "0.0, -0.0", "-0.0, -0.0"], dtype=object)
 
 
-def _pairs_json(amplitudes: np.ndarray, prefix: str, suffix: str) -> str:
+def _pairs_json(amplitudes: np.ndarray, prefix: str, suffix: str, words: np.ndarray | None = None) -> str:
     """``prefix + json.dumps(amplitudes[:, None].view(np.float64).tolist()) + suffix``, the same bytes as one str.
 
     An exactly zero pair (-0.0 included) takes its text from :data:`_ZERO_PAIRS`, so no Python
     list is made for it; only the nonzero pairs (NaN included) are formatted, by ``json.dumps``.
-    The pieces are joined by "], [", so the result is the one str the join builds.
+    The pieces are joined by "], [", so the result is the one str the join builds.  With the word
+    index ``words``, ``amplitudes`` are sector coefficients (n_levels, 2N) as :func:`_word_amplitudes`
+    scales them, and their texts are gathered as :func:`_lift` gathers the values: the whole array's
+    text, without the array.
     """
     nonzero = amplitudes != 0
-    parts = amplitudes[:, None].view(np.float64)
-    if nonzero.all():  # no zero pair, or no pair at all
+    parts = amplitudes[..., None].view(np.float64)
+    if words is None and nonzero.all():  # no zero pair, or no pair at all
         return prefix + json.dumps(parts.tolist(), check_circular=False) + suffix
     pieces = _ZERO_PAIRS[(np.signbit(amplitudes.imag).view(np.uint8) << 1) | np.signbit(amplitudes.real)]
     if nonzero.any():
         pieces[nonzero] = json.dumps(parts[nonzero].tolist(), check_circular=False)[2:-2].split("], [")
+    if words is not None:
+        pieces = np.take(pieces, words, axis=1).reshape(-1)
     pieces[0] = prefix + "[[" + pieces[0]
     pieces[-1] += "]]" + suffix
     return "], [".join(pieces.tolist())
@@ -448,9 +456,9 @@ class StateVector:
 
     @classmethod
     def _sector(cls, levels: np.ndarray, params: TrapParams, frame: Frame, clock: float) -> "StateVector":
-        """A state that stores the sector coefficients ``levels``, shape (n_levels, 2N)."""
+        """A state that stores the sector coefficients ``levels``, shape (n_levels, 2N), flat as the kernels read them."""
         state = cls.__new__(cls)
-        state._amplitudes, state._levels = None, levels
+        state._amplitudes, state._levels = None, levels.reshape(-1)
         state.params, state.frame, state.clock = params, frame, clock
         return state
 
@@ -462,7 +470,7 @@ class StateVector:
         From then on the state holds that array alone.
         """
         if self._levels is not None:
-            self.amplitudes = _lift(self._levels, self.params)
+            self.amplitudes = _lift(levels_view(self._levels, self.params), self.params)
         return self._amplitudes
 
     @amplitudes.setter
@@ -471,7 +479,7 @@ class StateVector:
 
     def _rows(self) -> np.ndarray:
         """The flat amplitudes in the stored basis, for the pulse kernels: 2N(n_max + 1) sector coefficients or the whole array."""
-        return self._amplitudes if self._levels is None else self._levels.reshape(-1)
+        return self._amplitudes if self._levels is None else self._levels
 
     def copy(self) -> "StateVector":
         """An equal, independent state that stores a byte copy of what this one stores: its whole array or its sector coefficients."""
@@ -496,7 +504,7 @@ class StateVector:
         n_ions = self.params.n_ions
         fock_n, bits = divmod(flat, self.params.n_configs)
         index = (bits >> (n_ions - 1)) * (n_ions - 1) + bits.bit_count()
-        coefficient, scale = self._levels.item(fock_n, index), _dicke_shares(n_ions)[index % n_ions]
+        coefficient, scale = self._levels.item(2 * n_ions * fock_n + index), _dicke_share(n_ions, index % n_ions)
         return complex(coefficient.real * scale, coefficient.imag * scale)
 
     def amplitude(self, ion_bits: int, fock_n: int) -> complex:
@@ -520,12 +528,13 @@ class StateVector:
         if self._levels is None:
             return np.count_nonzero(self._amplitudes)
         n = self.params.n_ions
-        return sum(c * math.comb(n - 1, i % n) for i, c in enumerate(np.count_nonzero(self._levels, axis=0).tolist()))
+        return sum(math.comb(n - 1, i % n) for i in self._levels.nonzero()[0].tolist())  # k of flat index f * 2N + s * N + k
 
     def dump_json(self) -> str:
         """``json.dumps(self.to_dump())``, the same bytes, built by :func:`_pairs_json` after one memory check.
 
-        It counts the whole array (and the word index if lifted here), the encoder's 24 B per amplitude and
+        A sector state stays in the sector.  The check counts the whole array (and a sector state's
+        word index), though the dump builds no whole array, the encoder's 24 B per amplitude and
         400 B per nonzero one, and the text twice (a caller's splice copies it), bounded by 14 chars per
         zero pair and 54 per nonzero one (two 24-char floats) with their separators.
         """
@@ -534,7 +543,10 @@ class StateVector:
         text = len(head) + 14 * (dim - nonzero) + 54 * nonzero + 5
         index = 0 if self._levels is None else 9 * self.params.n_configs
         check_memory(dim, index + 24 * dim + 400 * nonzero + 2 * text, "dump")
-        return _pairs_json(self.amplitudes, head, "}")
+        if self._levels is None:
+            return _pairs_json(self._amplitudes, head, "}")
+        n_ions = self.params.n_ions
+        return _pairs_json(_word_amplitudes(levels_view(self._levels, self.params), n_ions), head, "}", _word_index(n_ions))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -551,16 +563,13 @@ def _default_frame(frame: Frame | None) -> Frame:
 
 
 def ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
-    """All ions in |g>, motion cooled to |0>, clock at the phase origin."""
-    amplitudes = _zero_amplitudes(params)
-    amplitudes[flat_index(params, 0, 0)] = 1.0
-    return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)
+    """All ions in |g>, motion cooled to |0>, clock at the phase origin: stored in the sector basis, 2N(n_max + 1) amplitudes.
 
-
-def _sector_ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
-    """:func:`ground_state` stored in the sector basis: 2N(n_max + 1) amplitudes."""
-    levels = np.zeros((params.n_levels, 2 * params.n_ions), dtype=np.complex128)
-    levels[0, 0] = 1.0
+    Its memory check counts those amplitudes alone; a reader of the whole array checks its own (:func:`_lift`).
+    """
+    check_memory(2 * params.n_levels * params.n_ions)
+    levels = np.zeros(2 * params.n_levels * params.n_ions, dtype=np.complex128)
+    levels[0] = 1.0
     return StateVector._sector(levels, params, _default_frame(frame), 0.0)
 
 

@@ -62,7 +62,6 @@ from .hilbert import (
     ground_state,
     _fock_top,
     _require_finite,
-    _sector_ground_state,
 )
 
 # free_evolve is not called here any more, but stays a module attribute:
@@ -71,7 +70,6 @@ from .pulses import (
     PulseKind,
     PulseMode,
     PulseSpec,
-    RabiLaw,
     apply_pulse,
     free_evolve,  # noqa: F401
     pulse_duration,
@@ -79,6 +77,7 @@ from .pulses import (
     _check_detuning_phase,
     _check_step_phases,
     _detuning_phase,
+    _rabi_rate,
     _step_rows,
 )
 
@@ -155,8 +154,7 @@ def check_preparation_memory(params: TrapParams) -> None:
     The run stores 2N(n_max + 1) amplitudes per state and builds no whole
     array; a reader that builds one checks its own memory
     (:func:`ionpulse.hilbert._lift`).  The guard keeps the preparation's
-    input range to N whose whole state fits: above it ``_dicke_scale``
-    overflows from N = 1031.
+    input range to N whose whole state fits.
     """
     check_memory(params.n_levels, n_ions=params.n_ions)
 
@@ -226,7 +224,7 @@ def prepare_max_entangled(
                 f"with N={params.n_ions} and t5={t5!r}"
             )
     check_preparation_memory(params)
-    state = _sector_ground_state(params, frame)
+    state = ground_state(params, frame)
     step_states = [state.copy() for _ in _run_steps(state, specs, 0, durations)]  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
@@ -374,8 +372,8 @@ def ramsey_probability(n_ions: int, delta: float, wait_time: float) -> float:
 
 def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
     """One warning for all detunings that break the frame-invariant approximation."""
-    law = RabiLaw(params)
-    smallest = min(law.carrier(), law.jc(0), law.dispersive(1))
+    rates = ((PulseKind.CARRIER_PI_HALF, 0), (PulseKind.JC_PI, 0), (PulseKind.DISPERSIVE_SINGLE_PI, 1))  # the preparation's pulses
+    smallest = min(_rabi_rate(kind, params, n) for kind, n in rates)
     magnitudes = np.abs(deltas)
     invalid = int(np.count_nonzero(magnitudes > VALIDITY_RATIO * smallest))
     if invalid:
@@ -433,7 +431,7 @@ def _run_rows(
         levels = _step_rows(rows, params, spec, clock, detunings, duration, top)
         clock = clock + duration
         top = _fock_top(rows, params, known=levels)  # a phase maps zeros to zeros: the same window after it
-        if kick and duration and spec.kind is not PulseKind.WAIT:  # where apply_detuning_phase would not skip
+        if kick and duration and spec.kind is not PulseKind.WAIT:  # a zero duration or detuning forms no phase
             _detuning_phase(rows, params, detunings, duration, top)
     return clock, top
 

@@ -41,10 +41,13 @@ Applications are matrix-free and in place, on per-Fock-block views of the
 flat amplitude array.  The kernels read the configuration axis from the
 rows they are given: 2**N bit words, or the 2N indices s * N + k of the
 sector basis (see :mod:`ionpulse.hilbert`), where ion N alone is
-addressable and the popcount of index s * N + k is k + s.  A
-:class:`StateVector` stored in the sector stays there for waits, pulses
-on ion N and collective pi pulses, and is lifted to its whole array
-before any other pulse (:func:`_sector_holds`).  Every kernel acts only
+addressable and the popcount of index s * N + k is k + s.  The one
+step kernel decides from the angle table it reads: on sector rows, a
+turn on an ion j < N or a collective turn whose angles are not all pi
+returns before it writes anything, and :func:`apply_pulse` lifts the
+:class:`StateVector` to its whole array and runs the step there.  Every
+other step, a pulse on ion j < N that writes nothing included, keeps a
+sector-stored state in the sector.  Every kernel acts only
 on the Fock window: levels 0 .. top, where top is the highest level
 holding a nonzero amplitude in any row (NaN included; the sideband's
 coupled pairs reach top + 1).  The levels above hold exact zeros,
@@ -125,11 +128,9 @@ __all__ = [
     "PulseError",
     "LeakageError",
     "LEAKAGE_TOL",
-    "RabiLaw",
     "pulse_duration",
     "validate_pulse_spec",
     "free_evolve",
-    "apply_detuning_phase",
     "apply_pulse",
     "apply_pulse_rows",
     "dense_matrix",
@@ -177,24 +178,6 @@ def _rabi_rate(kind: PulseKind, params: TrapParams, n: int) -> float:
     if kind in (PulseKind.DISPERSIVE_SINGLE_PI, PulseKind.DISPERSIVE_COLLECTIVE_PI):
         return params.base_rabi * params.lamb_dicke**2 * n / params.n_ions
     raise PulseError(f"unknown pulse kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class RabiLaw:
-    """n-dependent Rabi frequencies of the three coupling types (see :func:`_rabi_rate`)."""
-
-    params: TrapParams
-
-    def carrier(self) -> float:
-        return _rabi_rate(PulseKind.CARRIER_PI_HALF, self.params, 0)
-
-    def jc(self, n: int) -> float:
-        """Red-sideband rate on the |g,n+1> <-> |e,n> pair."""
-        return _rabi_rate(PulseKind.JC_PI, self.params, n)
-
-    def dispersive(self, n: int) -> float:
-        """Dispersive flip rate on Fock level n; identically zero at n = 0."""
-        return _rabi_rate(PulseKind.DISPERSIVE_SINGLE_PI, self.params, n)
 
 
 @dataclass(frozen=True)
@@ -315,34 +298,15 @@ def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: flo
         levels[..., 1 : top + 1, :] *= _free_phases(params.trap_freq, duration, top)
 
 
-def apply_detuning_phase(
-    amplitudes: np.ndarray,
-    params: TrapParams,
-    detuning: float | np.ndarray,
-    duration: float,
-    *,
-    top: int | None = None,
-) -> None:
-    """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row: the checked entry for direct callers.
-
-    ``detuning`` is a float or an array with the leading shape of
-    ``amplitudes``.  Nothing is touched when every detuning or the duration
-    is zero.  A phase that is not finite raises PulseError before anything
-    changes.  The runners call the kernel, :func:`_detuning_phase`, with
-    the phase checked already: a wait with its other phases
-    (:func:`_check_step_phases`), a scan's ``detuning_during_pulses`` phases
-    once per scan (:func:`ionpulse.protocol._check_steps`).
-    """
-    if duration == 0.0 or not np.count_nonzero(detuning):
-        return
-    _check_detuning_phase(detuning, duration, params.n_ions)
-    _detuning_phase(amplitudes, params, detuning, duration, top)
-
-
 def _detuning_phase(
     amplitudes: np.ndarray, params: TrapParams, detuning: float | np.ndarray, duration: float, top: int | None
 ) -> None:
-    """The kernel of :func:`apply_detuning_phase`, for a nonzero detuning and duration whose bound was checked.
+    """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row of ``amplitudes``.
+
+    For a nonzero detuning and duration whose phase bound was checked: a
+    wait's with its other phases (:func:`_check_step_phases`), a scan's
+    ``detuning_during_pulses`` phases once per scan
+    (:func:`ionpulse.protocol._check_steps`).
 
     Each row's N+1 phases, one per popcount, are gathered by the cached
     popcount table of the rows' basis and multiply the Fock window, levels
@@ -502,12 +466,13 @@ def apply_pulse_rows(
     top: int | None = None,
     duration: float | None = None,
     known: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray | None]:
     """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration and populations.
 
     Every row is one state, and all rows share the start time ``t0``.
-    The rows may instead be one state's 2N(n_max + 1) sector coefficients,
-    for a pulse the sector represents (see :func:`apply_pulse`).
+    The rows may instead be one state's 2N(n_max + 1) sector coefficients;
+    a step that turns a pair the sector does not represent writes nothing
+    there and returns None for its populations (see :func:`apply_pulse`).
     ``detuning`` (one per row, or one for all) only enters wait steps.
     ``duration`` is what :func:`validate_pulse_spec` returned for this
     spec and ``params``, from a runner that validated its steps up front;
@@ -539,8 +504,12 @@ def apply_pulse_rows(
 def _step_rows(
     amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, detuning: float | np.ndarray, duration: float, top: int,
     check_leakage: bool = True, known: np.ndarray | None = None,
-) -> np.ndarray:
-    """The kernel of :func:`apply_pulse_rows`, for a step whose spec and phases were checked; return its populations, or ``known`` if it writes nothing."""
+) -> np.ndarray | None:
+    """The kernel of :func:`apply_pulse_rows`, for a step whose spec and phases were checked; return its populations, or ``known`` if it writes nothing.
+
+    On sector rows a turn the sector does not represent, on an ion j < N or a collective
+    one whose angles are not all pi, returns None before it writes anything.
+    """
     if spec.kind is PulseKind.WAIT:
         kick = duration > 0 and np.count_nonzero(detuning)  # its bound was checked with the step's phases
         if known is not None and not (kick or duration > 0 and top):
@@ -554,10 +523,16 @@ def _step_rows(
         table = _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)
         coupled = table[0]
         turns = coupled.start < coupled.stop
+        last = spec.target_ion == params.n_ions
         if turns and not top and spec.kind is PulseKind.JC_PI:
             # At window 0 the one pair is (|g,1>, |e,0>), and |g,1> holds zeros: a pair of zeros acts as an empty table.
-            turns = _ion_view(amplitudes, params, spec.target_ion)[..., 0, :, 1, :].any()  # NaN counts as nonzero
+            if not last and _in_sector(amplitudes, params):  # ion j < N is excited in some word of every D_k with k >= 1
+                turns = _ion_view(amplitudes, params, params.n_ions)[..., 0, :, :, 1:].any()
+            else:
+                turns = _ion_view(amplitudes, params, spec.target_ion)[..., 0, :, 1, :].any()  # NaN counts as nonzero
         if turns:
+            if not (table[3] if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI else last) and _in_sector(amplitudes, params):
+                return None  # the turn leaves the sector: nothing written, the caller lifts the rows
             if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
                 _rotate_every_ion(amplitudes, params, spec.laser_phase, table)
             elif spec.kind is PulseKind.JC_PI:
@@ -574,18 +549,6 @@ def _step_rows(
     return _check_rows(amplitudes, params, check_leakage, top)
 
 
-def _sector_holds(spec: PulseSpec, params: TrapParams, top: int) -> bool:
-    """Whether the sector basis represents ``spec`` on window ``top``.
-
-    A wait and a pulse on ion N do; so does a collective pulse that turns
-    every level by pi, a signed reversal.  Any other collective pulse turns
-    the ions one at a time, through states outside the sector.
-    """
-    if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
-        return spec.target_n >= 1 and _angle_table(spec.kind, spec.mode, spec.target_n, params.n_levels, top)[3]
-    return spec.kind is PulseKind.WAIT or spec.target_ion == params.n_ions
-
-
 def apply_pulse(
     state: StateVector,
     spec: PulseSpec,
@@ -597,23 +560,19 @@ def apply_pulse(
 ) -> tuple[float, np.ndarray]:
     """Apply one PulseSpec to the state at its clock; return the duration and populations of :func:`apply_pulse_rows`.
 
-    A sector-stored state stays in the sector when it represents ``spec``
-    (:func:`_sector_holds`); otherwise its whole array is built first, and
-    ``known``, read from the sector, is dropped.  ``top``, ``duration``
-    and ``known`` are passed on as :func:`apply_pulse_rows` reads them.
+    A sector-stored state stays in the sector unless the step turns a pair
+    the sector does not represent; then the step, having written nothing,
+    runs again on the state's whole array, built for it, with ``known``,
+    read from the sector, dropped.  ``top``, ``duration`` and ``known`` are
+    passed on as :func:`apply_pulse_rows` reads them.
     """
-    params = state.params
-    rows = state._rows()
-    if _in_sector(rows, params):
-        if top is None:
-            top = _fock_top(rows, params)
-        if not _sector_holds(spec, params, top):
-            rows, known = state.amplitudes, None
+    params, clock, detuning = state.params, state.clock, state.frame.detuning
     record = apply_pulse_rows(
-        rows, params, spec, state.clock, state.frame.detuning,
-        check_leakage=check_leakage, top=top, duration=duration, known=known,
+        state._rows(), params, spec, clock, detuning, check_leakage=check_leakage, top=top, duration=duration, known=known
     )
-    state.clock = state.clock + record[0]
+    if record[1] is None:
+        record = apply_pulse_rows(state.amplitudes, params, spec, clock, detuning, check_leakage=check_leakage, top=top, duration=record[0])
+    state.clock = clock + record[0]
     return record
 
 

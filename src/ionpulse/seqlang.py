@@ -354,10 +354,10 @@ def execute(
 ) -> tuple[StateVector, list[StepTrace]]:
     """Run a program, back-to-back, returning the final state and a trace.
 
-    Starts from the ground state in the program's frame unless ``initial``
-    is given (it is copied, not mutated, and must match the program's
-    parameters; one stored in the sector basis stays there until a step
-    needs its whole array).  The steps run through
+    Starts from the ground state in the program's frame, stored in the
+    sector basis, unless ``initial`` is given (it is copied, not mutated,
+    and must match the program's parameters); a state stored in the sector
+    stays there until a step needs its whole array.  The steps run through
     :func:`ionpulse.protocol._run_steps` with the durations :func:`parse`
     validated, from the window of the start state; each step's populations
     fill its row of one zero-padded table, from which :func:`step_traces`

@@ -209,9 +209,17 @@ class TestConstructors:
 
 
 class TestMemoryBudget:
-    @pytest.mark.parametrize("make", [ground_state, target_ghz, lambda p: dicke_extreme(p, "highest")])
-    def test_oversized_state_rejected_before_allocation(self, make):
-        with pytest.raises(SimulationError, match=f"need {5 * 2**40 * 16} B .*physical memory"):
+    @pytest.mark.parametrize(
+        "make, size",
+        [
+            (lambda p: ground_state(p).amplitudes, 5 * 2**40 * 16 + 9 * 2**40),  # the sector state fits; its lift and word index do not
+            (target_ghz, 5 * 2**40 * 16),
+            (lambda p: dicke_extreme(p, "highest"), 5 * 2**40 * 16),
+        ],
+        ids=["ground_state", "target_ghz", "dicke_extreme"],
+    )
+    def test_oversized_state_rejected_before_allocation(self, make, size):
+        with pytest.raises(SimulationError, match=f"need {size} B .*physical memory"):
             make(make_params(40))
 
     def test_check_memory_compares_bytes_with_physical_memory(self, monkeypatch):
@@ -220,11 +228,16 @@ class TestMemoryBudget:
         with pytest.raises(SimulationError, match="101 amplitudes need 1616 B"):
             hilbert.check_memory(101)
 
-    @pytest.mark.parametrize("n_ions", [2000, 20000])
+    @pytest.mark.parametrize("n_ions", [2000, 20000, 10**5])
     def test_huge_ion_counts_get_a_message_not_an_overflow(self, n_ions):
-        # 5 * 2**N amplitudes of 16 B: a float of 2**2000 overflows, and 2**20000 has more digits than str() prints
-        with pytest.raises(SimulationError, match=rf"at least 2\^{n_ions + 2} amplitudes need at least 2\^{n_ions + 6} B, .*physical memory"):
-            ground_state(make_params(n_ions))
+        # 5 * 2**N amplitudes of 16 B and a 9 B word index: a float of 2**2000 overflows, and 2**20000 has
+        # more digits than str() prints; the ground state itself stores 2N(n_max + 1) amplitudes
+        state = ground_state(make_params(n_ions))
+        assert state._rows().size == 2 * n_ions * 5
+        with pytest.raises(SimulationError, match=rf"at least 2\^{n_ions + 2} amplitudes .*need at least 2\^{n_ions + 6} B, .*physical memory"):
+            state.amplitudes  # noqa: B018
+        with pytest.raises(SimulationError, match=rf"at least 2\^{n_ions + 2} amplitudes .*physical memory"):
+            state.dump_json()
 
 
     @pytest.mark.parametrize("memory_bits", [34, 63, 64, 65, 90])
@@ -249,7 +262,7 @@ class TestMemoryBudget:
     def test_state_check_forms_no_state_size(self):
         tracemalloc.start()
         try:
-            with pytest.raises(SimulationError, match=rf"at least 2\^{10**9 + 2} amplitudes need at least 2\^{10**9 + 6} B, "):
+            with pytest.raises(SimulationError, match=rf"{10 * 10**9} amplitudes need {160 * 10**9} B "):  # 2N(n_max + 1) of them
                 ground_state(make_params(10**9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -453,10 +466,21 @@ class TestDump:
         whole = StateVector(np.zeros(2 * p.dim, dtype=complex)[::2], p, Frame(FRAME_R_PRIME, 0.25, -2.5), clock=1.5)
         whole.amplitudes[[0, 5, 9]] = [complex(-0.0, 0.6), math.nan, 1e-300 - 0.8j]
         sector = prepare_max_entangled(make_params(5, nmax=3), PulseMode.PHYSICAL).final_state
-        assert sector._levels is not None  # dump_json lifts it; to_dump then reads the lifted array
+        assert sector._levels is not None  # dump_json reads its sector coefficients; to_dump then lifts it
         for state in (whole, sector):
             text = state.dump_json()
             assert text == json.dumps(state.to_dump(), check_circular=False)
+
+    def test_sector_dump_is_the_lifted_dump(self):
+        # every Dicke share, signed zeros and NaN: the gathered texts are those of the lifted words
+        p = make_params(6, nmax=2)
+        levels = np.random.default_rng(23).standard_normal((p.n_levels, 4 * p.n_ions)).view(complex)
+        levels[0, [1, 2, 3]] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, -0.0)
+        levels[1] = complex(-0.0, -0.0)
+        sector = StateVector._sector(levels.copy(), p, Frame(FRAME_R_PRIME, 0.25), 1.5)
+        text = sector.dump_json()
+        assert sector._levels is not None  # no whole array was built
+        assert text == StateVector(hilbert._lift(levels, p), p, Frame(FRAME_R_PRIME, 0.25), 1.5).dump_json()
 
     def test_a_dump_sets_off_no_collection(self):
         state = prepare_max_entangled(make_params(10, nmax=6)).final_state
@@ -483,7 +507,7 @@ class TestDump:
     def test_memory_check_counts_the_dump_before_any_allocation(self, monkeypatch, stored):
         p = make_params(12, nmax=2)
         rng = np.random.default_rng(19)
-        if stored != "whole":  # the dump lifts these; a dense sector state fills every word
+        if stored != "whole":  # the dump gathers these; a dense sector state fills every word
             levels = rng.standard_normal((p.n_levels, 4 * p.n_ions)).view(complex)
             state = prepare_max_entangled(p).final_state if stored == "prepared" else StateVector._sector(levels, p, Frame(), 0.0)
             lift = p.dim * 16 + 9 * p.n_configs  # what the lift alone counts: it fits, the dump does not

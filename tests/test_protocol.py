@@ -14,8 +14,8 @@ from ionpulse import (
     InputError,
     LeakageError,
     PulseError,
+    PulseKind,
     PulseMode,
-    RabiLaw,
     RamseyConfig,
     SimulationError,
     StateVector,
@@ -43,7 +43,7 @@ from ionpulse import (
 from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
-from ionpulse.pulses import validate_pulse_spec
+from ionpulse.pulses import _rabi_rate, validate_pulse_spec
 from conftest import assert_exact_copy, count_calls, make_params
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -585,8 +585,8 @@ class TestPreparationMemoryBudget:
 class TestScanValidity:
     def test_one_warning_per_scan(self):
         params = make_params(2)
-        law = RabiLaw(params)
-        bound = protocol.VALIDITY_RATIO * min(law.carrier(), law.jc(0), law.dispersive(1))
+        rates = [_rabi_rate(PulseKind.CARRIER_PI_HALF, params, 0), _rabi_rate(PulseKind.JC_PI, params, 0)]
+        bound = protocol.VALIDITY_RATIO * min(*rates, _rabi_rate(PulseKind.DISPERSIVE_SINGLE_PI, params, 1))
         grid = [0.5 * bound * k / 40 for k in range(40)] + [2.0 * bound * (k + 1) for k in range(10)]
         config = RamseyConfig(params=params, wait_time=10.0, detuning_grid=tuple(grid))
         with warnings.catch_warnings(record=True) as caught:
@@ -683,7 +683,6 @@ class TestNonFiniteInputs:
             raise AssertionError("allocated a state")
 
         monkeypatch.setattr(protocol, "ground_state", no_state)
-        monkeypatch.setattr(protocol, "_sector_ground_state", no_state)
         with pytest.raises(InputError, match="omega0 must be finite"):
             prepare_max_entangled(make_params(2), omega0=omega0)
 
@@ -693,7 +692,6 @@ class TestNonFiniteInputs:
             raise AssertionError("allocated a state")
 
         monkeypatch.setattr(protocol, "ground_state", no_state)
-        monkeypatch.setattr(protocol, "_sector_ground_state", no_state)
         with pytest.raises(InputError, match=r"omega0 must keep the lab-frame phase N\*omega0\*t5 finite"):
             prepare_max_entangled(make_params(2), omega0=omega0)
 

@@ -35,7 +35,7 @@ from ionpulse import (
 )
 from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import _fock_top, dicke_extreme
-from ionpulse.pulses import apply_detuning_phase, apply_pulse_rows
+from ionpulse.pulses import apply_pulse_rows
 from ionpulse.seqlang import parse
 from conftest import count_calls, make_params
 
@@ -178,8 +178,9 @@ def plain_scan_rows(config, deltas):
         for spec in steps:
             duration, _ = apply_pulse_rows(rows, p, spec, clock, detunings)
             clock = clock + duration
-            if kick is not None and spec.kind is not PulseKind.WAIT:
-                apply_detuning_phase(rows, p, kick, duration)
+            if kick is not None and spec.kind is not PulseKind.WAIT and np.count_nonzero(kick):
+                pulses._check_detuning_phase(kick, duration, p.n_ions)
+                pulses._detuning_phase(rows, p, kick, duration, None)
         return clock
 
     start = ground_state(p).amplitudes[None, :]
@@ -347,7 +348,7 @@ class TestStepsThatWriteNothing:
         levels[0] = real + 1j * imag
         levels /= math.sqrt(hilbert.populations(levels.reshape(-1)))
         initial = StateVector._sector(levels, p, Frame(), 0.0)
-        program, _ = parse("ions N=5\nwait T=1.0\ndisp_pi ion=1 n=2\n")  # a wait stays in the sector, ion 1 lifts it
+        program, _ = parse("ions N=5\nwait T=1.0\ncarrier_pi2 ion=1\n")  # a wait stays in the sector, a turn on ion 1 lifts it
         windows, states = track_windows(monkeypatch), copying_steps(monkeypatch)
         _, trace = seqlang.execute(program, initial)
         assert fock_populations(states[0]).tobytes() != fock_populations(states[1]).tobytes()

@@ -27,7 +27,6 @@ from ionpulse import (
 )
 from ionpulse import pulses
 from ionpulse.hilbert import _popcounts, flat_index
-from ionpulse.pulses import apply_detuning_phase
 from conftest import make_params, random_state
 
 AMPLITUDE_BYTES = 16  # complex128
@@ -138,7 +137,7 @@ class TestPopcountCaches:
         deltas = np.array([0.3, -1.7e-3, 2.5])
         phase = np.exp(-1j * deltas[:, None] * 4.5 * _popcounts(n_ions).astype(np.int64))
         want = (rows.reshape(3, p.n_levels, p.n_configs) * phase[:, None, :]).reshape(rows.shape)
-        apply_detuning_phase(rows, p, deltas, 4.5)
+        pulses._detuning_phase(rows, p, deltas, 4.5, None)
         assert rows.tobytes() == want.tobytes()
 
     def test_detuning_phase_leaves_the_levels_above_the_window(self):
@@ -147,6 +146,6 @@ class TestPopcountCaches:
         state.amplitudes[flat_index(p, 7, 1)] = 1.0
         above = np.full(2 * p.n_configs, complex(-0.0, -0.0))
         state.blocks[2:] = above.reshape(2, -1)
-        apply_detuning_phase(state.amplitudes, p, 0.4, 3.0, top=1)
+        pulses._detuning_phase(state.amplitudes, p, 0.4, 3.0, 1)
         assert state.blocks[2:].tobytes() == above.tobytes()
         assert state.amplitude(7, 1) == pytest.approx(cmath.exp(-1j * 0.4 * 3.0 * 3), abs=1e-15)
