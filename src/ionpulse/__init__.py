@@ -12,20 +12,16 @@ it from the shell.
 from .hilbert import (
     FRAME_R,
     FRAME_R_PRIME,
-    BasisIndex,
     Frame,
     InputError,
     SimulationError,
     StateVector,
     TrapParams,
-    dicke_extreme,
     excited_population,
     fidelity,
     flat_index,
     fock_populations,
     ground_state,
-    split_index,
-    target_ghz,
 )
 from .pulses import (
     LeakageError,
@@ -67,20 +63,16 @@ __version__ = "0.1.0"
 __all__ = [
     "FRAME_R",
     "FRAME_R_PRIME",
-    "BasisIndex",
     "Frame",
     "InputError",
     "SimulationError",
     "StateVector",
     "TrapParams",
-    "dicke_extreme",
     "excited_population",
     "fidelity",
     "flat_index",
     "fock_populations",
     "ground_state",
-    "split_index",
-    "target_ghz",
     "LeakageError",
     "PulseError",
     "PulseKind",

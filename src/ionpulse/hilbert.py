@@ -63,7 +63,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +74,9 @@ __all__ = [
     "SimulationError",
     "TrapParams",
     "Frame",
-    "BasisIndex",
     "StateVector",
     "flat_index",
-    "split_index",
     "ground_state",
-    "dicke_extreme",
-    "target_ghz",
     "fidelity",
     "excited_population",
     "excited_population_rows",
@@ -188,13 +183,6 @@ class Frame:
             raise InputError("frame R has zero detuning by definition")
 
 
-class BasisIndex(NamedTuple):
-    """One joint basis state: electronic bit word plus Fock level."""
-
-    ion_bits: int
-    fock_n: int
-
-
 def flat_index(params: TrapParams, ion_bits: int, fock_n: int) -> int:
     """Flat array position of |ion_bits>|fock_n> (Fock-major layout)."""
     if not 0 <= ion_bits < params.n_configs:
@@ -202,13 +190,6 @@ def flat_index(params: TrapParams, ion_bits: int, fock_n: int) -> int:
     if not 0 <= fock_n <= params.fock_cutoff:
         raise ValueError(f"fock_n {fock_n} out of range [0, {params.fock_cutoff}]")
     return fock_n * params.n_configs + ion_bits
-
-
-def split_index(params: TrapParams, flat: int) -> BasisIndex:
-    """Inverse of :func:`flat_index`."""
-    if not 0 <= flat < params.dim:
-        raise ValueError(f"flat index {flat} out of range [0, {params.dim})")
-    return BasisIndex(ion_bits=flat % params.n_configs, fock_n=flat // params.n_configs)
 
 
 def levels_view(amplitudes: np.ndarray, params: TrapParams) -> np.ndarray:
@@ -318,12 +299,6 @@ def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index", 
         f"{_count_text(n_amplitudes, n_ions)} amplitudes{beside} need {_count_text(size, n_ions)} B{gib}, more than the "
         f"{available} B ({available / 2**30:.4g} GiB) of physical memory"
     )
-
-
-def _zero_amplitudes(params: TrapParams) -> np.ndarray:
-    """A zeroed state-sized array, after the memory check."""
-    check_memory(params.n_levels, n_ions=params.n_ions)
-    return np.zeros(params.dim, dtype=np.complex128)
 
 
 @lru_cache(maxsize=32)
@@ -571,36 +546,6 @@ def ground_state(params: TrapParams, frame: Frame | None = None) -> StateVector:
     levels = np.zeros(2 * params.n_levels * params.n_ions, dtype=np.complex128)
     levels[0] = 1.0
     return StateVector._sector(levels, params, _default_frame(frame), 0.0)
-
-
-def dicke_extreme(
-    params: TrapParams,
-    which: str,
-    fock_n: int = 0,
-    frame: Frame | None = None,
-) -> StateVector:
-    """Extremal collective state |J,-J> ("lowest") or |J,J> ("highest").
-
-    These are the only two Dicke states the protocol visits: all ions in
-    |g> or all ions in |e>, paired with the Fock level ``fock_n``.
-    """
-    if which == "lowest":
-        bits = 0
-    elif which == "highest":
-        bits = params.n_configs - 1
-    else:
-        raise ValueError(f"which must be 'lowest' or 'highest', got {which!r}")
-    amplitudes = _zero_amplitudes(params)
-    amplitudes[flat_index(params, bits, fock_n)] = 1.0
-    return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)
-
-
-def target_ghz(params: TrapParams, phi: float = 0.0, frame: Frame | None = None) -> StateVector:
-    """Maximally entangled target (|g..g> + e^{i phi}|e..e>)/sqrt(2) with motion in |0>."""
-    amplitudes = _zero_amplitudes(params)
-    amplitudes[flat_index(params, 0, 0)] = 1.0 / math.sqrt(2.0)
-    amplitudes[flat_index(params, params.n_configs - 1, 0)] = np.exp(1j * phi) / math.sqrt(2.0)
-    return StateVector(amplitudes, params, _default_frame(frame), clock=0.0)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -34,8 +34,12 @@ preparation), and each step is applied to all rows in one call with each
 row's own Delta.  The preparation runs once and is copied into every row
 (per row only with ``detuning_during_pulses``).  Rows run in chunks
 whose array stays within ``SCAN_CHUNK_BYTES``, so memory does not grow
-with the grid; every step's spec and phases are checked once per scan,
-before any row runs.  :func:`ramsey_run` is the one-point case.
+with the grid; every step is planned once per scan, before any row runs.
+:func:`ramsey_run` is the one-point case.
+
+Every runner plans its steps with :func:`_plan`: the preparation and the
+scan their whole step list before they allocate, :func:`_run_steps` each
+step of a ``.pseq`` program or a reversed sequence as it reaches it.
 """
 
 from __future__ import annotations
@@ -130,17 +134,46 @@ def _preparation_specs(last: int, mode: PulseMode) -> tuple[PulseSpec, ...]:
     )
 
 
-def _run_steps(state: StateVector, specs: list[PulseSpec], top: int, durations: list[float | None] | None = None):
+def _preparation(params: TrapParams, mode: PulseMode | str) -> tuple[PulseSpec, ...]:
+    """The preparation's specs, after the check it shares with the scan: its sideband fills n = 1, so n_max >= 2."""
+    if params.fock_cutoff < 2:
+        raise InputError(f"the preparation fills Fock level 1, so it needs n_max >= 2, got n_max={params.fock_cutoff}")
+    return _preparation_specs(params.n_ions, PulseMode(mode))
+
+
+def _plan(params: TrapParams, specs, clock: float, largest_detuning: float, durations: list[float | None] | None = None):
+    """Yield each step's (start clock, duration) from ``clock``, or raise PulseError at the first step that cannot run.
+
+    The one place a runner validates a step (where ``durations`` holds
+    None for it), checks its phases at its start clock, summed as
+    ``state.clock`` advances, with the rows' ``largest_detuning`` |Delta|,
+    and sums the clock.  A runner that plans up front takes a list of it;
+    one that iterates it beside its steps plans each as it reaches it.
+    """
+    for spec, duration in zip(specs, durations or [None] * len(specs)):
+        if duration is None:
+            duration = validate_pulse_spec(spec, params)
+        _check_step_phases(params, spec, clock, duration, largest_detuning)
+        yield clock, duration
+        clock = clock + duration
+
+
+def _run_steps(state: StateVector, specs, top: int, plan=None):
     """The one loop of a step list on a state: apply ``specs`` from Fock window ``top``, yielding each step's populations.
 
-    ``durations`` are what :func:`validate_pulse_spec` returned, None for a
-    step still to validate.  Each next window comes from the populations
-    and the rows the kernels acted on, so a sector-stored state stays in
-    the sector until a step needs its whole array.  A step that writes no
-    amplitude hands back the last populations unread, and the window stays.
+    ``plan`` is :func:`_plan` of ``specs`` from the state's clock and
+    frame, taken here when None: a list, or the generator itself, which
+    plans each step as it is reached, so a step that cannot run raises
+    after the steps before it ran.  Each next window comes from the
+    populations and the rows the kernels acted on, so a sector-stored
+    state stays in the sector until a step needs its whole array.  A step
+    that writes no amplitude hands back the last populations unread, and
+    the window stays.
     """
     levels = None
-    for spec, duration in zip(specs, durations or [None] * len(specs)):
+    if plan is None:
+        plan = _plan(state.params, specs, state.clock, abs(state.frame.detuning))
+    for spec, (_, duration) in zip(specs, plan):
         _, new = apply_pulse(state, spec, top=top, duration=duration, known=levels)
         if new is not levels:
             top = _fock_top(state._rows(), state.params, known=new)
@@ -200,23 +233,24 @@ def prepare_max_entangled(
 
     In ideal mode the final state equals the target up to a global phase
     and the motion factors out into |0> exactly (to numerical precision).
-    An ``omega0`` that makes ``phi_schroedinger`` non-finite raises
-    :class:`InputError` before any allocation.  The pulses run in the
+    An n_max below 2, or an ``omega0`` that makes ``phi_schroedinger``
+    non-finite, raises :class:`InputError`, and a step that cannot run
+    :class:`PulseError`, before any allocation.  The pulses run in the
     sector basis (see :mod:`ionpulse.hilbert`), and the report hands back
     the states they ran: each step state and the final state store
     2N(n_max + 1) amplitudes until a reader of ``amplitudes`` builds the
     whole array.
     """
-    specs = _preparation_specs(params.n_ions, PulseMode(mode))
+    specs = _preparation(params, mode)
     phi = None
     if omega0 is not None:
         _require_finite("omega0", omega0)
-    # every TrapParams passes validate_pulse_spec on these specs but for a Rabi rate of 0, which pulse_duration raises
+    # after _preparation's check the specs pass validate_pulse_spec but for a Rabi rate of 0, which pulse_duration raises
     durations = [pulse_duration(spec, params) for spec in specs]
+    detuning = 0.0 if frame is None else abs(frame.detuning)
+    plan = list(_plan(params, specs, 0.0, detuning, durations))  # an eager list, from the ground state's clock
     if omega0 is not None:
-        t5 = 0.0
-        for duration in durations:  # the clock after the last pulse, summed as the run sums it
-            t5 = t5 + duration
+        t5 = plan[-1][0] + plan[-1][1]  # the clock after the last pulse
         phi = params.n_ions * omega0 * t5
         if not math.isfinite(phi):
             raise InputError(
@@ -225,7 +259,7 @@ def prepare_max_entangled(
             )
     check_preparation_memory(params)
     state = ground_state(params, frame)
-    step_states = [state.copy() for _ in _run_steps(state, specs, 0, durations)]  # the ground state's window is level 0
+    step_states = [state.copy() for _ in _run_steps(state, specs, 0, plan)]  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)
     return PreparationReport(
@@ -386,40 +420,16 @@ def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
         )
 
 
-def _check_steps(
-    params: TrapParams, steps: list[PulseSpec], deltas: np.ndarray, during_pulses: bool
-) -> list[float]:
-    """Raise PulseError if any step of the scheme cannot run, so that such an input gets the error alone; return the step durations.
-
-    Each step is checked at its start clock, summed as :func:`_run_rows`
-    sums it, with the grid's largest |Delta|, which bounds every chunk's:
-    its spec and phases are checked here alone, once per scan, and
-    :func:`_run_rows` hands the kernels these durations unchecked.
-    """
-    largest = float(np.abs(deltas).max())
-    clock = 0.0
-    durations = []
-    for spec in steps:
-        duration = validate_pulse_spec(spec, params)
-        _check_step_phases(params, spec, clock, duration, largest)
-        if during_pulses and spec.kind is not PulseKind.WAIT:
-            _check_detuning_phase(largest, duration, params.n_ions)
-        clock = clock + duration
-        durations.append(duration)
-    return durations
-
-
 def _run_rows(
     rows: np.ndarray,
     params: TrapParams,
     specs: list[PulseSpec],
-    durations: list[float],
-    clock: float,
+    plan: list[tuple[float, float]],
     top: int,
     detunings: float | np.ndarray = 0.0,
     during_pulses: bool = False,
-) -> tuple[float, int]:
-    """Apply ``specs``, checked by :func:`_check_steps` with their ``durations``, to every row from the shared ``clock`` and Fock window ``top``; return both after them.
+) -> int:
+    """Apply ``specs`` at their planned (start clock, duration) to every row from Fock window ``top``; return the window after them.
 
     ``detunings`` (one per row, or one for all) reach every step; only a
     wait reads them.  With ``during_pulses`` every other step is followed
@@ -427,13 +437,12 @@ def _run_rows(
     ``detuning_during_pulses`` diagnostic.
     """
     kick = during_pulses and np.count_nonzero(detunings)
-    for spec, duration in zip(specs, durations):
+    for spec, (clock, duration) in zip(specs, plan):
         levels = _step_rows(rows, params, spec, clock, detunings, duration, top)
-        clock = clock + duration
         top = _fock_top(rows, params, known=levels)  # a phase maps zeros to zeros: the same window after it
         if kick and duration and spec.kind is not PulseKind.WAIT:  # a zero duration or detuning forms no phase
             _detuning_phase(rows, params, detunings, duration, top)
-    return clock, top
+    return top
 
 
 def _chunk_rows(params: TrapParams) -> int:
@@ -444,28 +453,35 @@ def _chunk_rows(params: TrapParams) -> int:
 def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
     """``read(rows, clock)`` of the Ramsey scheme's final rows, one call per chunk of ``deltas``.
 
-    Every step is validated once, by :func:`_check_steps`, and runs
-    through :func:`_run_rows` with its duration.  The steps every row shares
-    run once, on a start row that every chunk copies: the whole
-    preparation, or none with ``detuning_during_pulses``.  Each chunk runs
-    the rest and is freed once read, so at most one is alive at a time.
+    Every step is planned once, by :func:`_plan` with the grid's largest
+    |Delta|, which bounds every chunk's, and runs through :func:`_run_rows`
+    at its planned clock; the ``detuning_during_pulses`` phases are
+    bounded here too, so an input that cannot run gets the error alone.
+    The steps every row shares run once, on a start row that every chunk
+    copies: the whole preparation, or none with ``detuning_during_pulses``.
+    Each chunk runs the rest and is freed once read, so at most one is
+    alive at a time.
     """
     params = config.params
-    prep = preparation_sequence(params, config.mode)
+    prep = _preparation(params, config.mode)
     steps = [*prep, PulseSpec(PulseKind.WAIT, duration=config.wait_time), *reversed(prep)]
     start = ground_state(params).amplitudes[None, :]
-    durations = _check_steps(params, steps, deltas, config.detuning_during_pulses)  # after the memory check, before the warning
+    largest = float(np.abs(deltas).max())
+    plan = list(_plan(params, steps, 0.0, largest))  # after the memory check, before the warning
+    if config.detuning_during_pulses:
+        for spec, (_, duration) in zip(steps, plan):
+            if spec.kind is not PulseKind.WAIT:
+                _check_detuning_phase(largest, duration, params.n_ions)
     _check_validity(params, deltas)
     shared = 0 if config.detuning_during_pulses else len(prep)
-    clock, top = _run_rows(start, params, steps[:shared], durations, 0.0, 0)  # the ground state's window is level 0
+    top = _run_rows(start, params, steps[:shared], plan, 0)  # the ground state's window is level 0
+    end = plan[-1][0] + plan[-1][1]  # the clock after the last step
     chunk = _chunk_rows(params)
     results = []
     for block in np.split(deltas, range(chunk, deltas.size, chunk)):
         check_memory((block.size + 1) * params.dim)  # the chunk's rows and the live one-row start
         rows = np.repeat(start, block.size, axis=0)
-        end, _ = _run_rows(
-            rows, params, steps[shared:], durations[shared:], clock, top, block, config.detuning_during_pulses
-        )
+        _run_rows(rows, params, steps[shared:], plan[shared:], top, block, config.detuning_during_pulses)
         results.append(read(rows, end))
         del rows  # before the next chunk is allocated
     return results

@@ -52,10 +52,11 @@ on the Fock window: levels 0 .. top, where top is the highest level
 holding a nonzero amplitude in any row (NaN included; the sideband's
 coupled pairs reach top + 1).  The levels above hold exact zeros,
 which every pulse maps to zeros, so no kernel touches them.  A step's
-spec is validated once per run: a runner that validated its steps up
-front passes each one's duration, and a call without it validates the
-spec itself.  Before a step changes anything its end time and the
-phases it forms must be finite; after it, one pass of
+spec is validated and its phases checked once per run: a runner plans
+its steps (:func:`ionpulse.protocol._plan`) and passes each one's
+duration, and a call without one does both itself.  Before a step
+changes anything its end time and the phases it forms must be finite;
+after it, one pass of
 :func:`ionpulse.hilbert.populations` over the window gives each row's
 per-level populations: the norm guard reads their sum, the leakage
 guard their top level once the window reaches the cutoff.  Every step
@@ -246,19 +247,17 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
     return pulse_duration(spec, params)
 
 
-def _check_detuning_phase(detuning: float | np.ndarray, duration: float, n_ions: int) -> None:
-    """Raise PulseError unless the largest detuning phase |Delta| * duration * N, in the table's order, is finite."""
-    bound = float(np.abs(detuning).max()) * duration * n_ions
-    _require_finite("the detuning phase Delta * duration * N", bound, PulseError)
+def _check_detuning_phase(detuning: float, duration: float, n_ions: int) -> None:
+    """Raise PulseError unless the largest detuning phase, |Delta| * duration * N in the table's order, is finite."""
+    _require_finite("the detuning phase Delta * duration * N", detuning * duration * n_ions, PulseError)
 
 
-def _check_step_phases(
-    params: TrapParams, spec: PulseSpec, t0: float, duration: float, detuning: float | np.ndarray
-) -> None:
+def _check_step_phases(params: TrapParams, spec: PulseSpec, t0: float, duration: float, detuning: float) -> None:
     """Raise PulseError when the step's end time or a phase it forms is not finite, before any amplitude changes.
 
     Each phase is bounded at its largest factor, formed in the kernels'
-    order, so a finite bound keeps every term a kernel forms finite.
+    order, so a finite bound keeps every term a kernel forms finite;
+    ``detuning`` is the largest |Delta| of the rows.
     """
     _require_finite("the clock t0 + duration at the end of the step", t0 + duration, PulseError)
     if duration:  # a zero wait forms no phase
@@ -306,7 +305,7 @@ def _detuning_phase(
     For a nonzero detuning and duration whose phase bound was checked: a
     wait's with its other phases (:func:`_check_step_phases`), a scan's
     ``detuning_during_pulses`` phases once per scan
-    (:func:`ionpulse.protocol._check_steps`).
+    (:func:`ionpulse.protocol._ramsey_rows`).
 
     Each row's N+1 phases, one per popcount, are gathered by the cached
     popcount table of the rows' basis and multiply the Fock window, levels
@@ -474,15 +473,16 @@ def apply_pulse_rows(
     a step that turns a pair the sector does not represent writes nothing
     there and returns None for its populations (see :func:`apply_pulse`).
     ``detuning`` (one per row, or one for all) only enters wait steps.
-    ``duration`` is what :func:`validate_pulse_spec` returned for this
-    spec and ``params``, from a runner that validated its steps up front;
-    without it the spec is validated here.  A step whose end time or
-    phases are not finite raises PulseError before it changes any
-    amplitude.  ``top`` is the rows' Fock window from a caller that tracks
-    it; without it the window is found from the amplitudes.  A pulse
-    rotates the pairs its angle table lists and then gives the window
-    its free phase (a sideband's reaches its highest pair's |g> level);
-    level 0 takes none, so a window of level 0 alone is not touched.
+    ``duration`` marks a planned step: what :func:`ionpulse.protocol._plan`
+    gave for this spec, ``params`` and ``t0``, whose spec and phases it
+    checked.  Without it the spec is validated here, and a step whose end
+    time or phases are not finite, at the rows' largest |detuning|, raises
+    PulseError before it changes any amplitude.  ``top`` is the rows' Fock
+    window from a caller that tracks it; without it the window is found
+    from the amplitudes.  A pulse rotates the pairs its angle table lists
+    and then gives the window its free phase (a sideband's reaches its
+    highest pair's |g> level); level 0 takes none, so a window of level 0
+    alone is not touched.
     After the step every row's norm is checked, and after a pulse every
     row's population at the Fock cutoff, unless
     ``check_leakage=False``; that bypass is meant for unitary-equivalence
@@ -495,7 +495,7 @@ def apply_pulse_rows(
     """
     if duration is None:
         duration = validate_pulse_spec(spec, params)
-    _check_step_phases(params, spec, t0, duration, detuning)
+        _check_step_phases(params, spec, t0, duration, float(np.abs(detuning).max(initial=0.0)))
     if top is None:
         top = _fock_top(amplitudes, params)
     return duration, _step_rows(amplitudes, params, spec, t0, detuning, duration, top, check_leakage, known)
@@ -562,9 +562,10 @@ def apply_pulse(
 
     A sector-stored state stays in the sector unless the step turns a pair
     the sector does not represent; then the step, having written nothing,
-    runs again on the state's whole array, built for it, with ``known``,
-    read from the sector, dropped.  ``top``, ``duration`` and ``known`` are
-    passed on as :func:`apply_pulse_rows` reads them.
+    runs again on the state's whole array, built for it, as a planned step
+    with the duration of the first call, and with ``known``, read from the
+    sector, dropped.  ``top``, ``duration`` (a planned step's) and
+    ``known`` are passed on as :func:`apply_pulse_rows` reads them.
     """
     params, clock, detuning = state.params, state.clock, state.frame.detuning
     record = apply_pulse_rows(

@@ -53,7 +53,7 @@ from .hilbert import (
     fock_populations,  # noqa: F401 - not called here; profiling tools wrap this module's names
     ground_state,
 )
-from .protocol import _run_steps
+from .protocol import _plan, _run_steps
 from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, validate_pulse_spec
 from .pulses import apply_pulse  # noqa: F401 - not called here; profiling tools wrap this module's names
 
@@ -358,11 +358,11 @@ def execute(
     sector basis, unless ``initial`` is given (it is copied, not mutated,
     and must match the program's parameters); a state stored in the sector
     stays there until a step needs its whole array.  The steps run through
-    :func:`ionpulse.protocol._run_steps` with the durations :func:`parse`
-    validated, from the window of the start state; each step's populations
-    fill its row of one zero-padded table, from which :func:`step_traces`
-    builds the records.  A failing step re-raises as SequenceError with
-    its source position.
+    :func:`ionpulse.protocol._run_steps`, each planned as it is reached
+    with the duration :func:`parse` validated, from the window of the
+    start state; each step's populations fill its row of one zero-padded
+    table, from which :func:`step_traces` builds the records.  A failing
+    step re-raises as SequenceError with its source position.
     """
     if initial is None:
         state, top = ground_state(program.params, program.frame), 0
@@ -376,7 +376,8 @@ def execute(
     table = np.zeros((len(steps), state.params.n_levels))
     clocks = []
     try:
-        for row, levels in zip(table, _run_steps(state, steps, top, program._durations())):
+        plan = _plan(state.params, steps, state.clock, abs(state.frame.detuning), program._durations())
+        for row, levels in zip(table, _run_steps(state, steps, top, plan)):
             row[: levels.size] = levels
             clocks.append(state.clock)
     except (SimulationError, ValueError) as exc:

@@ -25,7 +25,6 @@ from ionpulse import (
     TrapParams,
     apply_pulse,
     dense_matrix,
-    dicke_extreme,
     excited_population,
     fidelity,
     fock_populations,
@@ -34,11 +33,10 @@ from ionpulse import (
     ramsey_run,
     ramsey_scan,
     reversed_sequence,
-    target_ghz,
     verify_trajectory,
 )
 from ionpulse.seqlang import execute, format_program, parse
-from conftest import make_params, random_state
+from conftest import dicke_extreme, make_params, random_state, target_ghz
 
 WAIT = 1.0e5  # keeps every detuning below the validity threshold
 

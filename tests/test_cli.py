@@ -355,6 +355,25 @@ class TestNonFiniteClockOrPhase:
         self.assert_one_error(capsys, [*argv, "--wait", wait], named)
 
 
+class TestCutoffBelowTwo:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "--ions", "3"],
+            ["verify", "--ions-max", "3"],
+            ["ramsey-scan", "--ions", "3", "--delta-min", "-1e-6", "--delta-max", "1e-6", "--points", "3", "--wait", "1"],
+        ],
+        ids=["prepare", "verify", "ramsey-scan"],
+    )
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_usage_error_names_the_cutoff(self, capsys, argv, mode):
+        # the preparation puts half the population at n = 1: refused before any work, not at its second pulse's guard
+        code, out, err = run_cli(capsys, *argv, "--nmax", "1", "--mode", mode)
+        assert code == 2 and out == ""
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith("error: the preparation fills Fock level 1, so it needs n_max >= 2, got n_max=1")
+
+
 class TestVerify:
     def test_default_range_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

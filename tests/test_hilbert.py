@@ -20,18 +20,15 @@ from ionpulse import (
     StateVector,
     TrapParams,
     apply_pulse,
-    dicke_extreme,
     excited_population,
     fidelity,
     flat_index,
     fock_populations,
     ground_state,
     prepare_max_entangled,
-    split_index,
-    target_ghz,
 )
 from ionpulse import hilbert
-from conftest import assert_exact_copy, make_params, random_state
+from conftest import assert_exact_copy, dicke_extreme, make_params, random_state, split_index, target_ghz
 
 
 class TestParams:
@@ -213,10 +210,8 @@ class TestMemoryBudget:
         "make, size",
         [
             (lambda p: ground_state(p).amplitudes, 5 * 2**40 * 16 + 9 * 2**40),  # the sector state fits; its lift and word index do not
-            (target_ghz, 5 * 2**40 * 16),
-            (lambda p: dicke_extreme(p, "highest"), 5 * 2**40 * 16),
         ],
-        ids=["ground_state", "target_ghz", "dicke_extreme"],
+        ids=["ground_state"],
     )
     def test_oversized_state_rejected_before_allocation(self, make, size):
         with pytest.raises(SimulationError, match=f"need {size} B .*physical memory"):

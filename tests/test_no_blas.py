@@ -24,12 +24,11 @@ from ionpulse import (
     fock_populations,
     prepare_max_entangled,
     ramsey_scan,
-    target_ghz,
     verify_trajectory,
 )
 from ionpulse import seqlang
 from ionpulse.hilbert import populations
-from conftest import make_params
+from conftest import make_params, target_ghz
 
 CANONICAL_3 = """\
 ions N=3

@@ -12,16 +12,15 @@ from ionpulse import (
     FRAME_R_PRIME,
     Frame,
     InputError,
-    LeakageError,
     PulseError,
     PulseKind,
     PulseMode,
+    PulseSpec,
     RamseyConfig,
     SimulationError,
     StateVector,
     best_ghz_fidelity,
     dense_matrix,
-    dicke_extreme,
     excited_population,
     fidelity,
     flat_index,
@@ -36,7 +35,6 @@ from ionpulse import (
     ramsey_run,
     ramsey_scan,
     reversed_sequence,
-    target_ghz,
     trajectory_reference,
     verify_trajectory,
 )
@@ -44,7 +42,7 @@ from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.cli import SCAN_GATE
 from ionpulse.protocol import result_to_csv, result_to_json_dict
 from ionpulse.pulses import _rabi_rate, validate_pulse_spec
-from conftest import assert_exact_copy, count_calls, make_params
+from conftest import assert_exact_copy, count_calls, dicke_extreme, make_params, target_ghz
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -531,12 +529,13 @@ class TestBatchedScan:
         assert state.frame == Frame(FRAME_R_PRIME, detuning=delta)
         assert state.clock == WAIT + 2 * sum(pulse_duration(s, params) for s in preparation_sequence(params))
 
-    def test_physical_scan_leakage_still_guarded(self):
-        # with n_max = 1 the sideband pulse parks half the population at the cutoff
+    def test_scan_rejects_a_cutoff_its_preparation_fills(self, monkeypatch):
+        # with n_max = 1 the sideband pulse would park half the population at the cutoff: refused before any work
         config = RamseyConfig(
             params=make_params(3, nmax=1), wait_time=WAIT, detuning_grid=(0.0, 1e-6), mode=PulseMode.PHYSICAL
         )
-        with pytest.raises(LeakageError):
+        monkeypatch.setattr(protocol, "ground_state", None)  # nothing is allocated
+        with pytest.raises(InputError, match="n_max >= 2, got n_max=1"):
             ramsey_scan(config)
 
 
@@ -730,3 +729,103 @@ class TestFreePhaseCache:
         initial = dicke_extreme(program.params, "lowest", fock_n=2)
         hits, misses = free_phase_calls(lambda: seqlang.execute(program, initial))
         assert hits >= 1 and hits + misses == 2
+
+
+PLANNED_PROGRAM = """\
+ions N=3
+trap nu=1.3 eta=0.11 rabi=0.9 nmax=4
+frame Rprime delta=0.003
+carrier_pi2 ion=3
+wait T=0.7
+jc_pi ion=3 n=0 mode=physical
+wait T=1e-3
+disp_pi all n=1
+carrier_pi2 ion=1 phase=0.25
+wait T=12.125
+disp_pi ion=3 n=1
+"""
+
+
+class TestPlan:
+    """``protocol._plan`` is the one place a runner validates a step, checks its phases and sums its clock."""
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_preparation_checks_each_step_once(self, mode):
+        p = make_params(4, nmax=3)
+        assert count_calls(pulses._check_step_phases, lambda: prepare_max_entangled(p, mode)) == 5
+
+    def test_reversed_sequence_checks_each_step_once(self):
+        state = prepare_max_entangled(make_params(3)).final_state
+        assert count_calls(pulses._check_step_phases, lambda: reversed_sequence(state, PulseMode.PHYSICAL)) == 5
+
+    def test_pseq_checks_each_step_once(self):
+        program, diagnostics = seqlang.parse(PLANNED_PROGRAM)
+        assert not diagnostics
+        # the carrier on ion 1 lifts the sector state: its retry on the whole array checks nothing again
+        assert count_calls(pulses._check_step_phases, lambda: seqlang.execute(program)) == len(program.steps) == 8
+
+    def test_a_planned_step_is_not_checked_again(self):
+        p = make_params(3)
+        rows = ground_state(p).amplitudes[None, :].copy()
+        spec = PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3)
+        [(_, duration)] = protocol._plan(p, [spec], 0.0, 0.0)
+        assert count_calls(pulses._check_step_phases, lambda: pulses.apply_pulse_rows(rows, p, spec, 0.0, duration=duration)) == 0
+        assert count_calls(pulses._check_step_phases, lambda: pulses.apply_pulse_rows(rows, p, spec, 0.0)) == 1
+
+    def test_a_step_that_lifts_the_sector_is_checked_once(self):
+        state = ground_state(make_params(4))
+        spec = PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2)
+        assert count_calls(pulses._check_step_phases, lambda: apply_pulse(state, spec)) == 1
+        assert state._levels is None  # it ran on the whole array
+
+    def test_overflowing_preparation_raises_before_the_ground_state(self):
+        def run():
+            with pytest.raises(PulseError, match="trap phase"):
+                prepare_max_entangled(make_params(3, nu=1e300, rabi=1e-10))
+
+        assert count_calls(ground_state, run) == 0
+
+    def test_planned_clocks_are_the_state_clocks(self):
+        # from a clock that is not a sum of the steps' durations, so each sum rounds its own way
+        program, _ = seqlang.parse(PLANNED_PROGRAM)
+        initial = ground_state(program.params, program.frame)
+        initial.clock = 0.1
+        plan = list(protocol._plan(program.params, program.steps, initial.clock, abs(program.frame.detuning)))
+        ends = [start + duration for start, duration in plan]
+        assert [start.hex() for start, _ in plan[1:]] == [end.hex() for end in ends[:-1]]
+        _, trace = seqlang.execute(program, initial)
+        assert [t.clock.hex() for t in trace] == [end.hex() for end in ends]
+
+    def test_preparation_and_scan_clocks_are_planned(self):
+        p = make_params(3, nu=1.3, eta=0.11, rabi=0.9)
+        specs = preparation_sequence(p, PulseMode.PHYSICAL)
+        plan = list(protocol._plan(p, specs, 0.0, 0.0))
+        report = prepare_max_entangled(p, PulseMode.PHYSICAL)
+        assert [t.hex() for t in report.pulse_times] == [(start + duration).hex() for start, duration in plan]
+        config = RamseyConfig(params=p, wait_time=WAIT, detuning_grid=(1e-7,), mode=PulseMode.PHYSICAL)
+        steps = [*specs, PulseSpec(PulseKind.WAIT, duration=WAIT), *reversed(specs)]
+        *_, (start, duration) = protocol._plan(p, steps, 0.0, 1e-7)
+        assert ramsey_run(config, 1e-7)[0].clock.hex() == (start + duration).hex()
+
+
+class TestCutoffBelowTwo:
+    """The preparation fills n = 1: a cutoff n_max = 1 is refused before any work, by one check."""
+
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    def test_preparation_and_scan_refuse_it_before_any_allocation(self, mode):
+        p = make_params(3, nmax=1)
+        config = RamseyConfig(params=p, wait_time=WAIT, detuning_grid=(0.0,), mode=mode)
+
+        def run():
+            for call in (lambda: prepare_max_entangled(p, mode), lambda: ramsey_scan(config), lambda: ramsey_run(config, 0.0)):
+                with pytest.raises(InputError, match=r"n_max >= 2, got n_max=1"):
+                    call()
+
+        assert count_calls(ground_state, run) == 0
+        assert count_calls(protocol._preparation, run) == 3
+
+    def test_programs_keep_a_cutoff_of_one(self):
+        program, diagnostics = seqlang.parse("ions N=2\ntrap nmax=1\ncarrier_pi2 ion=2\nwait T=2\n")
+        assert not diagnostics
+        final, _ = seqlang.execute(program)
+        assert final.norm() == pytest.approx(1.0)

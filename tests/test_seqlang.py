@@ -16,15 +16,13 @@ from ionpulse import (
     SequenceError,
     SequenceProgram,
     TrapParams,
-    dicke_extreme,
     excited_population,
     fidelity,
     preparation_sequence,
     prepare_max_entangled,
-    target_ghz,
 )
 from ionpulse.seqlang import DEFAULT_PARAMS, execute, format_program, parse
-from conftest import make_params
+from conftest import dicke_extreme, make_params, target_ghz
 
 CANONICAL_3 = """\
 # build the entangled state on three ions

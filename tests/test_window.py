@@ -34,10 +34,10 @@ from ionpulse import (
     pulse_duration,
 )
 from ionpulse import hilbert, protocol, pulses, seqlang
-from ionpulse.hilbert import _fock_top, dicke_extreme
+from ionpulse.hilbert import _fock_top
 from ionpulse.pulses import apply_pulse_rows
 from ionpulse.seqlang import parse
-from conftest import count_calls, make_params
+from conftest import count_calls, dicke_extreme, make_params
 
 
 def track_windows(monkeypatch):
@@ -179,7 +179,7 @@ def plain_scan_rows(config, deltas):
             duration, _ = apply_pulse_rows(rows, p, spec, clock, detunings)
             clock = clock + duration
             if kick is not None and spec.kind is not PulseKind.WAIT and np.count_nonzero(kick):
-                pulses._check_detuning_phase(kick, duration, p.n_ions)
+                pulses._check_detuning_phase(float(np.abs(kick).max()), duration, p.n_ions)
                 pulses._detuning_phase(rows, p, kick, duration, None)
         return clock
 
