@@ -29,7 +29,6 @@ from .pulses import PulseKind, PulseMode, PulseSpec, apply_pulse, dense_matrix
 from .protocol import (
     RamseyConfig,
     best_ghz_fidelity,
-    check_preparation_memory,
     prepare_max_entangled,
     preparation_sequence,
     ramsey_scan,
@@ -140,13 +139,14 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     mode = PulseMode(args.mode)
     report = prepare_max_entangled(params, mode, omega0=args.omega0)
+    dump = report.final_state.dump_json() + "\n" if args.dump_state else None  # before any output: its memory check fails alone
     print(f"fidelity: {report.fidelity_vs_target:.12f}")
     if report.phi_schroedinger is not None:
         print(f"phi: {report.phi_schroedinger:.15g}")
     table = np.array([fock_populations(state) for state in report.step_states])
     _print_step_table(seqlang.step_traces(preparation_sequence(params, mode), report.pulse_times, table))
-    if args.dump_state:
-        _write_data(report.final_state.dump_json() + "\n", args)
+    if dump is not None:
+        _write_data(dump, args)
     return 0 if report.fidelity_vs_target >= 1.0 - FIDELITY_GATE else 1
 
 
@@ -185,17 +185,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     final, trace = seqlang.execute(program)
     fid, _ = best_ghz_fidelity(final)
+    dump = final.dump_json() if args.dump_state else None  # before any output: its memory check fails alone
     if args.format == "json":
         # vars(t) is dataclasses.asdict(t) for this flat record, without asdict's deep copy
         text = json.dumps({"steps": [vars(t) for t in trace], "fidelity": fid}, check_circular=False)
-        if args.dump_state:  # the last key, spliced in as json.dumps would write it
-            text = f'{text[:-1]}, "final_state": {final.dump_json()}}}'
+        if dump is not None:  # the last key, spliced in as json.dumps would write it
+            text = f'{text[:-1]}, "final_state": {dump}}}'
         _write_data(text + "\n", args)
         return 0
     print(f"fidelity: {fid:.12f}")
     _print_step_table(trace)
-    if args.dump_state:
-        _write_data(final.dump_json() + "\n", args)
+    if dump is not None:
+        _write_data(dump + "\n", args)
     return 0
 
 
@@ -232,21 +233,26 @@ def _oracle_spot_check(seed: int) -> float:
     return worst
 
 
+def _verify_line(args: argparse.Namespace, n: int) -> tuple[str, bool]:
+    """One ion count's ``verify`` line, and whether its residuals are within the gate."""
+    report = prepare_max_entangled(_params_from_args(args, n_ions=n), PulseMode(args.mode))
+    check = verify_trajectory(report, tolerance=RESIDUAL_GATE)
+    residuals = " ".join(f"{r:.3e}" for r in check.residuals)
+    status = "ok" if check.passed else "FAIL"
+    return f"N={n}  residuals: {residuals}  max={max(check.residuals):.3e}  {status}", check.passed
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.ions_min < 1 or args.ions_max < args.ions_min:
         raise InputError("require 1 <= --ions-min <= --ions-max")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    check_preparation_memory(_params_from_args(args, n_ions=args.ions_max))  # the largest N, before the sweep
-    ok = True
-    for n in range(args.ions_min, args.ions_max + 1):
-        params = _params_from_args(args, n_ions=n)
-        report = prepare_max_entangled(params, PulseMode(args.mode))
-        check = verify_trajectory(report, tolerance=RESIDUAL_GATE)
-        residuals = " ".join(f"{r:.3e}" for r in check.residuals)
-        status = "ok" if check.passed else "FAIL"
-        print(f"N={n}  residuals: {residuals}  max={max(check.residuals):.3e}  {status}")
-        ok = ok and check.passed
+    last, ok = _verify_line(args, args.ions_max)  # the largest N first, so one that cannot run fails before any output
+    for n in range(args.ions_min, args.ions_max):
+        line, passed = _verify_line(args, n)
+        print(line)
+        ok = ok and passed
+    print(last)
     worst = _oracle_spot_check(args.seed)
     oracle_ok = worst <= ORACLE_GATE
     print(f"oracle check: max deviation {worst:.3e} (seed {args.seed})  {'ok' if oracle_ok else 'FAIL'}")

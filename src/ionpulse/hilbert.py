@@ -41,8 +41,9 @@ The whole array is built by one function, :func:`_lift`, a memory check
 and one gather, on the first read of ``amplitudes`` or ``blocks``, and
 kept from then on, so a write through either one is seen by every later
 reader.  Readers that need only a few numbers
-(:meth:`StateVector._amplitude_at`, the norm, :func:`fock_populations`)
-read the stored coefficients and never build it.  A dump
+(:meth:`StateVector._amplitude_at`, the norm, :func:`fock_populations`,
+:func:`excited_population` of ion N) read the stored coefficients and
+never build it.  A dump
 (:meth:`StateVector.dump_json`) is ``json.dumps(to_dump())`` written by
 :func:`_pairs_json`: an exactly zero pair takes a constant string by its
 sign bits and only nonzero pairs are formatted, so no Python list is made
@@ -303,16 +304,16 @@ def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index", 
 
 @lru_cache(maxsize=32)
 def _popcounts(n_ions: int, sector: bool = False) -> np.ndarray:
-    """Number of excited ions per configuration index, unsigned: uint8 (1 B each) per word, uint16 in the sector.
+    """Number of excited ions per configuration index, unsigned: uint8 (1 B each) per word, the smallest type that holds N in the sector.
 
     For every bit word 0 .. 2**N - 1, or with ``sector`` k + s for every
-    sector index s * N + k (up to N, past uint8 from N = 256).  A caller
-    that forms N - 2 popcount(b) must do it in a signed type, or it wraps
-    (N=3, popcount 3 gives 253 in uint8).
+    sector index s * N + k (up to N: uint16 from N = 256, uint32 from
+    N = 65536).  A caller that forms N - 2 popcount(b) must do it in a
+    signed type, or it wraps (N=3, popcount 3 gives 253 in uint8).
     """
     if sector:
         s, k = np.divmod(np.arange(2 * n_ions), n_ions)
-        return (s + k).astype(np.uint16)
+        return (s + k).astype(np.min_scalar_type(n_ions))
     return np.bitwise_count(np.arange(1 << n_ions))
 
 
@@ -565,12 +566,13 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def excited_population(state: StateVector, ion_index: int) -> float:
-    """Probability of finding ion ``ion_index`` (1-based) in |e>."""
-    return float(excited_population_rows(state.amplitudes, state.params, ion_index))
+    """Probability of finding ion ``ion_index`` (1-based) in |e>, read from the stored rows for ion N, which the sector addresses."""
+    rows = state._rows() if ion_index == state.params.n_ions else state.amplitudes
+    return float(excited_population_rows(rows, state.params, ion_index))
 
 
 def excited_population_rows(amplitudes: np.ndarray, params: TrapParams, ion_index: int) -> np.ndarray:
-    """:func:`excited_population` of every row of an (..., dim) amplitude array.
+    """:func:`excited_population` of every row of an (..., dim) amplitude array, or of ion N on sector rows.
 
     Each row is reduced on its own, so a row gives the same bits whether
     it is read alone or inside a batch.

@@ -37,9 +37,13 @@ whose array stays within ``SCAN_CHUNK_BYTES``, so memory does not grow
 with the grid; every step is planned once per scan, before any row runs.
 :func:`ramsey_run` is the one-point case.
 
-Every runner plans its steps with :func:`_plan`: the preparation and the
-scan their whole step list before they allocate, :func:`_run_steps` each
-step of a ``.pseq`` program or a reversed sequence as it reaches it.
+Every runner plans its steps with :func:`ionpulse.pulses._plan`: the
+preparation and the scan their whole step list before they allocate,
+:func:`_run_steps` each step of a ``.pseq`` program or a reversed
+sequence as it reaches it.  The preparation stores its start state and
+one copy per step, 2N(n_max + 1) sector amplitudes each, and checks that
+memory alone, so it runs at every N whose sector fits; a reader that
+builds a whole array checks its own (:func:`ionpulse.hilbert._lift`).
 """
 
 from __future__ import annotations
@@ -77,10 +81,9 @@ from .pulses import (
     apply_pulse,
     free_evolve,  # noqa: F401
     pulse_duration,
-    validate_pulse_spec,
     _check_detuning_phase,
-    _check_step_phases,
     _detuning_phase,
+    _plan,
     _rabi_rate,
     _step_rows,
 )
@@ -92,7 +95,6 @@ __all__ = [
     "RamseyResult",
     "TrajectoryCheck",
     "preparation_sequence",
-    "check_preparation_memory",
     "prepare_max_entangled",
     "best_ghz_fidelity",
     "trajectory_reference",
@@ -141,23 +143,6 @@ def _preparation(params: TrapParams, mode: PulseMode | str) -> tuple[PulseSpec, 
     return _preparation_specs(params.n_ions, PulseMode(mode))
 
 
-def _plan(params: TrapParams, specs, clock: float, largest_detuning: float, durations: list[float | None] | None = None):
-    """Yield each step's (start clock, duration) from ``clock``, or raise PulseError at the first step that cannot run.
-
-    The one place a runner validates a step (where ``durations`` holds
-    None for it), checks its phases at its start clock, summed as
-    ``state.clock`` advances, with the rows' ``largest_detuning`` |Delta|,
-    and sums the clock.  A runner that plans up front takes a list of it;
-    one that iterates it beside its steps plans each as it reaches it.
-    """
-    for spec, duration in zip(specs, durations or [None] * len(specs)):
-        if duration is None:
-            duration = validate_pulse_spec(spec, params)
-        _check_step_phases(params, spec, clock, duration, largest_detuning)
-        yield clock, duration
-        clock = clock + duration
-
-
 def _run_steps(state: StateVector, specs, top: int, plan=None):
     """The one loop of a step list on a state: apply ``specs`` from Fock window ``top``, yielding each step's populations.
 
@@ -179,17 +164,6 @@ def _run_steps(state: StateVector, specs, top: int, plan=None):
             top = _fock_top(state._rows(), state.params, known=new)
         levels = new
         yield levels
-
-
-def check_preparation_memory(params: TrapParams) -> None:
-    """Raise before a preparation whose final state would not fit in physical memory.
-
-    The run stores 2N(n_max + 1) amplitudes per state and builds no whole
-    array; a reader that builds one checks its own memory
-    (:func:`ionpulse.hilbert._lift`).  The guard keeps the preparation's
-    input range to N whose whole state fits.
-    """
-    check_memory(params.n_levels, n_ions=params.n_ions)
 
 
 @dataclass
@@ -239,7 +213,8 @@ def prepare_max_entangled(
     sector basis (see :mod:`ionpulse.hilbert`), and the report hands back
     the states they ran: each step state and the final state store
     2N(n_max + 1) amplitudes until a reader of ``amplitudes`` builds the
-    whole array.
+    whole array.  Memory is checked for what the run stores, the start
+    state and one copy per step, before the first pulse.
     """
     specs = _preparation(params, mode)
     phi = None
@@ -257,8 +232,8 @@ def prepare_max_entangled(
                 f"omega0 must keep the lab-frame phase N*omega0*t5 finite, got omega0={omega0!r} "
                 f"with N={params.n_ions} and t5={t5!r}"
             )
-    check_preparation_memory(params)
     state = ground_state(params, frame)
+    check_memory((len(plan) + 1) * state._rows().size)  # the start state, which becomes the final one, and a copy per step
     step_states = [state.copy() for _ in _run_steps(state, specs, 0, plan)]  # the ground state's window is level 0
     pulse_times = [s.clock for s in step_states]
     fid, phase = best_ghz_fidelity(state)

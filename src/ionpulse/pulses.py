@@ -52,10 +52,10 @@ on the Fock window: levels 0 .. top, where top is the highest level
 holding a nonzero amplitude in any row (NaN included; the sideband's
 coupled pairs reach top + 1).  The levels above hold exact zeros,
 which every pulse maps to zeros, so no kernel touches them.  A step's
-spec is validated and its phases checked once per run: a runner plans
-its steps (:func:`ionpulse.protocol._plan`) and passes each one's
-duration, and a call without one does both itself.  Before a step
-changes anything its end time and the phases it forms must be finite;
+spec is validated and its phases checked in one place, :func:`_plan`,
+once per run: a runner plans its steps and passes each one's duration,
+and an :func:`apply_pulse` call without one plans its own step.  Before
+a step changes anything its end time and the phases it forms must be finite;
 after it, one pass of
 :func:`ionpulse.hilbert.populations` over the window gives each row's
 per-level populations: the norm guard reads their sum, the leakage
@@ -85,10 +85,10 @@ cached popcount sign), in both modes: bit word b goes to its complement,
 sector index f to 2N - 1 - f.  Any other collective pulse is the
 single-ion kernel on each ion in turn.  The detuning phase gathers a
 table of N+1 phases per row by popcount and multiplies the window.  The
-kernels accept any leading batch axes:
-:func:`apply_pulse_rows` applies one pulse to many states (rows of one
-array, sharing one clock) in one call, and :func:`apply_pulse` is the
-same code on one :class:`StateVector`.  :func:`dense_matrix` builds the
+kernels accept any leading batch axes: one :func:`_step_rows` call
+applies a planned step to many states (rows of one array, sharing one
+clock), as a Ramsey scan runs its grid, and :func:`apply_pulse` runs the
+same kernel on one :class:`StateVector`.  :func:`dense_matrix` builds the
 same unitaries as explicit matrices through an independent kron/loop
 construction, for the test-suite to cross-check the fast path.
 
@@ -133,7 +133,6 @@ __all__ = [
     "validate_pulse_spec",
     "free_evolve",
     "apply_pulse",
-    "apply_pulse_rows",
     "dense_matrix",
 ]
 
@@ -266,6 +265,23 @@ def _check_step_phases(params: TrapParams, spec: PulseSpec, t0: float, duration:
         _require_finite("the sideband phase nu * t0 + phase", params.trap_freq * t0 + spec.laser_phase, PulseError)
     elif spec.kind is PulseKind.WAIT:
         _check_detuning_phase(detuning, duration, params.n_ions)
+
+
+def _plan(params: TrapParams, specs, clock: float, largest_detuning: float, durations: list[float | None] | None = None):
+    """Yield each step's (start clock, duration) from ``clock``, or raise PulseError at the first step that cannot run.
+
+    The one place a step is validated (where ``durations`` holds None
+    for it), its phases checked at its start clock, summed as
+    ``state.clock`` advances, with the rows' ``largest_detuning`` |Delta|,
+    and the clock summed.  A runner that plans up front takes a list of
+    it; one that iterates it beside its steps plans each as it reaches it.
+    """
+    for spec, duration in zip(specs, durations or [None] * len(specs)):
+        if duration is None:
+            duration = validate_pulse_spec(spec, params)
+        _check_step_phases(params, spec, clock, duration, largest_detuning)
+        yield clock, duration
+        clock = clock + duration
 
 
 @lru_cache(maxsize=64)
@@ -454,61 +470,26 @@ def _rotate_every_ion(amplitudes: np.ndarray, params: TrapParams, laser_phase: f
     blocks[...] = flipped[..., ::-1]
 
 
-def apply_pulse_rows(
-    amplitudes: np.ndarray,
-    params: TrapParams,
-    spec: PulseSpec,
-    t0: float,
-    detuning: float | np.ndarray = 0.0,
-    *,
-    check_leakage: bool = True,
-    top: int | None = None,
-    duration: float | None = None,
-    known: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """Apply one PulseSpec in place to amplitude rows of shape (..., dim); return its duration and populations.
-
-    Every row is one state, and all rows share the start time ``t0``.
-    The rows may instead be one state's 2N(n_max + 1) sector coefficients;
-    a step that turns a pair the sector does not represent writes nothing
-    there and returns None for its populations (see :func:`apply_pulse`).
-    ``detuning`` (one per row, or one for all) only enters wait steps.
-    ``duration`` marks a planned step: what :func:`ionpulse.protocol._plan`
-    gave for this spec, ``params`` and ``t0``, whose spec and phases it
-    checked.  Without it the spec is validated here, and a step whose end
-    time or phases are not finite, at the rows' largest |detuning|, raises
-    PulseError before it changes any amplitude.  ``top`` is the rows' Fock
-    window from a caller that tracks it; without it the window is found
-    from the amplitudes.  A pulse rotates the pairs its angle table lists
-    and then gives the window its free phase (a sideband's reaches its
-    highest pair's |g> level); level 0 takes none, so a window of level 0
-    alone is not touched.
-    After the step every row's norm is checked, and after a pulse every
-    row's population at the Fock cutoff, unless
-    ``check_leakage=False``; that bypass is meant for unitary-equivalence
-    checks on synthetic full-support states, not for simulations.  The
-    populations are the guards' one pass, each row's per-level
-    populations over that window (:func:`_check_rows`): a runner takes
-    its next window from them (:func:`ionpulse.hilbert._fock_top`).
-    ``known``, the populations the last guard read from these rows, is
-    returned unread by a step that writes no amplitude.
-    """
-    if duration is None:
-        duration = validate_pulse_spec(spec, params)
-        _check_step_phases(params, spec, t0, duration, float(np.abs(detuning).max(initial=0.0)))
-    if top is None:
-        top = _fock_top(amplitudes, params)
-    return duration, _step_rows(amplitudes, params, spec, t0, detuning, duration, top, check_leakage, known)
-
-
 def _step_rows(
     amplitudes: np.ndarray, params: TrapParams, spec: PulseSpec, t0: float, detuning: float | np.ndarray, duration: float, top: int,
     check_leakage: bool = True, known: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """The kernel of :func:`apply_pulse_rows`, for a step whose spec and phases were checked; return its populations, or ``known`` if it writes nothing.
+    """Apply a planned step (:func:`_plan`) in place to rows of shape (..., dim) from Fock window ``top``; return its populations.
 
-    On sector rows a turn the sector does not represent, on an ion j < N or a collective
-    one whose angles are not all pi, returns None before it writes anything.
+    Every row is one state, and all rows share the start time ``t0``;
+    ``detuning`` (one per row, or one for all) only enters wait steps.
+    The rows may instead be one state's 2N(n_max + 1) sector coefficients:
+    a turn the sector does not represent, on an ion j < N or a collective
+    one whose angles are not all pi, returns None before it writes
+    anything.  A pulse rotates the pairs its angle table lists and then
+    gives the window its free phase (a sideband's reaches its highest
+    pair's |g> level); level 0 takes none.  After the step every row's
+    norm is checked, and after a pulse its population at the cutoff
+    unless ``check_leakage=False`` (for unitary-equivalence checks on
+    synthetic full-support states).  The populations are the guards' one
+    pass (:func:`_check_rows`), from which a runner takes its next window;
+    ``known``, the last guard's, is returned unread by a step that writes
+    no amplitude.
     """
     if spec.kind is PulseKind.WAIT:
         kick = duration > 0 and np.count_nonzero(detuning)  # its bound was checked with the step's phases
@@ -558,23 +539,29 @@ def apply_pulse(
     duration: float | None = None,
     known: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Apply one PulseSpec to the state at its clock; return the duration and populations of :func:`apply_pulse_rows`.
+    """Apply one PulseSpec to the state at its clock; return its duration and the populations of :func:`_step_rows`.
 
-    A sector-stored state stays in the sector unless the step turns a pair
-    the sector does not represent; then the step, having written nothing,
-    runs again on the state's whole array, built for it, as a planned step
-    with the duration of the first call, and with ``known``, read from the
-    sector, dropped.  ``top``, ``duration`` (a planned step's) and
-    ``known`` are passed on as :func:`apply_pulse_rows` reads them.
+    ``duration`` marks a step a runner planned; without it the step is
+    planned here (:func:`_plan`), so a spec or phase that cannot run
+    raises PulseError before any amplitude changes.  ``top`` is the
+    state's Fock window from a runner that tracks it, found from the
+    stored rows without it, and ``known`` the populations its last guard
+    read.  A sector-stored state stays in the sector unless the step turns
+    a pair the sector does not represent; then the step, having written
+    nothing, runs on the state's whole array, built for it, without
+    ``known``.
     """
     params, clock, detuning = state.params, state.clock, state.frame.detuning
-    record = apply_pulse_rows(
-        state._rows(), params, spec, clock, detuning, check_leakage=check_leakage, top=top, duration=duration, known=known
-    )
-    if record[1] is None:
-        record = apply_pulse_rows(state.amplitudes, params, spec, clock, detuning, check_leakage=check_leakage, top=top, duration=record[0])
-    state.clock = clock + record[0]
-    return record
+    if duration is None:
+        [(_, duration)] = _plan(params, [spec], clock, abs(detuning))
+    rows = state._rows()
+    if top is None:
+        top = _fock_top(rows, params)
+    levels = _step_rows(rows, params, spec, clock, detuning, duration, top, check_leakage, known)
+    if levels is None:
+        levels = _step_rows(state.amplitudes, params, spec, clock, detuning, duration, top, check_leakage)
+    state.clock = clock + duration
+    return duration, levels
 
 
 def free_evolve(state: StateVector, duration: float) -> StateVector:

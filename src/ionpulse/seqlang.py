@@ -53,8 +53,8 @@ from .hilbert import (
     fock_populations,  # noqa: F401 - not called here; profiling tools wrap this module's names
     ground_state,
 )
-from .protocol import _plan, _run_steps
-from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, validate_pulse_spec
+from .protocol import _run_steps
+from .pulses import PulseError, PulseKind, PulseMode, PulseSpec, _plan, validate_pulse_spec
 from .pulses import apply_pulse  # noqa: F401 - not called here; profiling tools wrap this module's names
 
 __all__ = [
@@ -358,7 +358,7 @@ def execute(
     sector basis, unless ``initial`` is given (it is copied, not mutated,
     and must match the program's parameters); a state stored in the sector
     stays there until a step needs its whole array.  The steps run through
-    :func:`ionpulse.protocol._run_steps`, each planned as it is reached
+    :func:`ionpulse.protocol._run_steps`, each planned (:func:`ionpulse.pulses._plan`) as it is reached
     with the duration :func:`parse` validated, from the window of the
     start state; each step's populations fill its row of one zero-padded
     table, from which :func:`step_traces` builds the records.  A failing

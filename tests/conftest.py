@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ionpulse import Frame, StateVector, TrapParams, flat_index
+from ionpulse import Frame, StateVector, TrapParams, flat_index, pulses
 
 # Property tests draw the same examples on every run: a derandomized search
 # with no example database, and no per-example deadline (timings on a
@@ -71,6 +71,16 @@ def assert_exact_copy(state):
     assert not np.shares_memory(copied.amplitudes, state.amplitudes)
     assert (copied.params, copied.frame, copied.clock) == (state.params, state.frame, state.clock)
     return copied
+
+
+def planned_step(rows, params, spec, t0, detuning=0.0, check_leakage=True, top=None):
+    """One step on amplitude rows as a runner takes it: ``pulses._plan``, which checks it before any write, then ``pulses._step_rows``.
+
+    Returns the step's duration and populations; ``top`` is found from the rows when None.
+    """
+    [(_, duration)] = pulses._plan(params, [spec], t0, float(np.abs(detuning).max(initial=0.0)))
+    top = pulses._fock_top(rows, params) if top is None else top
+    return duration, pulses._step_rows(rows, params, spec, t0, detuning, duration, top, check_leakage)
 
 
 def count_calls(fn, run):

@@ -472,18 +472,19 @@ class TestOutputNeedsDumpState:
 
 
 class TestMemoryBudget:
-    def test_prepare_too_many_ions_exits_1_with_byte_estimate(self, capsys):
-        code, _, err = run_cli(capsys, "prepare", "--ions", "40")
-        assert code == 1
-        assert f"need {5 * 2**40 * 16} B" in err and "physical memory" in err
+    def test_prepare_beyond_the_whole_array_runs_in_the_sector(self, capsys):
+        # 5 * 2**40 amplitudes would need 80 TiB; the run stores 6 * 2 * 40 * 5 sector amplitudes
+        code, out, err = run_cli(capsys, "prepare", "--ions", "40")
+        assert code == 0 and err == ""
+        assert float(out.splitlines()[0].split()[1]) >= 1.0 - cli_module.FIDELITY_GATE
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("prepare", "--ions", "2000"),
+            ("prepare", "--ions", "2000", "--dump-state"),
             ("ramsey-scan", "--ions", "20000", "--delta-min", "0", "--delta-max", "1e-9", "--points", "3", "--wait", "1"),
         ],
-        ids=["prepare-2000", "ramsey-scan-20000"],
+        ids=["prepare-2000-dump-state", "ramsey-scan-20000"],
     )
     def test_huge_ion_count_exits_1_without_a_traceback(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -491,27 +492,45 @@ class TestMemoryBudget:
         assert err.startswith("error: ") and "physical memory" in err and "Traceback" not in err
         assert out == ""
 
+    def test_prepare_dump_that_cannot_fit_fails_before_any_output(self, capsys, tmp_path):
+        # the preparation runs in the sector; the dump's whole-array text is checked before the table prints
+        out_path = tmp_path / "state.json"
+        code, out, err = run_cli(capsys, "prepare", "--ions", "40", "--dump-state", "--output", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and "dump need" in err and "Traceback" not in err
+        assert out == "" and not out_path.exists()
+
+    def test_run_dump_that_cannot_fit_fails_before_any_output(self, capsys, tmp_path, monkeypatch):
+        # room for the program's whole state (640 B) but not for its dump; the text table would print first
+        path = tmp_path / "prog.pseq"
+        path.write_text("ions N=3\ncarrier_pi2 ion=3\n")
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 1000)
+        code, out, err = run_cli(capsys, "run", str(path), "--dump-state")
+        assert code == 1
+        assert err.startswith("error: ") and "dump need" in err
+        assert out == ""
+
     def test_verify_checks_the_largest_n_before_the_sweep(self, capsys, monkeypatch):
-        # room for one N=6 state only: the final states of N=7 and 8 would not fit
-        dim = hilbert.TrapParams(n_ions=6, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0).dim
-        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: dim * 16)
+        # room for the N=6 run only, its start state and five step copies of 2N(nmax + 1) sector amplitudes: N=7 and 8 would not fit
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * 2 * 6 * 5 * 16)
         code, out, err = run_cli(capsys, "verify", "--ions-max", "8")
         assert code == 1
         assert err.startswith("error: ") and "physical memory" in err
         assert out == ""
 
     WHOLE = f"at least 2^{10**9 + 2} amplitudes need at least 2^{10**9 + 6} B, more than the "
+    SECTOR = f"{10 * 10**9} amplitudes need {160 * 10**9} B "
 
     @pytest.mark.parametrize(
         "argv, code, message",
         [
-            (("prepare", "--ions", str(10**9)), 1, WHOLE),
-            # the scan's start is the sector ground state, whose own check comes first
-            (("ramsey-scan", "--ions", str(10**9), "--delta-min", "0", "--delta-max", "0", "--points", "3", "--wait", "1"), 1,
-             f"{10 * 10**9} amplitudes need {160 * 10**9} B "),
+            # the preparation and the scan start from the sector ground state, whose own check comes first
+            (("prepare", "--ions", str(10**9)), 1, SECTOR),
+            (("ramsey-scan", "--ions", str(10**9), "--delta-min", "0", "--delta-max", "0", "--points", "3", "--wait", "1"), 1, SECTOR),
+            (("verify", "--ions-max", str(10**9)), 1, SECTOR),
             (("run", "PROGRAM"), 2, WHOLE),
         ],
-        ids=["prepare", "ramsey-scan", "run"],
+        ids=["prepare", "ramsey-scan", "verify", "run"],
     )
     def test_billion_ions_rejected_without_forming_the_state_size(self, capsys, tmp_path, argv, code, message):
         # 2**N alone is an int of N bits, 125 MB here: the check must not form it
@@ -536,6 +555,27 @@ class TestMemoryBudget:
             warnings.simplefilter("error")
             code, _, err = run_cli(capsys, *argv)
         assert code == 1 and "physical memory" in err
+
+
+class TestLargeN:
+    """The preparation stores 2N(nmax + 1) sector amplitudes per state, so ``prepare`` and ``verify`` run far past 2**N."""
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("n_ions", [1000, 100000])
+    def test_prepare_meets_every_printed_gate(self, capsys, n_ions, mode):
+        code, out, err = run_cli(capsys, "prepare", "--ions", str(n_ions), "--mode", mode)
+        assert code == 0 and err == ""
+        first, *steps = out.splitlines()
+        assert float(first.split()[1]) >= 1.0 - cli_module.FIDELITY_GATE
+        assert len(steps) == 5 and all("norm=1.000000000000" in line for line in steps)
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_verify_passes(self, capsys, mode):
+        code, out, _ = run_cli(capsys, "verify", "--ions-min", "998", "--ions-max", "1000", "--mode", mode)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[:3]] == ["N=998", "N=999", "N=1000"]  # ascending, the largest run first
+        assert all(line.endswith("  ok") for line in lines[:4]) and lines[-1].endswith("PASS")
 
 
 class TestTopLevel:

@@ -353,6 +353,20 @@ class TestRamsey:
         result = ramsey_scan(RamseyConfig(params=params, wait_time=wait, detuning_grid=grid, mode=mode))
         assert result.max_abs_error <= SCAN_GATE
 
+    @pytest.mark.parametrize("mode", list(PulseMode))
+    @pytest.mark.parametrize("n_ions", [100, 1000])
+    def test_fringe_read_from_the_sector_at_large_n(self, n_ions, mode):
+        # prepare, wait, reverse and read ion N: every step and the readout stay in the sector, where 2**N cannot be built
+        params = make_params(n_ions)
+        for x in np.linspace(-2 * math.pi, 2 * math.pi, 9):
+            delta = float(x) / (n_ions * WAIT)
+            state = prepare_max_entangled(params, mode, Frame(FRAME_R_PRIME, detuning=delta)).final_state
+            free_evolve(state, WAIT)
+            reversed_sequence(state, mode)
+            p = excited_population(state, n_ions)
+            assert state._levels is not None
+            assert abs(p - ramsey_probability(n_ions, delta, WAIT)) <= SCAN_GATE, x
+
     def test_empty_grid_rejected(self):
         params = make_params(2)
         with pytest.raises(ValueError):
@@ -566,12 +580,13 @@ class TestScanMemoryBudget:
 
 class TestPreparationMemoryBudget:
     def test_step_snapshots_counted(self, monkeypatch):
-        # the step snapshots store sector coefficients: the one whole array is the final state
+        # the run stores sector coefficients only: the start state, which becomes the final one, and five step copies
         params = make_params(3)
-        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: params.dim * 16)
+        stored = 6 * 2 * params.n_ions * params.n_levels
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: stored * 16)
         prepare_max_entangled(params)
-        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: params.dim * 16 - 1)
-        with pytest.raises(SimulationError, match=f"{params.dim} amplitudes need"):
+        monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: stored * 16 - 1)
+        with pytest.raises(SimulationError, match=f"^{stored} amplitudes need"):
             prepare_max_entangled(params)
 
     def test_reference_states_counted(self, monkeypatch):
@@ -747,7 +762,7 @@ disp_pi ion=3 n=1
 
 
 class TestPlan:
-    """``protocol._plan`` is the one place a runner validates a step, checks its phases and sums its clock."""
+    """``pulses._plan`` is the one place a runner validates a step, checks its phases and sums its clock."""
 
     @pytest.mark.parametrize("mode", list(PulseMode))
     def test_preparation_checks_each_step_once(self, mode):
@@ -766,11 +781,11 @@ class TestPlan:
 
     def test_a_planned_step_is_not_checked_again(self):
         p = make_params(3)
-        rows = ground_state(p).amplitudes[None, :].copy()
+        state = ground_state(p)
         spec = PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=3)
-        [(_, duration)] = protocol._plan(p, [spec], 0.0, 0.0)
-        assert count_calls(pulses._check_step_phases, lambda: pulses.apply_pulse_rows(rows, p, spec, 0.0, duration=duration)) == 0
-        assert count_calls(pulses._check_step_phases, lambda: pulses.apply_pulse_rows(rows, p, spec, 0.0)) == 1
+        [(_, duration)] = pulses._plan(p, [spec], 0.0, 0.0)
+        assert count_calls(pulses._check_step_phases, lambda: apply_pulse(state, spec, duration=duration)) == 0
+        assert count_calls(pulses._check_step_phases, lambda: apply_pulse(state, spec)) == 1
 
     def test_a_step_that_lifts_the_sector_is_checked_once(self):
         state = ground_state(make_params(4))
@@ -790,7 +805,7 @@ class TestPlan:
         program, _ = seqlang.parse(PLANNED_PROGRAM)
         initial = ground_state(program.params, program.frame)
         initial.clock = 0.1
-        plan = list(protocol._plan(program.params, program.steps, initial.clock, abs(program.frame.detuning)))
+        plan = list(pulses._plan(program.params, program.steps, initial.clock, abs(program.frame.detuning)))
         ends = [start + duration for start, duration in plan]
         assert [start.hex() for start, _ in plan[1:]] == [end.hex() for end in ends[:-1]]
         _, trace = seqlang.execute(program, initial)
@@ -799,12 +814,12 @@ class TestPlan:
     def test_preparation_and_scan_clocks_are_planned(self):
         p = make_params(3, nu=1.3, eta=0.11, rabi=0.9)
         specs = preparation_sequence(p, PulseMode.PHYSICAL)
-        plan = list(protocol._plan(p, specs, 0.0, 0.0))
+        plan = list(pulses._plan(p, specs, 0.0, 0.0))
         report = prepare_max_entangled(p, PulseMode.PHYSICAL)
         assert [t.hex() for t in report.pulse_times] == [(start + duration).hex() for start, duration in plan]
         config = RamseyConfig(params=p, wait_time=WAIT, detuning_grid=(1e-7,), mode=PulseMode.PHYSICAL)
         steps = [*specs, PulseSpec(PulseKind.WAIT, duration=WAIT), *reversed(specs)]
-        *_, (start, duration) = protocol._plan(p, steps, 0.0, 1e-7)
+        *_, (start, duration) = pulses._plan(p, steps, 0.0, 1e-7)
         assert ramsey_run(config, 1e-7)[0].clock.hex() == (start + duration).hex()
 
 

@@ -24,8 +24,8 @@ from ionpulse import (
 )
 from ionpulse import prepare_max_entangled, pulses, seqlang
 from ionpulse.hilbert import levels_view, populations
-from ionpulse.pulses import _rabi_rate, apply_pulse_rows
-from conftest import dicke_extreme, make_params, random_state
+from ionpulse.pulses import _rabi_rate
+from conftest import dicke_extreme, make_params, planned_step, random_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -400,7 +400,7 @@ class TestDenseOracle:
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         for spec in every_spec(p, ions, (0.0, 0.37)):
             out = rows.copy()
-            apply_pulse_rows(out, p, spec, 0.6, check_leakage=False)
+            planned_step(out, p, spec, 0.6, check_leakage=False)
             expected = rows @ dense_matrix(spec, p, t0=0.6).T
             assert np.max(np.abs(out - expected)) <= 1e-12, spec
 
@@ -468,7 +468,7 @@ class TestBatchAxis:
         detunings = np.array([0.0, 0.013, -0.2])
         states = [random_state(p, rng, Frame(FRAME_R_PRIME, detuning=d), clock=0.6) for d in detunings]
         rows = np.array([s.amplitudes for s in states])
-        duration, _ = apply_pulse_rows(rows, p, spec, 0.6, detunings, check_leakage=False)
+        duration, _ = planned_step(rows, p, spec, 0.6, detunings, check_leakage=False)
         for row, state in zip(rows, states):
             apply_pulse(state, spec, check_leakage=False)
             assert row.tobytes() == state.amplitudes.tobytes()
@@ -480,14 +480,14 @@ class TestBatchAxis:
         rows = np.repeat(ground_state(p).amplitudes[None, :], 4, axis=0)
         rows[2] *= scale
         with pytest.raises(SimulationError, match="row 2"):
-            apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
+            planned_step(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
 
     def test_one_leaking_row_trips_the_leakage_guard(self):
         p = make_params(1, nmax=4)
         rows = np.repeat(dicke_extreme(p, "lowest", 0).amplitudes[None, :], 3, axis=0)
         rows[1] = dicke_extreme(p, "highest", 3).amplitudes
         with pytest.raises(LeakageError):
-            apply_pulse_rows(rows, p, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=3), 0.0)
+            planned_step(rows, p, PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=3), 0.0)
 
     def test_guards_agree_with_plain_numpy_on_batch_rows(self):
         # rows on a (2, 3) batch: the guard's per-level populations are what |a|^2 sums give
@@ -498,14 +498,14 @@ class TestBatchAxis:
         plain = (np.abs(rows.reshape(2, 3, p.n_levels, p.n_configs)) ** 2).sum(axis=-1)
         assert np.allclose(levels, plain, rtol=1e-14, atol=1e-300)
         assert np.allclose(np.sqrt(levels.sum(axis=-1)), np.linalg.norm(rows, axis=-1), rtol=0, atol=1e-15)
-        apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2), 0.0)
+        planned_step(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=2), 0.0)
 
     def test_nan_row_names_the_row(self):
         p = make_params(2)
         rows = np.repeat(ground_state(p).amplitudes[None, :], 4, axis=0)
         rows[3, 7] = np.nan
         with pytest.raises(SimulationError, match=r"drifted to nan in row 3"):
-            apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
+            planned_step(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
 
     def test_row_with_population_at_the_cutoff_leaks(self):
         # a carrier moves nothing between Fock levels: row 2's weight at the cutoff stays there
@@ -514,8 +514,8 @@ class TestBatchAxis:
         rows[2, 0] = math.sqrt(1.0 - 1e-8)
         rows[2, flat_index(p, 1, 2)] = 1e-4
         with pytest.raises(LeakageError, match="1.000e-08 at the Fock cutoff n=2"):
-            apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
-        apply_pulse_rows(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0, check_leakage=False)
+            planned_step(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0)
+        planned_step(rows, p, PulseSpec(PulseKind.CARRIER_PI_HALF, target_ion=1), 0.0, check_leakage=False)
 
     def test_nan_state_trips_the_norm_guard(self):
         s = ground_state(make_params(1))
@@ -547,34 +547,34 @@ class TestNonFiniteClockOrPhase:
     def test_infinite_start_time(self, spec):
         p = make_params(2, nmax=3)
         rows = windowed_rows(p, np.random.default_rng(5), (1, 2))
-        self.assert_rejected(rows, "clock", lambda: apply_pulse_rows(rows, p, spec, math.inf, check_leakage=False))
+        self.assert_rejected(rows, "clock", lambda: planned_step(rows, p, spec, math.inf, check_leakage=False))
 
     def test_clock_overflowing_at_the_end_of_a_wait(self):
         p = make_params(2, nu=1e-10)
         rows = windowed_rows(p, np.random.default_rng(6), (1,))
         wait = PulseSpec(PulseKind.WAIT, duration=1e308)
-        self.assert_rejected(rows, "clock", lambda: apply_pulse_rows(rows, p, wait, 1e308))
+        self.assert_rejected(rows, "clock", lambda: planned_step(rows, p, wait, 1e308))
 
     def test_trap_phase_counts_every_level_up_to_the_cutoff(self):
         # nu * 4 * T overflows although the state occupies level 0 only
         p = make_params(2, nmax=4)
         rows = ground_state(p).amplitudes[None, :].copy()
         wait = PulseSpec(PulseKind.WAIT, duration=1e308)
-        self.assert_rejected(rows, "trap phase", lambda: apply_pulse_rows(rows, p, wait, 0.0))
-        apply_pulse_rows(rows, p, PulseSpec(PulseKind.WAIT, duration=0.0), 1e308)  # a zero wait forms no phase
+        self.assert_rejected(rows, "trap phase", lambda: planned_step(rows, p, wait, 0.0))
+        planned_step(rows, p, PulseSpec(PulseKind.WAIT, duration=0.0), 1e308)  # a zero wait forms no phase
 
     def test_sideband_phase(self):
         p = make_params(2, nmax=1, nu=2.0)
         rows = ground_state(p).amplitudes[None, :].copy()
         spec = PulseSpec(PulseKind.JC_PI, target_ion=2, target_n=0)
-        self.assert_rejected(rows, "sideband phase", lambda: apply_pulse_rows(rows, p, spec, 1.6e308))
+        self.assert_rejected(rows, "sideband phase", lambda: planned_step(rows, p, spec, 1.6e308))
 
     def test_detuning_phase_of_one_row(self):
         p = make_params(3)
         rows = windowed_rows(p, np.random.default_rng(7), (0, 2))
         wait = PulseSpec(PulseKind.WAIT, duration=1e10)
         detunings = np.array([0.1, 1e300])
-        self.assert_rejected(rows, "detuning phase", lambda: apply_pulse_rows(rows, p, wait, 0.0, detunings))
+        self.assert_rejected(rows, "detuning phase", lambda: planned_step(rows, p, wait, 0.0, detunings))
         self.assert_rejected(rows, "detuning phase", lambda: pulses._check_detuning_phase(float(np.abs(detunings).max()), 1e10, p.n_ions))
 
     def test_wait_forms_its_detuning_bound_once(self, monkeypatch):
@@ -583,9 +583,9 @@ class TestNonFiniteClockOrPhase:
         calls = []
         check = pulses._check_detuning_phase
         monkeypatch.setattr(pulses, "_check_detuning_phase", lambda *args: calls.append(args) or check(*args))
-        apply_pulse_rows(rows, p, PulseSpec(PulseKind.WAIT, duration=3.0), 0.0, np.array([0.1, -0.2]))
+        planned_step(rows, p, PulseSpec(PulseKind.WAIT, duration=3.0), 0.0, np.array([0.1, -0.2]))
         assert len(calls) == 1
-        apply_pulse_rows(rows, p, PulseSpec(PulseKind.WAIT, duration=3.0), 3.0, np.array([0.1, -0.2]))  # the next wait forms its own
+        planned_step(rows, p, PulseSpec(PulseKind.WAIT, duration=3.0), 3.0, np.array([0.1, -0.2]))  # the next wait forms its own
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
@@ -601,7 +601,7 @@ class TestNonFiniteClockOrPhase:
         rows[0, 1], rows[1, 2] = complex(math.inf, 0.0), complex(0.0, -0.0)
         before = levels_view(rows, p)[:, 0].tobytes()
         with pytest.raises(SimulationError, match="norm"):  # the guard reads the infinite amplitude after the wait
-            apply_pulse_rows(rows, p, PulseSpec(PulseKind.WAIT, duration=duration), 0.0, detunings)
+            planned_step(rows, p, PulseSpec(PulseKind.WAIT, duration=duration), 0.0, detunings)
         assert levels_view(rows, p)[:, 0].tobytes() == before
 
 
@@ -628,7 +628,7 @@ class TestFockWindow:
             matrix = dense_matrix(spec, p, t0=0.6)
             for rows in cases:
                 out = rows.copy()
-                apply_pulse_rows(out, p, spec, 0.6, check_leakage=False)
+                planned_step(out, p, spec, 0.6, check_leakage=False)
                 assert np.max(np.abs(out - rows @ matrix.T)) <= 1e-12, (spec, rows.shape)
 
     @pytest.mark.parametrize("level", [2, 4])
@@ -660,7 +660,7 @@ class TestFockWindow:
         tops = data.draw(st.lists(st.integers(0, nmax), min_size=1, max_size=3), label="tops")
         rows = windowed_rows(p, np.random.default_rng(choice), tops)
         out = rows.copy()
-        apply_pulse_rows(out, p, spec, t0, check_leakage=False)
+        planned_step(out, p, spec, t0, check_leakage=False)
         assert np.max(np.abs(out - rows @ dense_matrix(spec, p, t0=t0).T)) <= 1e-12, spec
 
 

@@ -8,6 +8,7 @@ pulses run on whole arrays, a pulse the sector cannot represent must
 lift the state first, and the guards must see the sector rows.
 """
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -30,6 +31,7 @@ from ionpulse import (
     apply_pulse,
     best_ghz_fidelity,
     dense_matrix,
+    free_evolve,
     ground_state,
     prepare_max_entangled,
     preparation_sequence,
@@ -38,7 +40,7 @@ from ionpulse import (
 )
 from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import flat_index
-from conftest import make_params
+from conftest import make_params, planned_step
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "ionbench"))
 from tracing import Tracer  # noqa: E402
@@ -320,7 +322,7 @@ class TestUnrepresentablePulses:
         levels[0, [0, 2 if excited else p.n_ions]] = 0.6, 0.8j
         spec = PulseSpec(PulseKind.JC_PI, target_ion=1, target_n=0, mode=PulseMode.PHYSICAL)
         rows = levels.reshape(-1).copy()
-        duration, populations = pulses.apply_pulse_rows(rows, p, spec, 0.0, top=0)
+        duration, populations = planned_step(rows, p, spec, 0.0, top=0)
         assert rows.tobytes() == levels.tobytes()  # a turn the sector does not represent writes nothing either
         assert (populations is None) == excited
         sector = hilbert.StateVector._sector(levels.copy(), p, Frame(), 0.0)
@@ -473,3 +475,36 @@ class TestManyIons:
         state = ground_state(make_params(n_ions))
         assert state.amplitude(0, 0) == 1
         assert best_ghz_fidelity(state) == (0.5, 0.0)
+
+
+class TestPopcountsPastTwoBytes:
+    """From N = 65536 the sector's popcount k + s no longer fits in two bytes: the phases that read it must still see it whole."""
+
+    N = 70000
+
+    def test_sector_popcounts_count_past_two_bytes(self):
+        table = hilbert._popcounts(self.N, sector=True)
+        assert table.dtype == np.uint32
+        assert int(table[-1]) == self.N
+
+    def test_detuned_wait_after_the_preparation(self):
+        # |e..e> takes exp(-i N delta T) against |g..g>: 0.885 rad mod 2 pi here, -1.819 rad with N wrapped at 2**16
+        delta, wait = 1e-3, 1.0
+        report = prepare_max_entangled(make_params(self.N, nmax=2), frame=Frame(FRAME_R_PRIME, detuning=delta))
+        state = report.final_state
+        _, before = best_ghz_fidelity(state)
+        free_evolve(state, wait)
+        _, after = best_ghz_fidelity(state)
+        assert in_sector(state)
+        assert abs(cmath.exp(1j * (before - after)) - cmath.exp(1j * self.N * delta * wait)) <= 1e-12
+
+    def test_collective_pi_at_a_laser_phase(self):
+        # step 3's state holds |e..e>|1>, which the pulse maps to (-1)^N e^{-i phase N} |g..g>|1>, then level 1's free phase
+        p = make_params(self.N, nmax=2)
+        state = prepare_max_entangled(p).step_states[2]
+        high = state.amplitude(p.n_configs - 1, 1)
+        phase = 0.3
+        duration, _ = apply_pulse(state, PulseSpec(PulseKind.DISPERSIVE_COLLECTIVE_PI, target_n=1, laser_phase=phase))
+        assert in_sector(state)
+        want = high * (-1) ** self.N * cmath.exp(-1j * phase * self.N) * cmath.exp(-1j * p.trap_freq * duration)
+        assert abs(state.amplitude(0, 1) - want) <= 1e-12

@@ -35,9 +35,8 @@ from ionpulse import (
 )
 from ionpulse import hilbert, protocol, pulses, seqlang
 from ionpulse.hilbert import _fock_top
-from ionpulse.pulses import apply_pulse_rows
 from ionpulse.seqlang import parse
-from conftest import count_calls, dicke_extreme, make_params
+from conftest import count_calls, dicke_extreme, make_params, planned_step
 
 
 def track_windows(monkeypatch):
@@ -165,7 +164,7 @@ class TestPreparation:
 
 
 def plain_scan_rows(config, deltas):
-    """The Ramsey scheme's final rows from window-less ``apply_pulse_rows`` calls, chunk by chunk.
+    """The Ramsey scheme's final rows from window-less ``planned_step`` calls, chunk by chunk.
 
     Chunks and the prepare-once row follow ``_ramsey_rows``: the rounding
     of a ufunc can depend on the shape of the array it runs on.
@@ -176,7 +175,7 @@ def plain_scan_rows(config, deltas):
 
     def run(rows, steps, clock, detunings, kick):
         for spec in steps:
-            duration, _ = apply_pulse_rows(rows, p, spec, clock, detunings)
+            duration, _ = planned_step(rows, p, spec, clock, detunings)
             clock = clock + duration
             if kick is not None and spec.kind is not PulseKind.WAIT and np.count_nonzero(kick):
                 pulses._check_detuning_phase(float(np.abs(kick).max()), duration, p.n_ions)
