@@ -295,7 +295,7 @@ def check_memory(n_amplitudes: int, extra_bytes: int = 0, extra: str = "index", 
             return
     # Otherwise extra_bytes < 2**n_ions leaves the bit length of size << n_ions as it is.
     gib = f" ({size / 2**30:.4g} GiB)" if not n_ions and size < 2**64 else ""
-    beside = f" and a {_count_text(extra_bytes)} B {extra}" if extra_bytes else ""
+    beside = f" and {_count_text(extra_bytes)} B of {extra}" if extra_bytes else ""
     raise SimulationError(
         f"{_count_text(n_amplitudes, n_ions)} amplitudes{beside} need {_count_text(size, n_ions)} B{gib}, more than the "
         f"{available} B ({available / 2**30:.4g} GiB) of physical memory"

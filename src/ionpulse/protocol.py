@@ -379,10 +379,9 @@ def ramsey_probability(n_ions: int, delta: float, wait_time: float) -> float:
     return 0.5 * (1.0 - (-1.0) ** n_ions * math.cos(n_ions * delta * wait_time))
 
 
-def _check_validity(params: TrapParams, deltas: np.ndarray) -> None:
-    """One warning for all detunings that break the frame-invariant approximation."""
-    rates = ((PulseKind.CARRIER_PI_HALF, 0), (PulseKind.JC_PI, 0), (PulseKind.DISPERSIVE_SINGLE_PI, 1))  # the preparation's pulses
-    smallest = min(_rabi_rate(kind, params, n) for kind, n in rates)
+def _check_validity(params: TrapParams, deltas: np.ndarray, prep: tuple[PulseSpec, ...]) -> None:
+    """One warning for all detunings that break the frame-invariant approximation of the preparation ``prep``."""
+    smallest = min(_rabi_rate(spec.kind, params, spec.target_n) for spec in prep)
     magnitudes = np.abs(deltas)
     invalid = int(np.count_nonzero(magnitudes > VALIDITY_RATIO * smallest))
     if invalid:
@@ -447,7 +446,7 @@ def _ramsey_rows(config: RamseyConfig, deltas: np.ndarray, read) -> list:
         for spec, (_, duration) in zip(steps, plan):
             if spec.kind is not PulseKind.WAIT:
                 _check_detuning_phase(largest, duration, params.n_ions)
-    _check_validity(params, deltas)
+    _check_validity(params, deltas, prep)
     shared = 0 if config.detuning_during_pulses else len(prep)
     top = _run_rows(start, params, steps[:shared], plan, 0)  # the ground state's window is level 0
     end = plan[-1][0] + plan[-1][1]  # the clock after the last step

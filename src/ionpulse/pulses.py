@@ -314,7 +314,7 @@ def _apply_free_phases(amplitudes: np.ndarray, params: TrapParams, duration: flo
 
 
 def _detuning_phase(
-    amplitudes: np.ndarray, params: TrapParams, detuning: float | np.ndarray, duration: float, top: int | None
+    amplitudes: np.ndarray, params: TrapParams, detuning: float | np.ndarray, duration: float, top: int
 ) -> None:
     """Detuned-frame phase exp(-i Delta duration) per excited ion, one Delta per row of ``amplitudes``.
 
@@ -325,11 +325,8 @@ def _detuning_phase(
 
     Each row's N+1 phases, one per popcount, are gathered by the cached
     popcount table of the rows' basis and multiply the Fock window, levels
-    0 .. ``top`` (found from the amplitudes when None); the exact zeros
-    above it are left as they are.
+    0 .. ``top``; the exact zeros above it are left as they are.
     """
-    if top is None:
-        top = _fock_top(amplitudes, params)
     detuning = np.asarray(detuning, dtype=np.float64)
     table = np.exp(-1j * detuning[..., None] * duration * np.arange(params.n_ions + 1))
     phase = np.take(table, _popcounts(params.n_ions, _in_sector(amplitudes, params)), axis=-1)

@@ -24,7 +24,9 @@ checks only the grammar.  A line's words are split on whitespace, and a
 header line gives its record in one step.  Parsing never raises: every
 problem becomes a diagnostic with a 1-based line and column, looked up
 only then (a bad header value at its own word, a bad step at its
-keyword), and errors leave no program to execute.  The canonical
+keyword), and errors leave no program to execute.  Parsing checks no
+memory: a run checks it where it allocates, the start state's sector
+first and the whole array only when a step needs it.  The canonical
 five-pulse preparation program for three ions is
 
     ions N=3
@@ -49,7 +51,6 @@ from .hilbert import (
     StateVector,
     TrapParams,
     _fock_top,
-    check_memory,
     fock_populations,  # noqa: F401 - not called here; profiling tools wrap this module's names
     ground_state,
 )
@@ -198,7 +199,6 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
         self.header_seen: dict[str, int] = {}
         self.params = DEFAULT_PARAMS
-        self.sized_at: dict[str, tuple[int, str, int]] = {}  # the ion and level counts' line, code and word, for the memory diagnostic
         self.frame = Frame()
         self.steps: list[tuple[PulseSpec, tuple[int, int]]] = []
 
@@ -268,16 +268,8 @@ class _Parser:
                 self.frame = self._apply(Frame(words[1]), fields, start, code, line)
             elif fields is not None:
                 self.params = self._apply(self.params, fields, start, code, line)
-                for index, name in enumerate(fields, start):
-                    if name in ("n_ions", "fock_cutoff"):
-                        self.sized_at[name] = (line, code, index)
 
     def build(self, source_empty_line: int) -> tuple[SequenceProgram | None, list[ParseDiagnostic]]:
-        try:
-            check_memory(self.params.n_levels, n_ions=self.params.n_ions)
-        except SimulationError as exc:  # at the ion count, or at the level count when no header set N
-            line, code, index = self.sized_at.get("n_ions") or self.sized_at.get("fock_cutoff", (1, "N", 0))  # 1:1 unset
-            self.errors(line, code, [(index, str(exc))])
         steps, spans, durations = [], [], []
         for spec, span in self.steps:
             try:

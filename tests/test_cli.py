@@ -202,15 +202,18 @@ class TestRamseyScan:
 
 
 class TestRun:
-    def test_canonical_program_matches_prepare(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("n_ions", [2, 3, 40, 1000, 100000])  # the whole array at N=40 would need 80 TiB
+    def test_canonical_program_matches_prepare(self, capsys, tmp_path, n_ions, mode):
+        suffix = "" if mode == "ideal" else " mode=physical"
         path = tmp_path / "prog.pseq"
-        path.write_text(CANONICAL_2)
-        code_run, out_run, _ = run_cli(capsys, "run", str(path))
-        code_prep, out_prep, _ = run_cli(capsys, "prepare", "--ions", "2")
-        assert code_run == 0 and code_prep == 0
-        fid_run = [l for l in out_run.splitlines() if l.startswith("fidelity:")][0]
-        fid_prep = [l for l in out_prep.splitlines() if l.startswith("fidelity:")][0]
-        assert fid_run == fid_prep
+        path.write_text(
+            f"ions N={n_ions}\ncarrier_pi2 ion={n_ions}\njc_pi ion={n_ions} n=0{suffix}\ndisp_pi all n=1{suffix}\n"
+            f"disp_pi ion={n_ions} n=1{suffix}\njc_pi ion={n_ions} n=0{suffix}\n"
+        )
+        ran = run_cli(capsys, "run", str(path))
+        assert ran == run_cli(capsys, "prepare", "--ions", str(n_ions), "--mode", mode)
+        assert ran[0] == 0 and ran[2] == ""
 
     def test_parse_error_exits_2_with_position(self, capsys, tmp_path):
         path = tmp_path / "bad.pseq"
@@ -483,13 +486,16 @@ class TestMemoryBudget:
         [
             ("prepare", "--ions", "2000", "--dump-state"),
             ("ramsey-scan", "--ions", "20000", "--delta-min", "0", "--delta-max", "1e-9", "--points", "3", "--wait", "1"),
+            ("run", "PROGRAM", "--dump-state"),
         ],
-        ids=["prepare-2000-dump-state", "ramsey-scan-20000"],
+        ids=["prepare-2000-dump-state", "ramsey-scan-20000", "run-1000-dump-state"],
     )
-    def test_huge_ion_count_exits_1_without_a_traceback(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+    def test_huge_ion_count_exits_1_without_a_traceback(self, capsys, tmp_path, argv):
+        program = tmp_path / "prog.pseq"
+        program.write_text("ions N=1000\ncarrier_pi2 ion=1000\njc_pi ion=1000 n=0\n")
+        code, out, err = run_cli(capsys, *[str(program) if arg == "PROGRAM" else arg for arg in argv])
         assert code == 1
-        assert err.startswith("error: ") and "physical memory" in err and "Traceback" not in err
+        assert err.startswith("error: ") and "physical memory" in err and len(err.splitlines()) == 1
         assert out == ""
 
     def test_prepare_dump_that_cannot_fit_fails_before_any_output(self, capsys, tmp_path):
@@ -510,6 +516,14 @@ class TestMemoryBudget:
         assert err.startswith("error: ") and "dump need" in err
         assert out == ""
 
+    def test_run_step_that_lifts_fails_at_its_position(self, capsys, tmp_path):
+        # the sector runs the first step at N=40; the second needs the whole array, 80 TiB
+        path = tmp_path / "prog.pseq"
+        path.write_text("ions N=40\ncarrier_pi2 ion=40\n  carrier_pi2 ion=1\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: 3:3: error: ") and "physical memory" in err and len(err.splitlines()) == 1
+
     def test_verify_checks_the_largest_n_before_the_sweep(self, capsys, monkeypatch):
         # room for the N=6 run only, its start state and five step copies of 2N(nmax + 1) sector amplitudes: N=7 and 8 would not fit
         monkeypatch.setattr(hilbert, "_physical_memory_bytes", lambda: 6 * 2 * 6 * 5 * 16)
@@ -518,22 +532,19 @@ class TestMemoryBudget:
         assert err.startswith("error: ") and "physical memory" in err
         assert out == ""
 
-    WHOLE = f"at least 2^{10**9 + 2} amplitudes need at least 2^{10**9 + 6} B, more than the "
-    SECTOR = f"{10 * 10**9} amplitudes need {160 * 10**9} B "
-
     @pytest.mark.parametrize(
-        "argv, code, message",
+        "argv",
         [
-            # the preparation and the scan start from the sector ground state, whose own check comes first
-            (("prepare", "--ions", str(10**9)), 1, SECTOR),
-            (("ramsey-scan", "--ions", str(10**9), "--delta-min", "0", "--delta-max", "0", "--points", "3", "--wait", "1"), 1, SECTOR),
-            (("verify", "--ions-max", str(10**9)), 1, SECTOR),
-            (("run", "PROGRAM"), 2, WHOLE),
+            ("prepare", "--ions", str(10**9)),
+            ("ramsey-scan", "--ions", str(10**9), "--delta-min", "0", "--delta-max", "0", "--points", "3", "--wait", "1"),
+            ("verify", "--ions-max", str(10**9)),
+            ("run", "PROGRAM"),
         ],
         ids=["prepare", "ramsey-scan", "verify", "run"],
     )
-    def test_billion_ions_rejected_without_forming_the_state_size(self, capsys, tmp_path, argv, code, message):
-        # 2**N alone is an int of N bits, 125 MB here: the check must not form it
+    def test_billion_ions_rejected_without_forming_the_state_size(self, capsys, tmp_path, argv):
+        # 2**N alone is an int of N bits, 125 MB here: the check must not form it.  Every command starts
+        # from the sector ground state, whose own check comes first.
         program = tmp_path / "huge.pseq"
         program.write_text(f"ions N={10**9}\ncarrier_pi2 ion=1\n")
         argv = [str(program) if arg == "PROGRAM" else arg for arg in argv]
@@ -543,10 +554,11 @@ class TestMemoryBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        err = capsys.readouterr().err
-        assert got == code
+        out, err = capsys.readouterr()
+        assert got == 1
         assert peak < 2**20
-        assert message in err
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {10 * 10**9} amplitudes need {160 * 10**9} B ")
 
     def test_scan_memory_check_comes_before_the_validity_warning(self, capsys):
         # --delta-max 1e-6 is outside the validity window at N=20000, where the state does not fit either
@@ -568,6 +580,39 @@ class TestLargeN:
         first, *steps = out.splitlines()
         assert float(first.split()[1]) >= 1.0 - cli_module.FIDELITY_GATE
         assert len(steps) == 5 and all("norm=1.000000000000" in line for line in steps)
+
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_run_of_a_benchmark_shaped_program_stays_in_the_sector(self, capsys, tmp_path, mode):
+        # steps on random ions that leave |g..g>|0> as it is, then the canonical five, as ionbench's pseq_run draws them
+        n_ions, nmax, rng = 1000, 4, np.random.default_rng(29)
+        suffix = "" if mode == "ideal" else " mode=physical"
+        lines = [f"ions N={n_ions}", f"trap nu=1 eta=0.1 rabi=1 nmax={nmax}"]
+        for kind, ion in zip(rng.integers(4, size=40), rng.integers(1, n_ions + 1, size=40)):
+            lines.append(
+                [
+                    f"wait T={float(rng.uniform(0.1, 50.0))!r}",
+                    f"jc_pi ion={ion} n={rng.integers(0, nmax)}{suffix}",
+                    f"disp_pi ion={ion} n={rng.integers(1, nmax + 1)}{suffix}",
+                    f"disp_pi all n={rng.integers(1, nmax + 1)}{suffix}",
+                ][kind]
+            )
+        lines += [
+            f"carrier_pi2 ion={n_ions}",
+            f"jc_pi ion={n_ions} n=0{suffix}",
+            f"disp_pi all n=1{suffix}",
+            f"disp_pi ion={n_ions} n=1{suffix}",
+            f"jc_pi ion={n_ions} n=0{suffix}",
+        ]
+        source = "\n".join(lines) + "\n"
+        path = tmp_path / "prog.pseq"
+        path.write_text(source)
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert len(data["steps"]) == 45
+        assert data["fidelity"] >= 1.0 - cli_module.FIDELITY_GATE
+        final, _ = seqlang.execute(seqlang.parse(source)[0])
+        assert final._levels is not None
 
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
     def test_verify_passes(self, capsys, mode):

@@ -234,6 +234,18 @@ class TestMemoryBudget:
         with pytest.raises(SimulationError, match=rf"at least 2\^{n_ions + 2} amplitudes .*physical memory"):
             state.dump_json()
 
+    @pytest.mark.parametrize("n_ions", [70, 1000])
+    def test_power_of_two_counts_read_as_a_sentence(self, n_ions):
+        # every count is past 2**64, so each is worded "at least 2^k"
+        state = ground_state(make_params(n_ions))
+        for read, extra in ((lambda: state.amplitudes, "index"), (state.dump_json, "dump")):
+            with pytest.raises(SimulationError) as error:
+                read()
+            assert re.fullmatch(
+                rf"at least 2\^{n_ions + 2} amplitudes and at least 2\^\d+ B of {extra} need at least 2\^\d+ B, "
+                r"more than the \d+ B \(\S+ GiB\) of physical memory",
+                str(error.value),
+            )
 
     @pytest.mark.parametrize("memory_bits", [34, 63, 64, 65, 90])
     @pytest.mark.parametrize("levels, extra", [(1, 0), (5, 0), (13, 0), (5, 7), (5, 2**70)])
@@ -524,7 +536,7 @@ class TestDump:
                 tracemalloc.stop()
 
         message, peak = traced_dump(lift)
-        assert re.match(rf"{p.dim} amplitudes and a \d+ B dump need \d+ B", message)
+        assert re.match(rf"{p.dim} amplitudes and \d+ B of dump need \d+ B", message)
         assert peak <= 64 * 1024  # nothing is allocated or lifted before the check
         assert (state._levels is None) == (stored == "whole")
         needed = int(re.search(r"need (\d+) B", message)[1])

@@ -231,7 +231,7 @@ class TestLift:
                 if fits:
                     hilbert._lift(levels, p)
                 else:
-                    with pytest.raises(SimulationError, match="amplitudes and a 589824 B index need"):
+                    with pytest.raises(SimulationError, match="amplitudes and 589824 B of index need"):
                         hilbert._lift(levels, p)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

@@ -15,6 +15,7 @@ from ionpulse import (
     PulseSpec,
     SequenceError,
     SequenceProgram,
+    SimulationError,
     TrapParams,
     excited_population,
     fidelity,
@@ -130,34 +131,37 @@ class TestParse:
         assert "out of range" in errors_of(diags)[0].message
 
     def test_ion_count_beyond_physical_memory(self):
-        program, diags = parse("ions N=40\ncarrier_pi2 ion=1\n")
-        assert program is None
-        err = errors_of(diags)[0]
-        assert (err.line, err.column) == (1, 6)
-        assert f"need {5 * 2**40 * 16} B" in err.message and "physical memory" in err.message
+        # the program parses and runs in the sector; only the step that needs the whole array is refused, at its position
+        program, diags = parse("ions N=40\ncarrier_pi2 ion=40\n  carrier_pi2 ion=1\n")
+        assert program is not None and diags == []
+        with pytest.raises(SequenceError) as error:
+            execute(program)
+        assert (error.value.line, error.value.column) == (3, 3)
+        assert f"need {5 * 2**40 * 16 + 9 * 2**40} B" in str(error.value) and "physical memory" in str(error.value)
 
     @pytest.mark.parametrize("n_ions", [2000, 20000])
-    def test_huge_ion_count_is_a_diagnostic_at_its_token(self, n_ions):
+    def test_huge_ion_count_fails_at_the_step_that_lifts(self, n_ions):
         program, diags = parse(f"# far too many\nions   N={n_ions}\ncarrier_pi2 ion=1\n")
-        assert program is None
-        [err] = errors_of(diags)
-        assert (err.line, err.column) == (2, 8)
-        assert "physical memory" in err.message
+        assert program is not None and diags == []
+        with pytest.raises(SequenceError) as error:
+            execute(program)
+        assert (error.value.line, error.value.column) == (3, 1)
+        assert f"at least 2^{n_ions + 2} amplitudes" in str(error.value) and "physical memory" in str(error.value)
 
     @pytest.mark.parametrize(
-        "source, position",
+        "source, n_ions",
         [
-            ("# c\ntrap nmax=99999999999\nwait T=1\n", (2, 6)),
-            ("trap eta=0.2 nmax=99999999999\nions  N=3\nwait T=1\n", (2, 7)),  # an ions header sets N: its word
+            ("# c\ntrap nmax=99999999999\nwait T=1\n", 1),
+            ("trap eta=0.2 nmax=99999999999\nions  N=3\nwait T=1\n", 3),
         ],
         ids=["no-ions-header", "ions-header"],
     )
-    def test_level_count_beyond_physical_memory_at_its_token(self, source, position):
+    def test_level_count_beyond_physical_memory_is_refused_by_the_ground_state(self, source, n_ions):
         program, diags = parse(source)
-        assert program is None
-        [err] = errors_of(diags)
-        assert (err.line, err.column) == position
-        assert "amplitudes need" in err.message and "physical memory" in err.message
+        assert program is not None and diags == []
+        with pytest.raises(SimulationError, match=rf"^{2 * n_ions * 10**11} amplitudes need .*physical memory") as error:
+            execute(program)
+        assert not isinstance(error.value, SequenceError)  # before any step
 
     def test_sideband_beyond_cutoff(self):
         program, diags = parse("trap nmax=2\njc_pi ion=1 n=2\n")

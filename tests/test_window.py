@@ -179,7 +179,7 @@ def plain_scan_rows(config, deltas):
             clock = clock + duration
             if kick is not None and spec.kind is not PulseKind.WAIT and np.count_nonzero(kick):
                 pulses._check_detuning_phase(float(np.abs(kick).max()), duration, p.n_ions)
-                pulses._detuning_phase(rows, p, kick, duration, None)
+                pulses._detuning_phase(rows, p, kick, duration, _fock_top(rows, p))
         return clock
 
     start = ground_state(p).amplitudes[None, :]

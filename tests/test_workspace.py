@@ -26,7 +26,7 @@ from ionpulse import (
     verify_trajectory,
 )
 from ionpulse import pulses
-from ionpulse.hilbert import _popcounts, flat_index
+from ionpulse.hilbert import _fock_top, _popcounts, flat_index
 from conftest import make_params, random_state
 
 AMPLITUDE_BYTES = 16  # complex128
@@ -137,7 +137,7 @@ class TestPopcountCaches:
         deltas = np.array([0.3, -1.7e-3, 2.5])
         phase = np.exp(-1j * deltas[:, None] * 4.5 * _popcounts(n_ions).astype(np.int64))
         want = (rows.reshape(3, p.n_levels, p.n_configs) * phase[:, None, :]).reshape(rows.shape)
-        pulses._detuning_phase(rows, p, deltas, 4.5, None)
+        pulses._detuning_phase(rows, p, deltas, 4.5, _fock_top(rows, p))
         assert rows.tobytes() == want.tobytes()
 
     def test_detuning_phase_leaves_the_levels_above_the_window(self):
