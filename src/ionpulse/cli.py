@@ -9,9 +9,9 @@ dense-matrix spot check).
 Exit codes: 0 on success, 1 when a physics check fails, 2 on usage or
 parse errors.  Only :func:`main` maps errors to exit codes: an
 :class:`InputError` from a flag rule or a library check is a usage error
-(2), a :class:`SimulationError` is ``error: ...`` and 1.  All numbers
-printed here are produced by the simulation modules; output formats are
-fixed so identical flags give identical bytes.
+(2), a :class:`SimulationError` is ``error: ...`` and 1 (``line:col: error: ...``
+for a failing ``.pseq`` step).  All numbers printed come from the simulation
+modules; output formats are fixed so identical flags give identical bytes.
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))  # usage and message on stderr, then SystemExit(2)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SimulationError as exc:  # a SequenceError's text is already a diagnostic, "line:col: error: ..."
+        print(exc if isinstance(exc, seqlang.SequenceError) else f"error: {exc}", file=sys.stderr)
         return 1
 
 

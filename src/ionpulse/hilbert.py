@@ -341,7 +341,7 @@ def _word_amplitudes(levels: np.ndarray, n_ions: int) -> np.ndarray:
     return parts.view(np.complex128)[..., 0]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _word_index(n_ions: int) -> np.ndarray:
     """The sector index s * (N - 1) + popcount(b) of every bit word b, s its top bit, as intp.
 

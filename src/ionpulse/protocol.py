@@ -80,7 +80,7 @@ from .pulses import (
     PulseSpec,
     apply_pulse,
     free_evolve,  # noqa: F401
-    pulse_duration,
+    _WAIT,
     _check_detuning_phase,
     _detuning_phase,
     _plan,
@@ -220,10 +220,8 @@ def prepare_max_entangled(
     phi = None
     if omega0 is not None:
         _require_finite("omega0", omega0)
-    # after _preparation's check the specs pass validate_pulse_spec but for a Rabi rate of 0, which pulse_duration raises
-    durations = [pulse_duration(spec, params) for spec in specs]
     detuning = 0.0 if frame is None else abs(frame.detuning)
-    plan = list(_plan(params, specs, 0.0, detuning, durations))  # an eager list, from the ground state's clock
+    plan = list(_plan(params, specs, 0.0, detuning))  # an eager list, from the ground state's clock
     if omega0 is not None:
         t5 = plan[-1][0] + plan[-1][1]  # the clock after the last pulse
         phi = params.n_ions * omega0 * t5
@@ -414,7 +412,7 @@ def _run_rows(
     for spec, (clock, duration) in zip(specs, plan):
         levels = _step_rows(rows, params, spec, clock, detunings, duration, top)
         top = _fock_top(rows, params, known=levels)  # a phase maps zeros to zeros: the same window after it
-        if kick and duration and spec.kind is not PulseKind.WAIT:  # a zero duration or detuning forms no phase
+        if kick and duration and spec.kind is not _WAIT:  # a zero duration or detuning forms no phase
             _detuning_phase(rows, params, detunings, duration, top)
     return top
 

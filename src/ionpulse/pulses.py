@@ -92,6 +92,9 @@ same kernel on one :class:`StateVector`.  :func:`dense_matrix` builds the
 same unitaries as explicit matrices through an independent kron/loop
 construction, for the test-suite to cross-check the fast path.
 
+The per-step functions read enum members through names bound at import and
+hash them by identity: on Python 3.10/3.11 a class read or hash runs Python code.
+
 Phase origin: all drive fields are taken to be in phase at t = 0, so a
 pulse's phase factors depend on the absolute start time t0 carried by the
 state clock.  A per-pulse ``laser_phase`` offset multiplies the raising
@@ -144,10 +147,19 @@ class PulseKind(enum.Enum):
     DISPERSIVE_COLLECTIVE_PI = "disp_pi_all"
     WAIT = "wait"
 
+    __hash__ = object.__hash__  # members are singletons compared by identity
+
 
 class PulseMode(enum.Enum):
     IDEAL = "ideal"
     PHYSICAL = "physical"
+
+    __hash__ = object.__hash__
+
+
+# The per-step code reads members through these names: on Python 3.10/3.11 a PulseKind.X read runs EnumType's __getattr__.
+_CARRIER, _JC, _DISP, _DISP_ALL, _WAIT = PulseKind  # in declaration order
+_IDEAL = PulseMode.IDEAL
 
 
 class PulseError(SimulationError):
@@ -171,11 +183,11 @@ def _rabi_rate(kind: PulseKind, params: TrapParams, n: int) -> float:
     frequency Omega_0 from the trap parameters.  The dispersive rate is
     identically zero at n = 0.
     """
-    if kind is PulseKind.CARRIER_PI_HALF:
+    if kind is _CARRIER:
         return params.base_rabi
-    if kind is PulseKind.JC_PI:
+    if kind is _JC:
         return params.base_rabi * params.lamb_dicke * math.sqrt(n + 1) / math.sqrt(params.n_ions)
-    if kind in (PulseKind.DISPERSIVE_SINGLE_PI, PulseKind.DISPERSIVE_COLLECTIVE_PI):
+    if kind in (_DISP, _DISP_ALL):
         return params.base_rabi * params.lamb_dicke**2 * n / params.n_ions
     raise PulseError(f"unknown pulse kind {kind!r}")
 
@@ -206,27 +218,27 @@ def _check_ion(params: TrapParams, ion: int) -> None:
 
 def pulse_duration(spec: PulseSpec, params: TrapParams) -> float:
     """Duration of the pulse: pi/(2 Omega) for the carrier, pi/Omega otherwise."""
-    if spec.kind is PulseKind.WAIT:
+    if spec.kind is _WAIT:
         if spec.duration is None or not 0 <= spec.duration < math.inf:
             raise PulseError(f"wait requires a finite duration >= 0, got {spec.duration!r}")
         return spec.duration
     rate = _rabi_rate(spec.kind, params, spec.target_n)
     if not rate > 0:
-        name = {PulseKind.CARRIER_PI_HALF: "carrier", PulseKind.JC_PI: "sideband"}.get(spec.kind, "dispersive")
+        name = {_CARRIER: "carrier", _JC: "sideband"}.get(spec.kind, "dispersive")
         raise PulseError(f"{name} Rabi frequency must be positive, got {rate!r}")
-    return math.pi / (2.0 * rate) if spec.kind is PulseKind.CARRIER_PI_HALF else math.pi / rate
+    return math.pi / (2.0 * rate) if spec.kind is _CARRIER else math.pi / rate
 
 
 def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
     """Raise PulseError if the spec cannot be applied under these parameters; return its duration."""
     _require_finite("laser_phase", spec.laser_phase, PulseError)
-    if spec.kind is PulseKind.WAIT:
+    if spec.kind is _WAIT:
         return pulse_duration(spec, params)
     if spec.duration is not None:
         raise PulseError("pulse durations are derived from Rabi frequencies; leave duration unset")
-    if spec.kind is not PulseKind.DISPERSIVE_COLLECTIVE_PI:
+    if spec.kind is not _DISP_ALL:
         _check_ion(params, spec.target_ion)
-    if spec.kind is PulseKind.JC_PI:
+    if spec.kind is _JC:
         if spec.target_n < 0:
             raise PulseError(f"sideband target_n must be >= 0, got {spec.target_n}")
         if spec.target_n + 1 > params.fock_cutoff:
@@ -234,7 +246,7 @@ def validate_pulse_spec(spec: PulseSpec, params: TrapParams) -> float:
                 f"sideband pulse on n={spec.target_n} reaches Fock level "
                 f"{spec.target_n + 1} beyond the cutoff {params.fock_cutoff}"
             )
-    if spec.kind in (PulseKind.DISPERSIVE_SINGLE_PI, PulseKind.DISPERSIVE_COLLECTIVE_PI):
+    if spec.kind in (_DISP, _DISP_ALL):
         if spec.target_n < 1:
             raise PulseError(
                 "dispersive pulse requires target_n >= 1 (its Rabi frequency is zero at n = 0)"
@@ -261,9 +273,9 @@ def _check_step_phases(params: TrapParams, spec: PulseSpec, t0: float, duration:
     _require_finite("the clock t0 + duration at the end of the step", t0 + duration, PulseError)
     if duration:  # a zero wait forms no phase
         _require_finite("the trap phase nu * n_max * duration", params.trap_freq * params.fock_cutoff * duration, PulseError)
-    if spec.kind is PulseKind.JC_PI:
+    if spec.kind is _JC:
         _require_finite("the sideband phase nu * t0 + phase", params.trap_freq * t0 + spec.laser_phase, PulseError)
-    elif spec.kind is PulseKind.WAIT:
+    elif spec.kind is _WAIT:
         _check_detuning_phase(detuning, duration, params.n_ions)
 
 
@@ -386,13 +398,13 @@ def _angle_table(
     scalars; any other as read-only columns shaped (levels, 1, 1).  An
     empty window counts as all pi (there is nothing to rotate).
     """
-    if kind is PulseKind.CARRIER_PI_HALF:
+    if kind is _CARRIER:
         levels = range(top + 1)
         thetas = [math.pi / 2.0] * len(levels)
-    elif mode is PulseMode.IDEAL:
+    elif mode is _IDEAL:
         levels = range(target_n, min(target_n, top) + 1)
         thetas = [math.pi] * len(levels)
-    elif kind is PulseKind.JC_PI:
+    elif kind is _JC:
         levels = range(min(top + 1, n_levels - 1))
         thetas = [math.pi * math.sqrt(m + 1) / math.sqrt(target_n + 1) for m in levels]
     else:
@@ -488,7 +500,7 @@ def _step_rows(
     ``known``, the last guard's, is returned unread by a step that writes
     no amplitude.
     """
-    if spec.kind is PulseKind.WAIT:
+    if spec.kind is _WAIT:
         kick = duration > 0 and np.count_nonzero(detuning)  # its bound was checked with the step's phases
         if known is not None and not (kick or duration > 0 and top):
             return known  # no free phase above level 0 and no detuning phase: nothing to write
@@ -502,18 +514,18 @@ def _step_rows(
         coupled = table[0]
         turns = coupled.start < coupled.stop
         last = spec.target_ion == params.n_ions
-        if turns and not top and spec.kind is PulseKind.JC_PI:
+        if turns and not top and spec.kind is _JC:
             # At window 0 the one pair is (|g,1>, |e,0>), and |g,1> holds zeros: a pair of zeros acts as an empty table.
             if not last and _in_sector(amplitudes, params):  # ion j < N is excited in some word of every D_k with k >= 1
                 turns = _ion_view(amplitudes, params, params.n_ions)[..., 0, :, :, 1:].any()
             else:
                 turns = _ion_view(amplitudes, params, spec.target_ion)[..., 0, :, 1, :].any()  # NaN counts as nonzero
         if turns:
-            if not (table[3] if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI else last) and _in_sector(amplitudes, params):
+            if not (table[3] if spec.kind is _DISP_ALL else last) and _in_sector(amplitudes, params):
                 return None  # the turn leaves the sector: nothing written, the caller lifts the rows
-            if spec.kind is PulseKind.DISPERSIVE_COLLECTIVE_PI:
+            if spec.kind is _DISP_ALL:
                 _rotate_every_ion(amplitudes, params, spec.laser_phase, table)
-            elif spec.kind is PulseKind.JC_PI:
+            elif spec.kind is _JC:
                 # a Python complex from cmath.exp (np.exp's values), so the kernel's scalar products are Python arithmetic
                 u = 1j * cmath.exp(1j * (params.trap_freq * t0 + spec.laser_phase))
                 _rotate_one_ion(amplitudes, params, spec.target_ion, table, 1, u)

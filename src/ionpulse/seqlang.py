@@ -70,6 +70,11 @@ __all__ = [
     "execute",
 ]
 
+# mode= words and records' kinds are read through maps: PulseMode(word) and kind.value run Python-level enum
+# code on Python 3.10/3.11.  A member maps to itself, as PulseMode(member) returns it.
+_MODES = {**{mode.value: mode for mode in PulseMode}, **{mode: mode for mode in PulseMode}}
+_KIND_TEXT = {kind: kind.value for kind in PulseKind}
+
 DEFAULT_PARAMS = TrapParams(n_ions=1, trap_freq=1.0, lamb_dicke=0.1, base_rabi=1.0, fock_cutoff=4)
 
 # The grammar.  parse and format_program read the same rows, so changing a
@@ -84,7 +89,7 @@ _ARGS = {
     "delta": ("detuning", float),
     "ion": ("target_ion", int),
     "n": ("target_n", int),
-    "mode": ("mode", PulseMode),
+    "mode": ("mode", _MODES.__getitem__),
     "phase": ("laser_phase", float),
     "T": ("duration", float),
 }
@@ -111,7 +116,7 @@ _STEP_KEYWORDS = {kind: keyword for keyword, (kind, _, _) in _STEPS.items()}
 _MALFORMED = {
     int: "malformed integer {!r}",
     float: "malformed number {!r}",
-    PulseMode: "unknown mode {!r} (expected ideal or physical)",
+    _MODES.__getitem__: "unknown mode {!r} (expected ideal or physical)",
 }
 
 
@@ -180,7 +185,7 @@ def step_traces(steps: list[PulseSpec], clocks: list[float], table: np.ndarray) 
     """
     norms = np.sqrt(table.sum(axis=1)).tolist()
     return [
-        StepTrace(step, spec.kind.value, clock, norm, populations)
+        StepTrace(step, _KIND_TEXT[spec.kind], clock, norm, populations)
         for step, (spec, clock, norm, populations) in enumerate(zip(steps, clocks, norms, table.tolist()), start=1)
     ]
 
@@ -223,7 +228,7 @@ class _Parser:
             else:
                 try:
                     fields[arg[0]] = arg[1](raw)
-                except ValueError:
+                except (ValueError, KeyError):  # KeyError: a mode= word not in _MODES
                     bad.append((index, _MALFORMED[arg[1]].format(raw)))
         if not bad and not required_fields <= fields.keys():
             bad = [(0, f"{keyword} requires {', '.join(k + '=' for k in required if _ARGS[k][0] not in fields)}")]

@@ -316,14 +316,15 @@ class TestNonFiniteClockOrPhase:
     """A step whose end time or a phase it forms overflows: exit 1, one named error, no output, no warning."""
 
     @staticmethod
-    def assert_one_error(capsys, argv, named):
+    def assert_one_error(capsys, argv, named, prefix="error: "):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
         assert caught == []
         assert code == 1 and out == ""
         [line] = err.splitlines()
-        assert line.startswith("error: ") and named in line and line.endswith("must be finite, got inf")
+        assert line.startswith(prefix) and line.count("error:") == 1
+        assert named in line and line.endswith("must be finite, got inf")
         return line
 
     @pytest.mark.parametrize(
@@ -341,8 +342,7 @@ class TestNonFiniteClockOrPhase:
     def test_program_error_at_the_overflowing_step(self, capsys, tmp_path, steps, line, named):
         path = tmp_path / "overflow.pseq"
         path.write_text("\n".join(["ions N=2", *steps]) + "\n")
-        error = self.assert_one_error(capsys, ["run", str(path)], named)
-        assert error.startswith(f"error: {line}:1: ")
+        self.assert_one_error(capsys, ["run", str(path)], named, prefix=f"{line}:1: error: ")
 
     def test_prepare_with_overflowing_trap_phase(self, capsys):
         self.assert_one_error(capsys, ["prepare", "--ions", "3", "--nu", "1e308", "--mode", "physical"], "trap phase")
@@ -522,7 +522,7 @@ class TestMemoryBudget:
         path.write_text("ions N=40\ncarrier_pi2 ion=40\n  carrier_pi2 ion=1\n")
         code, out, err = run_cli(capsys, "run", str(path))
         assert code == 1 and out == ""
-        assert err.startswith("error: 3:3: error: ") and "physical memory" in err and len(err.splitlines()) == 1
+        assert err.startswith("3:3: error: ") and "physical memory" in err and len(err.splitlines()) == 1
 
     def test_verify_checks_the_largest_n_before_the_sweep(self, capsys, monkeypatch):
         # room for the N=6 run only, its start state and five step copies of 2N(nmax + 1) sector amplitudes: N=7 and 8 would not fit

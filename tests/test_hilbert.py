@@ -489,6 +489,18 @@ class TestDump:
         assert sector._levels is not None  # no whole array was built
         assert text == StateVector(hilbert._lift(levels, p), p, Frame(FRAME_R_PRIME, 0.25), 1.5).dump_json()
 
+    def test_word_index_holds_a_pseq_cycles_ion_counts(self):
+        # a seeded .pseq cycle dumps states at up to seven ion counts: a second pass over them builds no index
+        states = [prepare_max_entangled(make_params(n)).final_state for n in range(4, 11)]
+        hilbert._word_index.cache_clear()
+        for state in states:
+            state.dump_json()
+        assert hilbert._word_index.cache_info().misses == len(states)
+        for state in states:
+            assert state._levels is not None  # the dump gathered from the sector, through the index
+            state.dump_json()
+        assert hilbert._word_index.cache_info().misses == len(states)
+
     def test_a_dump_sets_off_no_collection(self):
         state = prepare_max_entangled(make_params(10, nmax=6)).final_state
         state.amplitudes  # the whole array is lifted before the count

@@ -1,4 +1,7 @@
+import enum
+import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -45,6 +48,49 @@ def jc_rate(p, n):
 
 def dispersive_rate(p, n):
     return _rabi_rate(PulseKind.DISPERSIVE_SINGLE_PI, p, n)
+
+
+class TestEnumContract:
+    """The public enums' members, values, order and constructor; members hash by identity, across pickling too."""
+
+    def test_members_values_and_order(self):
+        assert issubclass(PulseKind, enum.Enum) and issubclass(PulseMode, enum.Enum)
+        assert [(k.name, k.value) for k in PulseKind] == [
+            ("CARRIER_PI_HALF", "carrier_pi2"),
+            ("JC_PI", "jc_pi"),
+            ("DISPERSIVE_SINGLE_PI", "disp_pi"),
+            ("DISPERSIVE_COLLECTIVE_PI", "disp_pi_all"),
+            ("WAIT", "wait"),
+        ]
+        assert [(m.name, m.value) for m in PulseMode] == [("IDEAL", "ideal"), ("PHYSICAL", "physical")]
+
+    def test_constructor_returns_the_member(self):
+        assert PulseMode("physical") is PulseMode.PHYSICAL
+        assert PulseMode(PulseMode.IDEAL) is PulseMode.IDEAL
+        assert PulseKind("disp_pi_all") is PulseKind.DISPERSIVE_COLLECTIVE_PI
+        with pytest.raises(ValueError):
+            PulseMode("Physical")
+
+    @pytest.mark.parametrize("member", [*PulseKind, *PulseMode], ids=str)
+    def test_pickle_round_trip_returns_the_member_with_its_hash(self, member):
+        copy = pickle.loads(pickle.dumps(member))
+        assert copy is member and hash(copy) == hash(member)
+        assert {member: "key"}[copy] == "key"
+
+    def test_members_key_lru_caches_after_a_round_trip(self):
+        @functools.lru_cache(maxsize=None)
+        def keyed(kind, mode):
+            return object()
+
+        first = {(kind, mode): keyed(kind, mode) for kind in PulseKind for mode in PulseMode}
+        for key, value in first.items():
+            assert keyed(*pickle.loads(pickle.dumps(key))) is value
+        assert keyed.cache_info().misses == len(first)
+        spec = PulseSpec(PulseKind.JC_PI, target_ion=2, mode=PulseMode.PHYSICAL)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        table = pulses._angle_table(spec.kind, spec.mode, 0, 5, 1)
+        assert pulses._angle_table(copy.kind, copy.mode, 0, 5, 1) is table
 
 
 class TestRabiRate:

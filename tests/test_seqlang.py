@@ -125,6 +125,15 @@ class TestParse:
         assert program is None
         assert "unknown mode" in errors_of(diags)[0].message
 
+    def test_mode_is_read_as_written(self):
+        program, diags = parse("ions N=1\njc_pi ion=1 n=0 mode=Physical\n")
+        assert program is None
+        [error] = errors_of(diags)
+        assert (error.line, error.column) == (2, 17)
+        assert error.message == "unknown mode 'Physical' (expected ideal or physical)"
+        program, _ = parse("ions N=1\njc_pi ion=1 n=0 mode=physical\n")
+        assert program.steps[0].mode is PulseMode.PHYSICAL
+
     def test_ion_out_of_range(self):
         program, diags = parse("ions N=2\ncarrier_pi2 ion=5\n")
         assert program is None
